@@ -28,6 +28,8 @@ from .corpus import (
 from .errors import ConfigError, DataError, EvaluationError
 from .kg_store import edge_file_checksum, parse_edge_file
 from .neighbor_index import NeighborIndex, build_index, load_index, save_index
+# ground_truth_ranking is unused here but stays a module attribute:
+# benchmarks/tracer.py wraps it.
 from .ranking_eval import (
     Document,
     EvalConfig,
@@ -37,8 +39,10 @@ from .ranking_eval import (
     ground_truth_ranking,
     nn_cui_at_k,
     precision_at_k,
+    scoring_core,
 )
 from .relevance import RelevanceParams, iou, nn_iou
+from .scoring import ScoringCore
 
 
 class _UsageError(Exception):
@@ -62,14 +66,11 @@ class AblationGrid:
         if not self.lambdas or not self.radii or not self.ks:
             raise ConfigError("ablation grid lists must be non-empty")
         for lam in self.lambdas:
-            if not 0.0 <= lam <= 1.0:
-                raise ConfigError(f"lambda must be in [0, 1], got {lam}")
+            RelevanceParams(lam=lam)
         for radius in self.radii:
-            if radius < 0:
-                raise ConfigError(f"radius must be >= 0, got {radius}")
+            RelevanceParams(radius=radius)
         for k in self.ks:
-            if k < 1:
-                raise ConfigError(f"k must be >= 1, got {k}")
+            EvalConfig(k=k)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "retrieve",
-        help="rank every corpus document against every other (brute force)",
+        help="rank every corpus document against every other (exact, pruned)",
     )
     p.add_argument("--corpus", required=True)
     p.add_argument("--index", help="neighbor index path")
@@ -184,6 +185,14 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _warn_cycle(graph) -> None:
+    if not graph.acyclic:
+        _warn(
+            "edge set contains a directed cycle "
+            f"({' -> '.join(graph.cycle)}); distances use the undirected view"
+        )
+
+
 def _load_index_checked(index_path: str, edges_path: str | None) -> NeighborIndex:
     index = load_index(index_path)
     if edges_path:
@@ -217,11 +226,7 @@ def _require_index_for(measure: str, lam: float, index: NeighborIndex | None) ->
 
 def _cmd_build_index(args) -> int:
     graph = parse_edge_file(args.edges, strict_cui=args.strict_cui)
-    if not graph.acyclic:
-        _warn(
-            "edge set contains a directed cycle "
-            f"({' -> '.join(graph.cycle)}); distances use the undirected view"
-        )
+    _warn_cycle(graph)
     docs = read_corpus(args.corpus)
     vocabulary = corpus_vocabulary(docs)
     missing = sorted(c for c in vocabulary if not graph.has_node(c))
@@ -262,16 +267,12 @@ def _cmd_relevance(args) -> int:
     return 0
 
 
-def _retrieve_runs(
-    docs: Sequence[Document],
-    cfg: EvalConfig,
-    index: NeighborIndex | None,
-) -> list[RankingRun]:
-    runs = []
-    for doc in docs:
-        full = ground_truth_ranking(doc, docs, cfg, index)
-        runs.append(RankingRun(full.query_id, full.ranked_ids[: cfg.k]))
-    return runs
+def _top_k_runs(core: ScoringCore, lam: float, k: int) -> list[RankingRun]:
+    """Every corpus document queried against every other, top ``k`` each."""
+    return [
+        RankingRun(query_id, [core.ids[j] for _, j in core.top(q, lam, k)])
+        for q, query_id in enumerate(core.ids)
+    ]
 
 
 def _cmd_retrieve(args) -> int:
@@ -286,7 +287,7 @@ def _cmd_retrieve(args) -> int:
         relevance=RelevanceParams(lam=args.lam, radius=radius),
         measure=args.measure,
     )
-    runs = _retrieve_runs(docs, cfg, index)
+    runs = _top_k_runs(*scoring_core(docs, cfg, index), cfg.k)
     write_runs(runs, args.out)
     print(f"queries={len(runs)} k={args.k} measure={args.measure} out={args.out}")
     return 0
@@ -360,7 +361,7 @@ def ablation_rows(
     class_map,
     categories: Sequence[str],
 ) -> list[tuple[int, float, int, float]]:
-    """Precision per (radius, lambda, k) cell, one index build per radius.
+    """Precision per (radius, lambda, k) cell, one index and scoring core per radius.
 
     At radius 0 approximate matching is inert, so the precision in those
     rows cannot depend on lambda; any variation would mean the measure
@@ -371,14 +372,9 @@ def ablation_rows(
     rows: list[tuple[int, float, int, float]] = []
     max_k = max(grid.ks)
     for radius in grid.radii:
-        index = build_index(graph, vocabulary, radius)
+        core = ScoringCore(docs, build_index(graph, vocabulary, radius))
         for lam in grid.lambdas:
-            cfg = EvalConfig(
-                k=max_k,
-                relevance=RelevanceParams(lam=lam, radius=radius),
-                measure="nniou",
-            )
-            runs = _retrieve_runs(docs, cfg, index)
+            runs = _top_k_runs(core, lam, max_k)
             for k in grid.ks:
                 report = precision_at_k(labeled, runs, k, categories)
                 rows.append((radius, lam, k, report.aggregate))
@@ -417,11 +413,7 @@ def _cmd_ablate(args) -> int:
         ks=_parse_number_list(args.ks, int, "--ks"),
     )
     graph = parse_edge_file(args.edges, strict_cui=args.strict_cui)
-    if not graph.acyclic:
-        _warn(
-            "edge set contains a directed cycle "
-            f"({' -> '.join(graph.cycle)}); distances use the undirected view"
-        )
+    _warn_cycle(graph)
     docs = read_corpus(args.corpus)
     class_map = read_class_map(args.class_map)
     categories = _split_categories(args, class_map)

@@ -14,7 +14,9 @@ Index file format (UTF-8 text)::
 Concepts appear one per line, sorted; neighbor lists are sorted and
 comma-separated; a concept with no neighbors keeps the tab and an empty
 list.  The checksum is the SHA-256 of the edge file the index was built
-from, so stale indexes are detectable.
+from, so stale indexes are detectable.  The neighbor relation is
+symmetric and closed (every listed neighbor has its own entry listing the
+concept back); a file that breaks this is rejected on load.
 """
 
 from __future__ import annotations
@@ -100,7 +102,9 @@ def load_index(path: str | Path) -> NeighborIndex:
     """Read an nnidx file back into a :class:`NeighborIndex`.
 
     Raises :class:`IndexFormatError` on a missing/malformed header, an
-    unsupported version, or a malformed record.
+    unsupported version, a malformed record, or a neighbor relation that
+    is not symmetric (a neighbor without an entry of its own, or one that
+    does not list the concept back).
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -145,4 +149,18 @@ def load_index(path: str | Path) -> NeighborIndex:
                 f"line {lineno}: {concept!r} lists itself as a neighbor"
             )
         entries[concept] = neighbors
+    # every record line holds one entry, in file order
+    for lineno, (concept, neighbors) in enumerate(entries.items(), start=2):
+        for neighbor in sorted(neighbors):
+            back = entries.get(neighbor)
+            if back is None:
+                raise IndexFormatError(
+                    f"line {lineno}: {concept!r} lists neighbor "
+                    f"{neighbor!r}, which has no entry of its own"
+                )
+            if concept not in back:
+                raise IndexFormatError(
+                    f"line {lineno}: {concept!r} lists neighbor "
+                    f"{neighbor!r}, but {neighbor!r} does not list {concept!r} back"
+                )
     return NeighborIndex(radius=radius, source_checksum=checksum, entries=entries)

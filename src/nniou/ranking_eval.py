@@ -2,11 +2,13 @@
 
 The evaluation treats every corpus document in turn as a query.  Candidate
 documents are scored against the query's concept set with the configured
-measure; sorting those scores (descending, ties broken by ascending id)
-yields the ground-truth ranking.  A system's returned ranking is then
-graded position by position: each result contributes its relevance divided
-by log2(rank + 1), the resulting DCG is normalized by the ideal DCG of the
-ground truth, and the final metric is the mean per-query NDCG.
+measure by the pruned scoring core (:mod:`nniou.scoring`), which scores
+only documents that can score above 0; ordering those scores (descending,
+ties broken by ascending id) yields the ground-truth ranking.  A system's
+returned ranking is then graded position by position: each result
+contributes its relevance divided by log2(rank + 1), the resulting DCG is
+normalized by the ideal DCG of the ground truth, and the final metric is
+the mean per-query NDCG.
 
 Per-query evaluations are independent; report assembly is a deterministic
 reduction over queries sorted by id.
@@ -16,11 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, EvaluationError
 from .neighbor_index import NeighborIndex
-from .relevance import RelevanceParams, iou, nn_iou
+# ``iou`` and ``nn_iou`` stay module attributes (benchmarks/tracer.py wraps
+# them) although ranking now goes through the scoring core.
+from .relevance import RelevanceParams, checked_index, iou, nn_iou
+from .scoring import ScoringCore
 
 MEASURES = ("iou", "nniou")
 
@@ -111,12 +116,19 @@ class MetricReport:
         }
 
 
-def _scorer(
-    cfg: EvalConfig, index: NeighborIndex | None
-) -> Callable[[frozenset[str], frozenset[str]], float]:
-    if cfg.measure == "iou":
-        return iou
-    return lambda a, b: nn_iou(a, b, cfg.relevance, index)
+def scoring_core(
+    corpus: Sequence[Document], cfg: EvalConfig, index: NeighborIndex | None
+) -> tuple[ScoringCore, float]:
+    """The scoring core and weight that rank ``corpus`` under ``cfg``.
+
+    IoU is nn-IoU with approximate matching off, and so is nn-IoU at
+    lambda 0 or radius 0; only then may the index be missing.
+    """
+    params = cfg.relevance
+    lam = params.lam if cfg.measure == "nniou" else 0
+    if lam == 0 or params.radius == 0:
+        return ScoringCore(corpus), lam
+    return ScoringCore(corpus, checked_index(params, index)), lam
 
 
 def _docs_by_id(corpus: Iterable[Document]) -> dict[str, Document]:
@@ -160,18 +172,13 @@ def ground_truth_ranking(
     The query document itself is excluded from the candidate pool
     (self-retrieval trivially scores 1.0).  Ordering is by descending
     score with ties broken by ascending document id, so repeated calls are
-    deterministic.  The full ranking is returned; callers truncate to K.
+    deterministic.  The full ranking is returned: documents scoring above
+    0, then every other candidate by id.  Callers truncate to K.
     """
-    candidates = [doc for doc in corpus if doc.id != query.id]
-    if not candidates:
-        raise EvaluationError(
-            f"no candidate documents for query {query.id!r} (corpus too small)"
-        )
-    score = _scorer(cfg, index)
-    ranked = sorted(
-        candidates, key=lambda doc: (-score(doc.concepts, query.concepts), doc.id)
-    )
-    return RankingRun(query.id, [doc.id for doc in ranked])
+    pool = [doc for doc in corpus if doc.id != query.id] + [query]
+    core, lam = scoring_core(pool, cfg, index)
+    ranked = core.top(len(pool) - 1, lam)
+    return RankingRun(query.id, [core.ids[j] for _, j in ranked])
 
 
 def dcg(relevances: Sequence[float]) -> float:
@@ -214,7 +221,8 @@ def nn_cui_at_k(
     """
     docs = _docs_by_id(corpus)
     by_query = _runs_by_query(docs, runs)
-    score = _scorer(cfg, index)
+    core, lam = scoring_core(list(docs.values()), cfg, index)
+    position = {doc_id: j for j, doc_id in enumerate(docs)}
 
     per_query: dict[str, float] = {}
     exclusions: list[dict[str, str]] = []
@@ -224,21 +232,15 @@ def nn_cui_at_k(
         if run is None:
             exclusions.append({"query_id": query_id, "reason": "no run provided"})
             continue
-        query = docs[query_id]
+        q = position[query_id]
         top = run.ranked_ids[: cfg.k]
         if len(top) < cfg.k:
             notes.append(
                 f"query {query_id}: run returned {len(top)} of k={cfg.k} results; "
                 "missing positions padded with zero relevance"
             )
-        system_relevances = [
-            score(docs[ranked_id].concepts, query.concepts) for ranked_id in top
-        ]
-        ideal = ground_truth_ranking(query, corpus, cfg, index)
-        ideal_relevances = [
-            score(docs[ranked_id].concepts, query.concepts)
-            for ranked_id in ideal.ranked_ids[: cfg.k]
-        ]
+        system_relevances = [core.score(q, position[r], lam) for r in top]
+        ideal_relevances = [s for s, _ in core.top(q, lam, cfg.k)]
         per_query[query_id] = ndcg_at_k(system_relevances, ideal_relevances, cfg.k)
 
     metric = f"nn-CUI@{cfg.k}" if cfg.measure == "nniou" else f"CUI@{cfg.k}"

@@ -92,14 +92,19 @@ def nn_iou(
     if params.lam == 0.0 or params.radius == 0:
         related = 0
     else:
-        if index is None:
-            raise ConfigError(
-                "a neighbor index is required when lambda > 0 and radius > 0"
-            )
-        if index.radius != params.radius:
-            raise ConfigError(
-                f"index radius {index.radius} does not match configured radius "
-                f"{params.radius}"
-            )
-        related = len(rel_set(a, b, index))
+        related = len(rel_set(a, b, checked_index(params, index)))
     return (len(a & b) + params.lam * related) / len(union)
+
+
+def checked_index(params: RelevanceParams, index: NeighborIndex | None) -> NeighborIndex:
+    """The index approximate matching needs: present and built at ``params.radius``."""
+    if index is None:
+        raise ConfigError(
+            "a neighbor index is required when lambda > 0 and radius > 0"
+        )
+    if index.radius != params.radius:
+        raise ConfigError(
+            f"index radius {index.radius} does not match configured radius "
+            f"{params.radius}"
+        )
+    return index

@@ -5,10 +5,15 @@ Floyd-Warshall all-pairs sweep (numpy min-plus), related-concept sets from
 the literal double loop over concept pairs, and nn-IoU from direct
 arithmetic on those.  Keeping these separate from the BFS/index-based
 production paths is the whole point.
+
+The ranking oracles take the pair score as a callable, so the pruned
+scoring core can be checked against the pairwise definition it replaces:
+every other document scored, sorted by (-score, id).
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -92,3 +97,28 @@ def random_concept_set(rng: random.Random, nodes, max_size: int = 8) -> set[str]
     if rng.random() < 0.25:
         members.add(f"zz{rng.randint(0, 3)}")
     return members
+
+
+def brute_ranking(query, corpus, score) -> list[str]:
+    """Ids of every document without the query's id, by (-score, id)."""
+    pool = [doc for doc in corpus if doc.id != query.id]
+    pool.sort(key=lambda doc: (-score(doc.concepts, query.concepts), doc.id))
+    return [doc.id for doc in pool]
+
+
+def brute_nn_cui(corpus, runs, k, score) -> dict[str, float]:
+    """Per-query NDCG@k of ``runs`` against brute-force ideal rankings."""
+    docs = {doc.id: doc for doc in corpus}
+
+    def dcg(ids, query):
+        return sum(
+            score(docs[i].concepts, query.concepts) / math.log2(rank + 1)
+            for rank, i in enumerate(ids[:k], start=1)
+        )
+
+    per_query = {}
+    for run in sorted(runs, key=lambda r: r.query_id):
+        query = docs[run.query_id]
+        ideal = dcg(brute_ranking(query, corpus, score), query)
+        per_query[run.query_id] = 0.0 if ideal == 0.0 else dcg(run.ranked_ids, query) / ideal
+    return per_query

@@ -160,6 +160,27 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="itself"):
             load_index(path)
 
+    def test_neighbor_without_entry_rejected(self, tmp_path):
+        path = tmp_path / "partial.nnidx"
+        path.write_text(
+            "#nnidx v1 radius=1 checksum=ff\na\t\nb\tc\n", encoding="utf-8"
+        )
+        with pytest.raises(
+            IndexFormatError, match="line 3: 'b' lists neighbor 'c', which has no entry"
+        ):
+            load_index(path)
+
+    def test_one_sided_neighbor_rejected(self, tmp_path):
+        path = tmp_path / "asymmetric.nnidx"
+        path.write_text(
+            "#nnidx v1 radius=1 checksum=ff\na\tb\nb\t\n", encoding="utf-8"
+        )
+        with pytest.raises(
+            IndexFormatError,
+            match="line 2: 'a' lists neighbor 'b', but 'b' does not list 'a' back",
+        ):
+            load_index(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.nnidx"
         path.write_text("", encoding="utf-8")
