@@ -205,6 +205,17 @@ def _load_index_checked(index_path: str, edges_path: str | None) -> NeighborInde
     return index
 
 
+def _warn_coverage(docs: Sequence[Document], index: NeighborIndex | None) -> None:
+    if index is None:
+        return
+    missing = corpus_vocabulary(docs).difference(index.entries)
+    if missing:
+        _warn(
+            f"{len(missing)} corpus concept(s) have no entry in the index, "
+            f"e.g. {min(missing)!r}; they match only themselves"
+        )
+
+
 def _resolve_radius(index: NeighborIndex | None, n_flag: int | None) -> int:
     """Radius comes from the index when one is loaded; --n must then agree."""
     if index is not None:
@@ -232,8 +243,8 @@ def _cmd_build_index(args) -> int:
     missing = sorted(c for c in vocabulary if not graph.has_node(c))
     if missing:
         _warn(
-            f"{len(missing)} corpus concept(s) absent from the graph; "
-            "indexed with empty neighbor sets"
+            f"{len(missing)} corpus concept(s) absent from the graph, "
+            f"e.g. {missing[0]!r}; indexed with empty neighbor sets"
         )
     start = time.perf_counter()
     index = build_index(graph, vocabulary, args.n)
@@ -280,6 +291,7 @@ def _cmd_retrieve(args) -> int:
     if not docs:
         raise EvaluationError(f"corpus {args.corpus} contains no documents")
     index = _load_index_checked(args.index, args.edges) if args.index else None
+    _warn_coverage(docs, index)
     _require_index_for(args.measure, args.lam, index)
     radius = _resolve_radius(index, args.n)
     cfg = EvalConfig(
@@ -329,6 +341,7 @@ def _cmd_eval(args) -> int:
     docs = read_corpus(args.corpus)
     runs = read_runs(args.runs)
     index = _load_index_checked(args.index, args.edges) if args.index else None
+    _warn_coverage(docs, index)
     _require_index_for(args.measure, args.lam, index)
     radius = _resolve_radius(index, args.n)
     cfg = EvalConfig(

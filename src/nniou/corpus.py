@@ -19,11 +19,17 @@ number; writers emit deterministic, diff-friendly output.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DataFileError, EvaluationError
 from .ranking_eval import Document, RankingRun
+
+# Characters the neighbor index uses as separators (``,`` between
+# neighbors, tab before them, any line boundary ``str.splitlines`` knows),
+# so a concept containing one could not be read back from an index.
+_UNSTORABLE = re.compile(r"[,\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _jsonl_records(path: str | Path):
@@ -63,7 +69,16 @@ def read_corpus(path: str | Path) -> list[Document]:
             )
         seen[doc_id] = lineno
         cuis = _string_list(record.get("cuis", []), "'cuis'", lineno)
-        concepts = frozenset(c.strip() for c in cuis if c.strip())
+        concepts = frozenset(map(str.strip, cuis))
+        if "" in concepts:
+            concepts -= {""}
+        if _UNSTORABLE.search("".join(concepts)):
+            bad = next(c.strip() for c in cuis if _UNSTORABLE.search(c.strip()))
+            raise DataFileError(
+                f"concept {bad!r} contains a comma, tab or line break, "
+                "which a neighbor index cannot store",
+                line=lineno,
+            )
         labels_field = record.get("labels", {})
         if labels_field is None:
             labels_field = {}

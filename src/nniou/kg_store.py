@@ -2,8 +2,13 @@
 
 The graph holds hierarchical (is_a) relations between concepts.  Each edge
 is a directed child -> parent pair; distance computations traverse the
-undirected view.  Identifiers are interned to dense integers at load time
-so traversals run over flat adjacency tuples with a bytearray visited map.
+undirected view.  Edge files and in-memory pairs go through one loader:
+identifiers are interned to dense integers in first-seen order and the
+distinct edges are kept as two parallel int arrays (children, parents).
+The undirected view is one flat array of neighbor ids with per-node
+offsets, built once; it holds no per-node container.  Acyclicity is
+decided at load time by Kahn's in-degree peel, linear in nodes plus
+edges, and a cyclic graph keeps a witness cycle.
 
 Edge file format (UTF-8 text, one record per line):
   - ``#`` starts a comment line; blank lines are ignored
@@ -18,12 +23,20 @@ from __future__ import annotations
 
 import hashlib
 import re
+from array import array
+from itertools import accumulate, chain
+from operator import add
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EdgeFileError, UnknownConceptError
 
 CUI_PATTERN = re.compile(r"C\d{7}")
+
+# Edges are deduplicated on the int key child << _SHIFT | parent, which is
+# unique while node ids stay below 2**32.
+_SHIFT = 32
+_MASK = (1 << _SHIFT) - 1
 
 
 def normalize_concept_id(raw: str, strict_cui: bool = False) -> str:
@@ -42,40 +55,145 @@ def normalize_concept_id(raw: str, strict_cui: bool = False) -> str:
     return concept
 
 
-def _find_cycle(
-    num_nodes: int, out_edges: list[tuple[int, ...]]
-) -> tuple[bool, list[int] | None]:
-    """Detect a directed cycle; returns (acyclic, witness node sequence).
+def _reject(fields: Sequence[str], strict_cui: bool, line: int | None) -> None:
+    """Raise the error of the first invalid identifier among ``fields``."""
+    for raw in fields:
+        try:
+            normalize_concept_id(raw, strict_cui)
+        except ValueError as exc:
+            raise EdgeFileError(str(exc), line=line) from None
 
-    The witness starts and ends on the same node, e.g. ``[a, b, a]`` for a
-    2-cycle, so its edge count is ``len(witness) - 1``.
+
+def _intern(
+    rows: Iterable[tuple[int | None, Sequence[str]]], strict_cui: bool
+) -> tuple[dict[str, int], list[int], list[int]]:
+    """Intern ``(line, fields)`` records and deduplicate their edges.
+
+    ``fields`` holds one raw identifier (a node) or two (child, parent).
+    Returns the identifier -> id map in first-seen order and the distinct
+    edges, in first-seen order, as parallel child and parent id lists.
+    Errors are :class:`EdgeFileError` naming ``line`` unless it is None.
     """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * num_nodes
-    for start in range(num_nodes):
-        if color[start] != WHITE:
-            continue
-        color[start] = GRAY
-        stack = [(start, iter(out_edges[start]))]
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(out_edges[nxt])))
-                    path.append(nxt)
-                    advanced = True
-                    break
-                if color[nxt] == GRAY:
-                    loop_start = path.index(nxt)
-                    return False, path[loop_start:] + [nxt]
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    return True, None
+    index: dict[str, int] = {}
+    intern = index.setdefault
+    children: list[int] = []
+    parents: list[int] = []
+    add_child = children.append
+    add_parent = parents.append
+    match = CUI_PATTERN.fullmatch if strict_cui else None
+    for line, fields in rows:
+        if len(fields) == 2:
+            child, parent = fields
+            child = child.strip()
+            parent = parent.strip()
+            if not (child and parent) or (match and not (match(child) and match(parent))):
+                _reject(fields, strict_cui, line)
+            c = intern(child, len(index))
+            p = intern(parent, len(index))
+            if c == p:
+                raise EdgeFileError(f"self-loop edge {child!r}", line=line)
+            add_child(c)
+            add_parent(p)
+        elif len(fields) == 1:
+            node = fields[0].strip()
+            if not node or (match and not match(node)):
+                _reject(fields, strict_cui, line)
+            intern(node, len(index))
+        else:
+            raise EdgeFileError(
+                f"expected 1 or 2 tab-separated fields, got {len(fields)}",
+                line=line,
+            )
+    distinct = dict.fromkeys([c << _SHIFT | p for c, p in zip(children, parents)])
+    if len(distinct) < len(children):
+        children = [key >> _SHIFT for key in distinct]
+        parents = [key & _MASK for key in distinct]
+    return index, children, parents
+
+
+def _adjacency(
+    num_nodes: int, children: list[int], parents: list[int]
+) -> tuple[array, array, array, list[int]]:
+    """Flat undirected adjacency, plus what Kahn's peel needs.
+
+    Node ``u`` owns ``targets[offsets[u]:offsets[u + 1]]``: its parents up
+    to ``split[u]``, then its children, both in edge order.  Returns
+    ``(offsets, targets, split, indegree)``, where ``indegree`` counts
+    each node's children.
+    """
+    outdegree = [0] * num_nodes
+    for c in children:
+        outdegree[c] += 1
+    indegree = [0] * num_nodes
+    for p in parents:
+        indegree[p] += 1
+    offsets = array("q", [0])
+    offsets.extend(accumulate(map(add, outdegree, indegree)))
+    targets = array("q", bytes(8 * offsets[-1]))
+    up = offsets[:-1]
+    down = array("q", map(add, up, outdegree))
+    split = down[:]
+    for c, p in zip(children, parents):
+        targets[up[c]] = p
+        up[c] += 1
+        targets[down[p]] = c
+        down[p] += 1
+    return offsets, targets, split, indegree
+
+
+def _kahn(
+    offsets: array, targets: array, split: array, indegree: list[int]
+) -> int:
+    """Kahn's in-degree peel, children before parents; returns the peeled count.
+
+    ``indegree`` is consumed: afterwards it is nonzero exactly on the
+    nodes left unpeeled, which all lie on or above a directed cycle.
+    """
+    order = [v for v in range(len(indegree)) if not indegree[v]]
+    append = order.append
+    for u in order:
+        for p in targets[offsets[u]:split[u]]:
+            left = indegree[p] - 1
+            indegree[p] = left
+            if not left:
+                append(p)
+    return len(order)
+
+
+def _witness(
+    offsets: array, targets: array, split: array, indegree: list[int]
+) -> list[int]:
+    """A directed cycle among the nodes a Kahn peel left behind.
+
+    An unpeeled node still counts an unpeeled child, so stepping from
+    child to child must revisit a node.  The walk runs against the edges;
+    the loop it closes is returned reversed, starting and ending on the
+    same node (``[a, b, a]`` for a 2-cycle).
+    """
+    node = next(v for v, left in enumerate(indegree) if left)
+    walk: list[int] = []
+    step: dict[int, int] = {}
+    while node not in step:
+        step[node] = len(walk)
+        walk.append(node)
+        node = next(c for c in targets[split[node]:offsets[node + 1]] if indegree[c])
+    cycle = walk[step[node]:] + [node]
+    cycle.reverse()
+    return cycle
+
+
+def _drop_twins(offsets: array, targets: array) -> tuple[array, array]:
+    """Keep one copy of each neighbor: a pair listed both ways appears twice.
+
+    The copy among the node's parents is kept.  Only a cyclic graph can
+    list a pair both ways.
+    """
+    kept_offsets = array("q", [0])
+    kept = array("q")
+    for u in range(len(offsets) - 1):
+        kept.extend(dict.fromkeys(targets[offsets[u]:offsets[u + 1]]))
+        kept_offsets.append(len(kept))
+    return kept_offsets, kept
 
 
 class KnowledgeGraph:
@@ -89,9 +207,10 @@ class KnowledgeGraph:
     __slots__ = (
         "_names",
         "_index",
-        "_edge_list",
-        "_out",
-        "_adj",
+        "_children",
+        "_parents",
+        "_offsets",
+        "_targets",
         "acyclic",
         "cycle",
         "source_checksum",
@@ -99,26 +218,30 @@ class KnowledgeGraph:
 
     def __init__(
         self,
-        names: list[str],
-        edges: list[tuple[int, int]],
+        index: dict[str, int],
+        children: list[int],
+        parents: list[int],
         source_checksum: str,
     ):
-        # names: interned identifiers; edges: deduplicated (child, parent)
-        # integer pairs with no self-loops.  Use the classmethods instead of
-        # calling this directly.
-        self._names = tuple(names)
-        self._index = {name: i for i, name in enumerate(names)}
-        self._edge_list = tuple(edges)
-        out: list[list[int]] = [[] for _ in names]
-        und: list[set[int]] = [set() for _ in names]
-        for child, parent in edges:
-            out[child].append(parent)
-            und[child].add(parent)
-            und[parent].add(child)
-        self._out = [tuple(v) for v in out]
-        self._adj = [tuple(sorted(v)) for v in und]
-        self.acyclic, witness = _find_cycle(len(names), self._out)
-        self.cycle = [self._names[i] for i in witness] if witness else None
+        # The arguments are what _intern returns: identifier -> id in
+        # first-seen order and distinct (child, parent) id pairs with no
+        # self-loops.  Use from_edges or parse_edge_file instead.
+        self._names = tuple(index)
+        self._index = index
+        offsets, targets, split, indegree = _adjacency(len(index), children, parents)
+        self.acyclic = _kahn(offsets, targets, split, indegree) == len(index)
+        self.cycle = None
+        if not self.acyclic:
+            self.cycle = [
+                self._names[i] for i in _witness(offsets, targets, split, indegree)
+            ]
+            offsets, targets = _drop_twins(offsets, targets)
+        # Arrays, not lists: the garbage collector never scans an array,
+        # while each full collection walks every element of a list.
+        self._children = array("q", children)
+        self._parents = array("q", parents)
+        self._offsets = offsets
+        self._targets = targets
         self.source_checksum = source_checksum
 
     @classmethod
@@ -129,31 +252,19 @@ class KnowledgeGraph:
         strict_cui: bool = False,
     ) -> "KnowledgeGraph":
         """Build a graph from (child, parent) pairs plus optional isolated nodes."""
-        names: list[str] = []
-        index: dict[str, int] = {}
-
-        def intern(raw: str) -> int:
-            concept = normalize_concept_id(raw, strict_cui)
-            i = index.get(concept)
-            if i is None:
-                i = len(names)
-                index[concept] = i
-                names.append(concept)
-            return i
-
-        pairs: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for node in nodes:
-            intern(node)
-        for child, parent in edges:
-            c, p = intern(child), intern(parent)
-            if c == p:
-                raise ValueError(f"self-loop edge {names[c]!r}")
-            if (c, p) not in seen:
-                seen.add((c, p))
-                pairs.append((c, p))
-        checksum = _canonical_checksum(names, [(names[c], names[p]) for c, p in pairs])
-        return cls(names, pairs, checksum)
+        rows = chain(
+            ((None, (node,)) for node in nodes),
+            ((None, (child, parent)) for child, parent in edges),
+        )
+        try:
+            index, children, parents = _intern(rows, strict_cui)
+        except EdgeFileError as exc:
+            raise ValueError(str(exc)) from None
+        names = list(index)
+        checksum = _canonical_checksum(
+            names, [(names[c], names[p]) for c, p in zip(children, parents)]
+        )
+        return cls(index, children, parents, checksum)
 
     @property
     def num_nodes(self) -> int:
@@ -161,7 +272,7 @@ class KnowledgeGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edge_list)
+        return len(self._children)
 
     @property
     def node_names(self) -> tuple[str, ...]:
@@ -169,7 +280,8 @@ class KnowledgeGraph:
 
     def edges(self) -> list[tuple[str, str]]:
         """Directed (child, parent) pairs in first-seen order."""
-        return [(self._names[c], self._names[p]) for c, p in self._edge_list]
+        names = self._names
+        return [(names[c], names[p]) for c, p in zip(self._children, self._parents)]
 
     def has_node(self, concept: str) -> bool:
         return concept in self._index
@@ -183,16 +295,14 @@ class KnowledgeGraph:
     def name_of(self, node_id: int) -> str:
         return self._names[node_id]
 
-    def neighbor_ids(self, node_id: int) -> tuple[int, ...]:
-        """Undirected neighbors (union of in- and out-edges), sorted."""
-        return self._adj[node_id]
-
-    def parent_ids(self, node_id: int) -> tuple[int, ...]:
-        """Directed out-edges (the parents of a child node)."""
-        return self._out[node_id]
+    def neighbor_ids(self, node_id: int) -> Sequence[int]:
+        """Undirected neighbors, each once: parents, then children, in edge order."""
+        return self._targets[self._offsets[node_id]:self._offsets[node_id + 1]]
 
     def neighbors(self, concept: str) -> tuple[str, ...]:
-        return tuple(self._names[i] for i in self._adj[self.node_id(concept)])
+        """Undirected neighbors, sorted by node id."""
+        ids = sorted(self.neighbor_ids(self.node_id(concept)))
+        return tuple(self._names[i] for i in ids)
 
     def __repr__(self) -> str:
         return (
@@ -209,46 +319,12 @@ def parse_edge_file(path: str | Path, strict_cui: bool = False) -> KnowledgeGrap
     The file's SHA-256 is recorded as the graph's ``source_checksum``.
     """
     data = Path(path).read_bytes()
-    checksum = hashlib.sha256(data).hexdigest()
-
-    names: list[str] = []
-    index: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-
-    def intern(raw: str, lineno: int) -> int:
-        try:
-            concept = normalize_concept_id(raw, strict_cui)
-        except ValueError as exc:
-            raise EdgeFileError(str(exc), line=lineno) from None
-        i = index.get(concept)
-        if i is None:
-            i = len(names)
-            index[concept] = i
-            names.append(concept)
-        return i
-
-    for lineno, rawline in enumerate(data.decode("utf-8").splitlines(), start=1):
-        stripped = rawline.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = rawline.split("\t")
-        if len(fields) == 1:
-            intern(fields[0], lineno)
-        elif len(fields) == 2:
-            c = intern(fields[0], lineno)
-            p = intern(fields[1], lineno)
-            if c == p:
-                raise EdgeFileError(f"self-loop edge {names[c]!r}", line=lineno)
-            if (c, p) not in seen:
-                seen.add((c, p))
-                pairs.append((c, p))
-        else:
-            raise EdgeFileError(
-                f"expected 1 or 2 tab-separated fields, got {len(fields)}",
-                line=lineno,
-            )
-    return KnowledgeGraph(names, pairs, checksum)
+    rows = (
+        (lineno, line.split("\t"))
+        for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=1)
+        if (stripped := line.strip()) and stripped[0] != "#"
+    )
+    return KnowledgeGraph(*_intern(rows, strict_cui), hashlib.sha256(data).hexdigest())
 
 
 def validate_dag(graph: KnowledgeGraph) -> tuple[bool, list[str] | None]:
@@ -256,16 +332,22 @@ def validate_dag(graph: KnowledgeGraph) -> tuple[bool, list[str] | None]:
 
     Returns ``(True, None)`` for a DAG, otherwise ``(False, witness)`` where
     the witness is a node sequence starting and ending on the same concept.
+    Both were settled when the graph was loaded.
     """
-    acyclic, witness = _find_cycle(graph.num_nodes, graph._out)
-    if witness is None:
-        return True, None
-    return False, [graph.name_of(i) for i in witness]
+    return graph.acyclic, graph.cycle
 
 
 def edge_file_checksum(path: str | Path) -> str:
-    """SHA-256 hex digest of an edge file's raw bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 hex digest of an edge file's raw bytes.
+
+    The file is hashed in 64 KiB blocks, so checking a large graph's
+    checksum never holds the whole file in memory.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as stream:
+        for block in iter(lambda: stream.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _canonical_checksum(nodes: list[str], edges: list[tuple[str, str]]) -> str:

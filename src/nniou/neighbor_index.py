@@ -53,9 +53,6 @@ class NeighborIndex:
     def neighbors(self, concept: str) -> frozenset[str]:
         return self.entries.get(concept, _EMPTY)
 
-    def concepts(self) -> list[str]:
-        return sorted(self.entries)
-
     def __contains__(self, concept: str) -> bool:
         return concept in self.entries
 

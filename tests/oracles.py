@@ -6,6 +6,10 @@ the literal double loop over concept pairs, and nn-IoU from direct
 arithmetic on those.  Keeping these separate from the BFS/index-based
 production paths is the whole point.
 
+The edge-file oracle re-reads the format line by line into a dict of sets,
+and the acyclicity oracle is Kahn's algorithm over plain (child, parent)
+pairs, rescanning the whole edge list for every emitted node.
+
 The ranking oracles take the pair score as a callable, so the pruned
 scoring core can be checked against the pairwise definition it replaces:
 every other document scored, sorted by (-score, id).
@@ -46,6 +50,49 @@ class DistanceOracle:
         if i is None or j is None:
             return INF
         return float(self.matrix[i, j])
+
+
+def oracle_edge_file(text: str):
+    """Nodes and edges in first-seen order, plus the undirected adjacency.
+
+    Follows the documented format: ``#`` comment lines and blank lines are
+    skipped, fields are tab-separated and trimmed, duplicates collapse.
+    The text must be well-formed.
+    """
+    nodes: list[str] = []
+    edges: list[tuple[str, str]] = []
+    for line in text.splitlines():
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        fields = [field.strip() for field in line.split("\t")]
+        for name in fields:
+            if name not in nodes:
+                nodes.append(name)
+        if len(fields) == 2 and tuple(fields) not in edges:
+            edges.append(tuple(fields))
+    adjacency: dict[str, set[str]] = {name: set() for name in nodes}
+    for child, parent in edges:
+        adjacency[child].add(parent)
+        adjacency[parent].add(child)
+    return nodes, edges, adjacency
+
+
+def kahn_acyclic(nodes, edges) -> bool:
+    """True iff every node can be emitted in a topological order."""
+    indegree = {name: 0 for name in nodes}
+    for _, parent in edges:
+        indegree[parent] += 1
+    ready = [name for name in nodes if indegree[name] == 0]
+    emitted = 0
+    while ready:
+        node = ready.pop()
+        emitted += 1
+        for child, parent in edges:
+            if child == node:
+                indegree[parent] -= 1
+                if indegree[parent] == 0:
+                    ready.append(parent)
+    return emitted == len(nodes)
 
 
 def literal_rel_set(a, b, threshold, dist) -> set[str]:

@@ -60,7 +60,9 @@ class TestBuildIndex:
             ["build-index", "--edges", str(edges), "--corpus", str(corpus),
              "--n", "1", "--out", str(out)]
         ) == 0
-        assert "absent from the graph" in capsys.readouterr().err
+        assert "1 corpus concept(s) absent from the graph, e.g. 'ghost'" in (
+            capsys.readouterr().err
+        )
         index = load_index(out)
         assert "ghost" in index
         assert index.neighbors("ghost") == frozenset()
@@ -76,6 +78,23 @@ class TestBuildIndex:
              "--n", "1", "--out", str(out)]
         ) == 0
         assert "cycle" in capsys.readouterr().err
+
+    def test_concept_with_comma_exits_two_naming_the_line(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("a,b\tx\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"id": "d", "cuis": ["x"]}\n{"id": "e", "cuis": ["a,b"]}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.nnidx"
+        code = main(
+            ["build-index", "--edges", str(edges), "--corpus", str(corpus),
+             "--n", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert "line 2: concept 'a,b'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         edges = tmp_path / "edges.tsv"
@@ -237,6 +256,40 @@ class TestRetrieveAndEval:
                      "--measure", "iou", "--k", "3"])
         assert code == 2
         assert "mystery" in capsys.readouterr().err
+
+    def test_unindexed_concepts_warn_without_changing_outputs(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("x\tz\ny\tz\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"id": "d1", "cuis": ["x", "ghost"]}\n{"id": "d2", "cuis": ["z"]}\n'
+            '{"id": "d3", "cuis": ["x", "y"]}\n{"id": "d4", "cuis": ["ghost", "y"]}\n',
+            encoding="utf-8",
+        )
+        full = tmp_path / "full.nnidx"
+        assert main(["build-index", "--edges", str(edges), "--corpus", str(corpus),
+                     "--n", "1", "--out", str(full)]) == 0
+        # 'ghost' is absent from the graph, so its entry is empty and
+        # dropping it leaves every score the same
+        partial = tmp_path / "partial.nnidx"
+        lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
+        partial.write_text("".join(l for l in lines if l != "ghost\t\n"), encoding="utf-8")
+        assert len(load_index(partial)) == len(load_index(full)) - 1
+        capsys.readouterr()
+
+        outputs = {}
+        for name, index in (("full", full), ("partial", partial)):
+            runs = tmp_path / f"{name}.runs"
+            report = tmp_path / f"{name}.json"
+            assert main(["retrieve", "--corpus", str(corpus), "--index", str(index),
+                         "--k", "3", "--out", str(runs)]) == 0
+            assert main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                         "--index", str(index), "--k", "3", "--out", str(report)]) == 0
+            outputs[name] = (runs.read_bytes(), report.read_bytes(), capsys.readouterr().err)
+        assert outputs["full"][:2] == outputs["partial"][:2]
+        assert "no entry in the index" not in outputs["full"][2]
+        warning = "1 corpus concept(s) have no entry in the index, e.g. 'ghost'"
+        assert outputs["partial"][2].count(warning) == 2
 
     def test_determinism_byte_identical_outputs(self, workspace):
         tmp_path, edges, corpus, cmap, index = self._build(workspace)

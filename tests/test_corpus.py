@@ -27,7 +27,7 @@ class TestReadCorpus:
         path = _write(
             tmp_path,
             "corpus.jsonl",
-            '{"id": "a", "cuis": ["C1", "C2", "C2"], "labels": {"modality": "ct"}}\n'
+            '{"id": "a", "cuis": ["C1", "\\tC2\\n", "C2"], "labels": {"modality": "ct"}}\n'
             '{"id": "b", "cuis": []}\n',
         )
         docs = read_corpus(path)
@@ -63,6 +63,18 @@ class TestReadCorpus:
     def test_non_string_cuis_rejected(self, tmp_path):
         path = _write(tmp_path, "c.jsonl", '{"id": "a", "cuis": [1, 2]}\n')
         with pytest.raises(DataFileError, match="cuis"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("concept", ["a,b", "a\tb", "a\rb", "a\nb", "a\u2028b"])
+    def test_concept_an_index_cannot_store_rejected(self, tmp_path, concept):
+        path = _write(
+            tmp_path,
+            "c.jsonl",
+            '{"id": "a", "cuis": ["C1"]}\n'
+            + json.dumps({"id": "b", "cuis": ["C2", concept]})
+            + "\n",
+        )
+        with pytest.raises(DataFileError, match=r"line 2: concept .* cannot store"):
             read_corpus(path)
 
     def test_vocabulary_union(self, tmp_path):

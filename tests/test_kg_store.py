@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nniou import (
     EdgeFileError,
@@ -10,6 +12,8 @@ from nniou import (
     parse_edge_file,
     validate_dag,
 )
+
+from oracles import kahn_acyclic, oracle_edge_file
 
 
 def _write(tmp_path, text: str):
@@ -27,7 +31,9 @@ class TestParseEdgeFile:
         assert graph.edges() == [("C0042449", "C0005847")]
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
-        graph = parse_edge_file(_write(tmp_path, "# header\n\n   \n# another\n"))
+        graph = parse_edge_file(
+            _write(tmp_path, "# header\n\n   \n# another\n# child\tparent\n\t\n  \t# x\n")
+        )
         assert graph.num_nodes == 0
         assert graph.num_edges == 0
         assert graph.acyclic is True
@@ -118,23 +124,8 @@ class TestValidateDag:
         graph = KnowledgeGraph.from_edges(edges)
         acyclic, witness = validate_dag(graph)
 
-        # Kahn's algorithm as an independent oracle: a topological order
-        # exists iff the directed edge set is acyclic.
-        nodes = set(graph.node_names)
-        indegree = {n: 0 for n in nodes}
-        for _, parent in edges:
-            indegree[parent] += 1
-        ready = [n for n in nodes if indegree[n] == 0]
-        emitted = 0
-        while ready:
-            node = ready.pop()
-            emitted += 1
-            for child, parent in edges:
-                if child == node:
-                    indegree[parent] -= 1
-                    if indegree[parent] == 0:
-                        ready.append(parent)
-        assert (emitted == len(nodes)) == acyclic
+        # a topological order exists iff the directed edge set is acyclic
+        assert kahn_acyclic(graph.node_names, edges) == acyclic
         assert acyclic is False
         # the witness must actually walk existing directed edges
         edge_set = set(edges)
@@ -159,3 +150,58 @@ class TestConceptIds:
     def test_from_edges_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             KnowledgeGraph.from_edges([("a", "a")])
+
+
+NAMES = ["a", "b", "c", "d", "e", "x y", "C0000001"]
+_pad = st.sampled_from(["", " ", "  "])
+_name = st.builds(lambda l, n, r: l + n + r, _pad, st.sampled_from(NAMES), _pad)
+_pair = st.tuples(_name, _name).filter(lambda t: t[0].strip() != t[1].strip())
+_line = st.one_of(
+    st.sampled_from(["# comment", "#", "  # child\tparent", "\t# note\ta", ""]),
+    st.sampled_from(["   ", "\t", " \t "]),
+    _name,
+    _pair.map("\t".join),
+)
+
+
+@st.composite
+def edge_file_texts(draw):
+    lines = draw(st.lists(_line, max_size=25))
+    ring = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=5))
+    if len(ring) >= 2:
+        lines += [f"{a}\t{b}" for a, b in zip(ring, ring[1:] + ring[:1])]
+    lines = draw(st.permutations(lines))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=300)
+@given(edge_file_texts())
+def test_loader_matches_dict_of_sets_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("kg") / "edges.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    graph = parse_edge_file(path)
+    nodes, edges, adjacency = oracle_edge_file(text)
+
+    assert list(graph.node_names) == nodes
+    assert graph.edges() == edges
+    assert (graph.num_nodes, graph.num_edges) == (len(nodes), len(edges))
+    for name in nodes:
+        assert graph.neighbors(name) == tuple(sorted(adjacency[name], key=nodes.index))
+        assert sorted(graph.neighbor_ids(graph.node_id(name))) == sorted(
+            graph.node_id(other) for other in adjacency[name]
+        )
+    assert graph.acyclic == kahn_acyclic(nodes, edges)
+    assert validate_dag(graph) == (graph.acyclic, graph.cycle)
+    if graph.acyclic:
+        assert graph.cycle is None
+    else:
+        cycle = graph.cycle
+        assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+        assert all(pair in edges for pair in zip(cycle, cycle[1:]))
+
+    in_memory = KnowledgeGraph.from_edges(edges, nodes=nodes)
+    assert in_memory.node_names == graph.node_names
+    assert in_memory.edges() == graph.edges()
+    assert all(in_memory.neighbors(name) == graph.neighbors(name) for name in nodes)
+    assert (in_memory.acyclic, in_memory.cycle) == (graph.acyclic, graph.cycle)
