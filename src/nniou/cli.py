@@ -14,6 +14,7 @@ import io
 import json
 import sys
 import time
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -187,9 +188,12 @@ def _warn(message: str) -> None:
 
 def _warn_cycle(graph) -> None:
     if not graph.acyclic:
+        # graph.cycle is closed: its first concept repeats at the end
+        length = len(graph.cycle) - 1
+        example = graph.cycle if length <= 3 else graph.cycle[:3] + ["..."]
         _warn(
-            "edge set contains a directed cycle "
-            f"({' -> '.join(graph.cycle)}); distances use the undirected view"
+            f"edge set contains a directed cycle of {length} concepts "
+            f"({' -> '.join(example)}); distances use the undirected view"
         )
 
 
@@ -374,7 +378,7 @@ def ablation_rows(
     class_map,
     categories: Sequence[str],
 ) -> list[tuple[int, float, int, float]]:
-    """Precision per (radius, lambda, k) cell, one index and scoring core per radius.
+    """Precision per (radius, lambda, k) cell, one index and scoring pass per radius.
 
     At radius 0 approximate matching is inert, so the precision in those
     rows cannot depend on lambda; any variation would mean the measure
@@ -382,15 +386,27 @@ def ablation_rows(
     """
     vocabulary = corpus_vocabulary(docs)
     labeled = derive_labels(docs, class_map)
-    rows: list[tuple[int, float, int, float]] = []
+    ids = [doc.id for doc in docs]
     max_k = max(grid.ks)
+    width = min(max_k, len(ids) - 1)  # every run has this many positions
+    rows: list[tuple[int, float, int, float]] = []
     for radius in grid.radii:
         core = ScoringCore(docs, build_index(graph, vocabulary, radius))
-        for lam in grid.lambdas:
-            runs = _top_k_runs(core, lam, max_k)
+        # each lambda keeps its runs' positions back to back in one array
+        positions = [array("I") for _ in grid.lambdas]
+        for q in range(len(ids)):
+            for kept, ranked in zip(positions, core.tops(q, grid.lambdas, max_k)):
+                kept.extend([j for _, j in ranked])
+        del core  # only positions are graded
+        for lam, kept in zip(grid.lambdas, positions):
+            runs = [
+                RankingRun(query_id, [ids[j] for j in kept[q * width:(q + 1) * width]])
+                for q, query_id in enumerate(ids)
+            ]
             for k in grid.ks:
                 report = precision_at_k(labeled, runs, k, categories)
                 rows.append((radius, lam, k, report.aggregate))
+        del positions, runs  # freed before the next radius's build_index
     baseline: dict[int, float] = {}
     for radius, lam, k, precision in rows:
         if radius != 0:

@@ -44,8 +44,9 @@ def shortest_path_len(graph: KnowledgeGraph, x: str, y: str) -> Distance:
     dst = graph.node_id(y)
     if src == dst:
         return 0
-    visited = bytearray(graph.num_nodes)
-    visited[src] = 1
+    # a set, not a bytearray per node: a search touches few of a large
+    # graph's nodes, and allocating the whole table cost more than the walk
+    seen = {src}
     frontier = [src]
     depth = 0
     while frontier:
@@ -55,8 +56,8 @@ def shortest_path_len(graph: KnowledgeGraph, x: str, y: str) -> Distance:
             for v in graph.neighbor_ids(u):
                 if v == dst:
                     return depth
-                if not visited[v]:
-                    visited[v] = 1
+                if v not in seen:
+                    seen.add(v)
                     nxt.append(v)
         frontier = nxt
     return UNREACHABLE
@@ -73,19 +74,17 @@ def bounded_neighborhood(graph: KnowledgeGraph, x: str, n: int) -> set[str]:
     src = graph.node_id(x)
     if n == 0:
         return set()
-    visited = bytearray(graph.num_nodes)
-    visited[src] = 1
-    reached: list[int] = []
+    seen = {src}
     frontier = [src]
     for _ in range(n):
         nxt: list[int] = []
         for u in frontier:
             for v in graph.neighbor_ids(u):
-                if not visited[v]:
-                    visited[v] = 1
+                if v not in seen:
+                    seen.add(v)
                     nxt.append(v)
         if not nxt:
             break
-        reached.extend(nxt)
         frontier = nxt
-    return {graph.name_of(i) for i in reached}
+    seen.remove(src)
+    return {graph.name_of(i) for i in seen}

@@ -276,6 +276,12 @@ def precision_at_k(
         if not any(category in doc.labels for doc in docs.values()):
             raise ConfigError(f"unknown label category {category!r}")
     by_query = _runs_by_query(docs, runs)
+    # one label key per document; a result matches when its key equals the
+    # query's, and a label it lacks reads None
+    keys = {
+        doc_id: tuple(doc.labels.get(c) for c in categories)
+        for doc_id, doc in docs.items()
+    }
 
     per_query: dict[str, float] = {}
     exclusions: list[dict[str, str]] = []
@@ -285,8 +291,7 @@ def precision_at_k(
         if run is None:
             exclusions.append({"query_id": query_id, "reason": "no run provided"})
             continue
-        query = docs[query_id]
-        missing = [c for c in categories if c not in query.labels]
+        missing = [c for c in categories if c not in docs[query_id].labels]
         if missing:
             exclusions.append(
                 {
@@ -300,13 +305,7 @@ def precision_at_k(
             per_query[query_id] = 0.0
             notes.append(f"query {query_id}: empty result list")
             continue
-        hits = sum(
-            1
-            for ranked_id in top
-            if all(
-                docs[ranked_id].labels.get(c) == query.labels[c] for c in categories
-            )
-        )
+        hits = [keys[ranked_id] for ranked_id in top].count(keys[query_id])
         per_query[query_id] = hits / len(top)
 
     metric = f"Precision@{k}[{'&'.join(categories)}]"

@@ -22,6 +22,12 @@ That is :func:`nniou.relevance.rel_set` term for term, for any
 :class:`NeighborIndex`, symmetric or not, and the score is the same float
 expression as :func:`nniou.relevance.nn_iou`, so rankings match the
 pairwise definition byte for byte.
+
+Only the last line depends on the weight.  :meth:`ScoringCore.tops`
+therefore computes each candidate's (inter, rel, union) once and ranks the
+query under a whole list of lambdas from those counts, which is how the
+ablation sweep scores each pair once per radius instead of once per
+(radius, lambda) cell; :meth:`ScoringCore.top` is its one-lambda case.
 """
 
 from __future__ import annotations
@@ -31,14 +37,6 @@ from typing import Iterator, Sequence
 
 from .errors import EvaluationError
 from .neighbor_index import NeighborIndex
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class ScoringCore:
@@ -95,36 +93,81 @@ class ScoringCore:
         return (inter + lam * rel) / union
 
     def top(self, q: int, lam: float, k: int | None = None) -> list[tuple[float, int]]:
-        """The first ``k`` (score, document) pairs of query ``q``'s ranking.
+        """The first ``k`` (score, document) pairs of query ``q``'s ranking."""
+        return self.tops(q, (lam,), k)[0]
 
-        Order is descending score, ties by ascending id; ``k=None`` ranks
-        every other document.  Only reachable documents are scored; the
+    def tops(
+        self, q: int, lams: Sequence[float], k: int | None = None
+    ) -> list[list[tuple[float, int]]]:
+        """Query ``q``'s first ``k`` (score, document) pairs under each weight.
+
+        One ranking per entry of ``lams``, in order.  Each is ordered by
+        descending score, ties by ascending id; ``k=None`` ranks every
+        other document.  Only reachable documents are scored, and each of
+        them once: with several weights its weight-free (inter, rel, union)
+        counts are kept and re-weighted per lambda; with one they stream
+        straight into the heap, so no per-candidate list is held.  The
         positive ones come first and zero-score documents fill the
         remaining slots in id order.
         """
-        if len(self.ids) < 2:
-            raise EvaluationError(
-                f"no candidate documents for query {self.ids[q]!r} (corpus too small)"
-            )
         ids = self.ids
-        scored = (
-            (-self.score(q, j, lam), ids[j], j)
-            for j in _bits(self._reach[q] & ~(1 << q))
-        )
-        positive = (key for key in scored if key[0] < 0)
-        best = sorted(positive) if k is None else heapq.nsmallest(k, positive)
-        ranked = [(-neg, j) for neg, _, j in best]
-        if k is None or len(ranked) < k:
-            # every positive document is ranked already; the rest score 0
-            taken = 1 << q
-            for _, j in ranked:
-                taken |= 1 << j
-            for j in self._id_order:
-                if k is not None and len(ranked) == k:
-                    break
-                if not taken >> j & 1:
-                    ranked.append((0.0, j))
-        return ranked
+        if len(ids) < 2:
+            raise EvaluationError(
+                f"no candidate documents for query {ids[q]!r} (corpus too small)"
+            )
+        counts = self._counts(q)
+        several = len(lams) > 1
+        if several:
+            counts = list(counts)  # re-weighted once per lambda
+        rankings = []
+        for lam in lams:
+            positive = (
+                (neg, ids[j], j)
+                for inter, rel, union, j in counts
+                if (neg := -((inter + lam * rel) / union)) < 0
+            )
+            if several:
+                # nsmallest sorts a list of at most k outright instead of
+                # heap-walking it in Python
+                positive = list(positive)
+            best = sorted(positive) if k is None else heapq.nsmallest(k, positive)
+            ranked = [(-neg, j) for neg, _, j in best]
+            if k is None or len(ranked) < k:
+                # every positive document is ranked already; the rest score 0
+                taken = 1 << q
+                for _, j in ranked:
+                    taken |= 1 << j
+                for j in self._id_order:
+                    if k is not None and len(ranked) == k:
+                        break
+                    if not taken >> j & 1:
+                        ranked.append((0.0, j))
+            rankings.append(ranked)
+        return rankings
+
+    def _counts(self, q: int) -> Iterator[tuple[int, int, int, int]]:
+        """Weight-free (inter, rel, union, document) of ``q``'s candidates.
+
+        Only reachable documents that share a concept with ``q`` or hold a
+        neighbor of one are yielded: any other document, one with an empty
+        union included, scores 0 at every lambda.
+        """
+        masks, sizes, near = self._masks, self._sizes, self._near
+        a, size_a = masks[q], sizes[q]
+        near_a = 0 if near is None else near[q]
+        reach = self._reach[q] & ~(1 << q)
+        while reach:
+            low = reach & -reach
+            reach ^= low
+            j = low.bit_length() - 1
+            b = masks[j]
+            shared = a & b
+            inter = shared.bit_count()
+            rel = 0
+            if near is not None:
+                rel = ((a ^ shared) & near[j]).bit_count() + ((b ^ shared) & near_a).bit_count()
+            if inter or rel:
+                yield inter, rel, size_a + sizes[j] - inter, j
 
 
 def _union(bit: dict[str, int], masks: list[int], concepts) -> int:

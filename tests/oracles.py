@@ -12,7 +12,8 @@ pairs, rescanning the whole edge list for every emitted node.
 
 The ranking oracles take the pair score as a callable, so the pruned
 scoring core can be checked against the pairwise definition it replaces:
-every other document scored, sorted by (-score, id).
+every other document scored, sorted by (-score, id).  The Precision@K
+oracle compares labels one category at a time, as the definition reads.
 """
 
 from __future__ import annotations
@@ -168,4 +169,26 @@ def brute_nn_cui(corpus, runs, k, score) -> dict[str, float]:
         query = docs[run.query_id]
         ideal = dcg(brute_ranking(query, corpus, score), query)
         per_query[run.query_id] = 0.0 if ideal == 0.0 else dcg(run.ranked_ids, query) / ideal
+    return per_query
+
+
+def brute_precision(corpus, runs, k, categories) -> dict[str, float]:
+    """Per-query Precision@k: the share of the top ``k`` results that carry
+    every requested category with the query's value.
+
+    Queries lacking a requested category are left out; an empty run scores 0.
+    """
+    docs = {doc.id: doc for doc in corpus}
+    per_query = {}
+    for run in sorted(runs, key=lambda r: r.query_id):
+        query = docs[run.query_id]
+        if any(c not in query.labels for c in categories):
+            continue
+        top = run.ranked_ids[:k]
+        matches = 0
+        for ranked_id in top:
+            labels = docs[ranked_id].labels
+            if all(c in labels and labels[c] == query.labels[c] for c in categories):
+                matches += 1
+        per_query[run.query_id] = matches / len(top) if top else 0.0
     return per_query

@@ -79,6 +79,26 @@ class TestBuildIndex:
         ) == 0
         assert "cycle" in capsys.readouterr().err
 
+    def test_long_cycle_warning_gives_length_and_short_example(self, tmp_path, capsys):
+        ring = [f"r{i:03d}" for i in range(1000)]
+        edges = tmp_path / "ring.tsv"
+        edges.write_text(
+            "".join(f"{a}\t{b}\n" for a, b in zip(ring, ring[1:] + ring[:1])),
+            encoding="utf-8",
+        )
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "d", "cuis": ["r000"]}\n', encoding="utf-8")
+        assert main(
+            ["build-index", "--edges", str(edges), "--corpus", str(corpus),
+             "--n", "1", "--out", str(tmp_path / "out.nnidx")]
+        ) == 0
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines() if "cycle" in line
+        ]
+        assert len(warnings) == 1
+        assert len(warnings[0].encode("utf-8")) < 200
+        assert "1000" in warnings[0] and "..." in warnings[0]
+
     def test_concept_with_comma_exits_two_naming_the_line(self, tmp_path, capsys):
         edges = tmp_path / "edges.tsv"
         edges.write_text("a,b\tx\n", encoding="utf-8")

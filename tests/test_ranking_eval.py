@@ -23,6 +23,7 @@ from nniou import (
     precision_at_k,
 )
 
+from oracles import brute_precision
 from synthdata import planted_cluster_corpus
 
 
@@ -257,6 +258,41 @@ class TestPrecisionAtK:
         runs = [RankingRun("q", ["a", "e"])]
         report = precision_at_k(corpus, runs, 2, ["modality"])
         assert report.per_query["q"] == 0.5
+
+    def test_result_lacking_one_of_two_categories_never_matches(self, labeled_corpus):
+        corpus = labeled_corpus + [
+            Document("e", frozenset({"x"}), {"modality": "ct"}),
+            Document("f", frozenset({"x"}), {"organ": "lung"}),
+        ]
+        runs = [RankingRun("q", ["e", "a", "f"])]
+        report = precision_at_k(corpus, runs, 3, ["modality", "organ"])
+        expected = brute_precision(corpus, runs, 3, ["modality", "organ"])
+        assert report.per_query == expected == {"q": 1 / 3}
+
+    def test_two_category_conjunction_exact_values(self, labeled_corpus):
+        runs = [
+            RankingRun("q", ["a", "b", "c", "d"]),
+            RankingRun("a", ["q", "b"]),
+            RankingRun("b", ["a", "c", "d"]),
+            RankingRun("d", ["c", "b"]),
+        ]
+        categories = ["modality", "organ"]
+        expected = {"a": 0.5, "b": 0.0, "d": 0.0, "q": 0.25}
+        for k, want in ((4, expected), (1, {"a": 1.0, "b": 0.0, "d": 0.0, "q": 1.0})):
+            report = precision_at_k(labeled_corpus, runs, k, categories)
+            assert report.per_query == want == brute_precision(
+                labeled_corpus, runs, k, categories
+            )
+            assert report.aggregate == sum(want[q] for q in sorted(want)) / 4
+            assert report.exclusions == [{"query_id": "c", "reason": "no run provided"}]
+        assert report.metric == "Precision@1[modality&organ]"
+
+    def test_empty_run_scores_zero_with_note(self, labeled_corpus):
+        runs = [RankingRun("q", []), RankingRun("a", ["q"])]
+        report = precision_at_k(labeled_corpus, runs, 2, ["modality"])
+        assert report.per_query == brute_precision(labeled_corpus, runs, 2, ["modality"])
+        assert report.per_query == {"a": 1.0, "q": 0.0}
+        assert report.notes == ["query q: empty result list"]
 
     def test_nn_iou_retrieval_beats_iou_on_planted_clusters(self):
         graph, docs, class_map, _ = planted_cluster_corpus(docs_per_cluster=10)

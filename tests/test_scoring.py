@@ -29,6 +29,7 @@ from nniou import (
 )
 from nniou.cli import AblationGrid, ablation_rows, main
 from nniou.ranking_eval import scoring_core
+from nniou.scoring import ScoringCore
 
 from oracles import brute_nn_cui, brute_ranking
 
@@ -110,6 +111,38 @@ def test_core_rankings_equal_brute_force(case):
         assert ground_truth_ranking(query, docs, cfg, index).ranked_ids == expected
 
 
+@settings(max_examples=300)
+@given(corpora(min_docs=2), st.integers(0, 2), st.data())
+def test_tops_equal_brute_force_for_every_lambda(docs, radius, data):
+    """One scoring pass ranks like a separate brute-force sort per lambda."""
+    drawn = data.draw(st.lists(st.sampled_from(LAMBDAS), min_size=1, max_size=4))
+    # always 0, 1 and a repeated lambda, in a drawn order
+    lams = data.draw(st.permutations(drawn + [0.0, 1.0, drawn[0]]))
+    k = data.draw(st.none() | st.integers(1, len(docs) + 2))
+    if data.draw(st.booleans()):
+        index = data.draw(asymmetric_indexes(radius))
+    else:
+        vocabulary = set().union(*(d.concepts for d in docs)) - {"yy"}
+        index = build_index(data.draw(graphs()), vocabulary, radius)
+    core = ScoringCore(docs, index if radius else None)
+    by_id = {d.id: d for d in docs}
+    for q, query in enumerate(docs):
+        rankings = core.tops(q, lams, k)
+        assert len(rankings) == len(lams)
+        for lam, ranked in zip(lams, rankings):
+            params = RelevanceParams(lam=lam, radius=radius)
+
+            def score(a, b, params=params):
+                return nn_iou(a, b, params, index)
+
+            expected = brute_ranking(query, docs, score)[:k]
+            assert [core.ids[j] for _, j in ranked] == expected
+            assert [s for s, _ in ranked] == [
+                score(by_id[i].concepts, query.concepts) for i in expected
+            ]
+        assert core.top(q, lams[0], k) == rankings[0]
+
+
 @settings(max_examples=200)
 @given(settings_cases(), st.randoms(use_true_random=False))
 def test_nn_cui_reports_equal_brute_force(case, rng):
@@ -127,6 +160,30 @@ def test_nn_cui_reports_equal_brute_force(case, rng):
     assert list(report.per_query) == sorted(expected)
 
 
+GROUPS = {"group": {"low": frozenset({"c0", "c1", "zz"}),
+                    "high": frozenset({"c4", "c5", "c6"})}}
+
+
+def _brute_ablation_rows(graph, docs, grid):
+    labeled = derive_labels(docs, GROUPS)
+    vocabulary = set().union(*(d.concepts for d in docs))
+    expected = []
+    for radius in grid.radii:
+        index = build_index(graph, vocabulary, radius)
+        for lam in grid.lambdas:
+            params = RelevanceParams(lam=lam, radius=radius)
+            runs = [
+                RankingRun(doc.id, brute_ranking(
+                    doc, docs, lambda a, b: nn_iou(a, b, params, index))[: max(grid.ks)])
+                for doc in docs
+            ]
+            for k in grid.ks:
+                expected.append(
+                    (radius, lam, k, precision_at_k(labeled, runs, k, ["group"]).aggregate)
+                )
+    return expected
+
+
 @settings(max_examples=100)
 @given(
     corpora(min_docs=2),
@@ -136,28 +193,23 @@ def test_nn_cui_reports_equal_brute_force(case, rng):
     st.lists(st.integers(1, 10), min_size=1, max_size=3),
 )
 def test_ablation_rows_equal_brute_force(docs, graph, lambdas, radii, ks):
-    class_map = {"group": {"low": frozenset({"c0", "c1", "zz"}),
-                           "high": frozenset({"c4", "c5", "c6"})}}
-    labeled = derive_labels(docs, class_map)
-    if not any("group" in d.labels for d in labeled):
+    if not any("group" in d.labels for d in derive_labels(docs, GROUPS)):
         return
     grid = AblationGrid(lambdas=tuple(lambdas), radii=tuple(radii), ks=tuple(ks))
-    vocabulary = set().union(*(d.concepts for d in docs))
-    expected = []
-    for radius in radii:
-        index = build_index(graph, vocabulary, radius)
-        for lam in lambdas:
-            params = RelevanceParams(lam=lam, radius=radius)
-            runs = [
-                RankingRun(doc.id, brute_ranking(
-                    doc, docs, lambda a, b: nn_iou(a, b, params, index))[: max(ks)])
-                for doc in docs
-            ]
-            for k in ks:
-                expected.append(
-                    (radius, lam, k, precision_at_k(labeled, runs, k, ["group"]).aggregate)
-                )
-    assert ablation_rows(graph, docs, grid, class_map, ["group"]) == expected
+    assert ablation_rows(graph, docs, grid, GROUPS, ["group"]) == (
+        _brute_ablation_rows(graph, docs, grid)
+    )
+
+
+def test_ablation_rows_with_every_k_beyond_a_two_document_corpus():
+    """Each run is one document wide, whatever the largest k asks for."""
+    graph = KnowledgeGraph.from_edges([("c0", "c1"), ("c1", "c4")], nodes=GRAPH_CONCEPTS)
+    docs = [Document("a", frozenset({"c0"})), Document("b", frozenset({"c1"}))]
+    grid = AblationGrid(lambdas=(0.0, 0.5, 1.0), radii=(0, 1, 2), ks=(1, 3, 10))
+    rows = ablation_rows(graph, docs, grid, GROUPS, ["group"])
+    assert rows == _brute_ablation_rows(graph, docs, grid)
+    # both are "low", and each one's single result is the other
+    assert [precision for *_, precision in rows] == [1.0] * 27
 
 
 def test_duplicate_lambdas_repeat_their_rows(tmp_path, capsys):
