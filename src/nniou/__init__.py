@@ -45,6 +45,7 @@ from .ranking_eval import (
     ndcg_at_k,
     nn_cui_at_k,
     precision_at_k,
+    precision_at_ks,
 )
 from .relevance import RelevanceParams, iou, nn_iou, rel_set
 
@@ -89,6 +90,7 @@ __all__ = [
     "ndcg_at_k",
     "nn_cui_at_k",
     "precision_at_k",
+    "precision_at_ks",
     "RelevanceParams",
     "iou",
     "nn_iou",

@@ -40,6 +40,7 @@ from .ranking_eval import (
     ground_truth_ranking,
     nn_cui_at_k,
     precision_at_k,
+    precision_at_ks,
     scoring_core,
 )
 from .relevance import RelevanceParams, iou, nn_iou
@@ -403,8 +404,8 @@ def ablation_rows(
                 RankingRun(query_id, [ids[j] for j in kept[q * width:(q + 1) * width]])
                 for q, query_id in enumerate(ids)
             ]
-            for k in grid.ks:
-                report = precision_at_k(labeled, runs, k, categories)
+            reports = precision_at_ks(labeled, runs, grid.ks, categories)
+            for k, report in zip(grid.ks, reports):
                 rows.append((radius, lam, k, report.aggregate))
         del positions, runs  # freed before the next radius's build_index
     baseline: dict[int, float] = {}

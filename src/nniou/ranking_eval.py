@@ -266,8 +266,23 @@ def precision_at_k(
     over the results actually considered (at most k), so exhaustive
     retrieval on a small corpus is not penalized.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    return precision_at_ks(corpus, runs, (k,), label_categories)[0]
+
+
+def precision_at_ks(
+    corpus: Sequence[Document],
+    runs: Iterable[RankingRun],
+    ks: Sequence[int],
+    label_categories: Sequence[str],
+) -> list[MetricReport]:
+    """One :func:`precision_at_k` report per entry of ``ks``, in order.
+
+    The corpus and runs are validated and indexed once for every cutoff,
+    which is how the ablation sweep grades one weight's runs at each k.
+    """
+    for k in ks:
+        if k < 1:
+            raise ConfigError(f"k must be >= 1, got {k}")
     categories = list(label_categories)
     if not categories:
         raise ConfigError("at least one label category is required")
@@ -283,9 +298,9 @@ def precision_at_k(
         for doc_id, doc in docs.items()
     }
 
-    per_query: dict[str, float] = {}
+    deepest = max(ks, default=0)
     exclusions: list[dict[str, str]] = []
-    notes: list[str] = []
+    graded: list[tuple[str, tuple, list[tuple]]] = []  # query, its key, result keys
     for query_id in sorted(docs):
         run = by_query.get(query_id)
         if run is None:
@@ -300,17 +315,24 @@ def precision_at_k(
                 }
             )
             continue
-        top = run.ranked_ids[:k]
-        if not top:
-            per_query[query_id] = 0.0
-            notes.append(f"query {query_id}: empty result list")
-            continue
-        hits = [keys[ranked_id] for ranked_id in top].count(keys[query_id])
-        per_query[query_id] = hits / len(top)
+        top = run.ranked_ids[:deepest]
+        graded.append((query_id, keys[query_id], [keys[ranked_id] for ranked_id in top]))
 
-    metric = f"Precision@{k}[{'&'.join(categories)}]"
-    config = {"k": k, "categories": categories}
-    return MetricReport.from_scores(metric, config, per_query, exclusions, notes)
+    reports = []
+    for k in ks:
+        per_query: dict[str, float] = {}
+        notes: list[str] = []
+        for query_id, key, results in graded:
+            top = results[:k]
+            if not top:
+                per_query[query_id] = 0.0
+                notes.append(f"query {query_id}: empty result list")
+                continue
+            per_query[query_id] = top.count(key) / len(top)
+        metric = f"Precision@{k}[{'&'.join(categories)}]"
+        config = {"k": k, "categories": list(categories)}
+        reports.append(MetricReport.from_scores(metric, config, per_query, exclusions, notes))
+    return reports
 
 
 def label_from_concepts(

@@ -21,6 +21,7 @@ from nniou import (
     ndcg_at_k,
     nn_cui_at_k,
     precision_at_k,
+    precision_at_ks,
 )
 
 from oracles import brute_precision
@@ -293,6 +294,37 @@ class TestPrecisionAtK:
         assert report.per_query == brute_precision(labeled_corpus, runs, 2, ["modality"])
         assert report.per_query == {"a": 1.0, "q": 0.0}
         assert report.notes == ["query q: empty result list"]
+
+    def test_several_cutoffs_equal_one_report_per_cutoff(self, labeled_corpus):
+        corpus = labeled_corpus + [Document("e", frozenset({"x"}))]
+        runs = [
+            RankingRun("q", ["a", "b", "c", "d"]),
+            RankingRun("a", []),
+            RankingRun("b", ["d", "q", "e"]),
+            RankingRun("e", ["a"]),
+        ]
+        categories = ["modality", "organ"]
+        ks = (4, 1, 2, 4, 9)
+        reports = precision_at_ks(corpus, runs, ks, categories)
+        assert len(reports) == len(ks)
+        for k, report in zip(ks, reports):
+            single = precision_at_k(corpus, runs, k, categories)
+            assert report.to_dict() == single.to_dict()
+            assert report.per_query == brute_precision(corpus, runs, k, categories)
+            assert report.exclusions == [
+                {"query_id": "c", "reason": "no run provided"},
+                {"query_id": "d", "reason": "no run provided"},
+                {"query_id": "e", "reason": "missing label(s): modality, organ"},
+            ]
+            assert report.notes == ["query a: empty result list"]
+
+    def test_several_cutoffs_reject_like_one(self, labeled_corpus):
+        runs = [RankingRun("q", ["a"])]
+        with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
+            precision_at_ks(labeled_corpus, runs, (2, 0), ["modality"])
+        with pytest.raises(EvaluationError, match="unknown document id 'zz'"):
+            precision_at_ks(labeled_corpus, [RankingRun("q", ["zz"])], (1, 2), ["modality"])
+        assert precision_at_ks(labeled_corpus, runs, (), ["modality"]) == []
 
     def test_nn_iou_retrieval_beats_iou_on_planted_clusters(self):
         graph, docs, class_map, _ = planted_cluster_corpus(docs_per_cluster=10)

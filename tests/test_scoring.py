@@ -26,6 +26,7 @@ from nniou import (
     nn_cui_at_k,
     nn_iou,
     precision_at_k,
+    rel_set,
 )
 from nniou.cli import AblationGrid, ablation_rows, main
 from nniou.ranking_eval import scoring_core
@@ -158,6 +159,112 @@ def test_nn_cui_reports_equal_brute_force(case, rng):
     expected = brute_nn_cui(docs, runs, cfg.k, _pair_score(cfg, index))
     assert report.per_query == expected
     assert list(report.per_query) == sorted(expected)
+
+
+TIE_CONCEPTS = ["t0", "t1", "t2"]
+
+
+@st.composite
+def tie_cases(draw):
+    """Many documents over a 2-3 concept alphabet, so scores tie in groups.
+
+    Five or more documents take their concept sets from a pool of at most
+    four, so two of them share a set and tie in every other query's
+    ranking.  Ids come in drawn order, not sorted, so corpus position is no
+    stand-in for the id tie-break; empty and unrelated documents give
+    zero-score tails for the candidates to stay ahead of.
+    """
+    alphabet = TIE_CONCEPTS[: draw(st.integers(2, 3))]
+    ids = draw(st.lists(st.sampled_from("abcdefghijklmn"), min_size=5, max_size=12,
+                        unique=True))
+    pool = draw(st.lists(st.frozensets(st.sampled_from(alphabet)), min_size=1, max_size=4))
+    docs = [Document(doc_id, draw(st.sampled_from(pool))) for doc_id in ids]
+    entries = {
+        c: frozenset(draw(st.sets(st.sampled_from([x for x in alphabet if x != c]))))
+        for c in draw(st.sets(st.sampled_from(alphabet)))
+    }
+    return docs, NeighborIndex(radius=1, source_checksum="hand", entries=entries)
+
+
+@settings(max_examples=200)
+@given(tie_cases())
+def test_ties_straddling_the_kth_place_break_by_id(case):
+    """Every k, including each one that falls inside a tie group."""
+    docs, index = case
+    core = ScoringCore(docs, index)
+    by_id = {d.id: d for d in docs}
+    lams = (0.0, 0.5, 1.0)
+    straddled = 0
+    for q, query in enumerate(docs):
+        full = core.tops(q, lams)
+        for lam, ranked in zip(lams, full):
+            params = RelevanceParams(lam=lam, radius=1)
+
+            def score(a, b, params=params):
+                return nn_iou(a, b, params, index)
+
+            expected = brute_ranking(query, docs, score)
+            scores = [score(by_id[i].concepts, query.concepts) for i in expected]
+            assert [core.ids[j] for _, j in ranked] == expected
+            assert [s for s, _ in ranked] == scores
+            straddled += sum(a == b for a, b in zip(scores, scores[1:]))
+        for k in range(1, len(docs) + 1):
+            assert core.tops(q, lams, k) == [ranked[:k] for ranked in full]
+            for lam, ranked in zip(lams, full):
+                assert core.top(q, lam, k) == ranked[:k]
+    assert straddled
+    for lam in lams:
+        for k in (1, 2, 3, len(docs)):
+            cfg = EvalConfig(k=k, relevance=RelevanceParams(lam=lam, radius=1))
+            runs = [RankingRun(d.id, [o.id for o in reversed(docs) if o is not d][:k])
+                    for d in docs]
+            expected = brute_nn_cui(docs, runs, k,
+                                    lambda a, b, cfg=cfg: nn_iou(a, b, cfg.relevance, index))
+            assert nn_cui_at_k(docs, runs, cfg, index).per_query == expected
+
+
+@pytest.mark.parametrize("entries", [
+    # symmetric: p0 and p3 list each other, so do p1 and p2
+    {"p0": {"p3"}, "p3": {"p0"}, "p1": {"p2"}, "p2": {"p1"}},
+    # asymmetric: only p0 and p3 have lists, naming concepts that list nothing
+    {"p0": {"p2"}, "p3": {"p1"}},
+])
+def test_related_concepts_on_the_first_and_last_concept_bits(entries):
+    """A related concept on bit 0 and one on bit w-1 of the packed halves.
+
+    Concepts are interned to bits in first-seen order, and each of the
+    first four documents brings one new concept, so p0 takes bit 0 and p3
+    bit 3 = w-1 of the w = 4 concept bits; shifting the near half by one
+    bit too few or too many moves one of them onto the other half.
+    """
+    docs = [Document(f"d{i}", frozenset({f"p{i}"})) for i in range(4)] + [
+        Document("e0", frozenset({"p0", "p1"})),
+        Document("e1", frozenset({"p2", "p3"})),
+        Document("e2", frozenset({"p0", "p3"})),
+        Document("e3", frozenset({"p1", "p2", "p3"})),
+    ]
+    index = NeighborIndex(radius=1, source_checksum="hand",
+                          entries={c: frozenset(n) for c, n in entries.items()})
+    core = ScoringCore(docs, index)
+    by_id = {d.id: d for d in docs}
+    related = set()
+    for lam in (0.5, 1.0):
+        params = RelevanceParams(lam=lam, radius=1)
+
+        def score(a, b, params=params):
+            return nn_iou(a, b, params, index)
+
+        for q, query in enumerate(docs):
+            for j, doc in enumerate(docs):
+                related |= rel_set(query.concepts, doc.concepts, index)
+                assert core.score(q, j, lam) == score(query.concepts, doc.concepts)
+            expected = brute_ranking(query, docs, score)
+            top = core.top(q, lam)
+            assert [core.ids[j] for _, j in top] == expected
+            assert [s for s, _ in top] == [
+                score(by_id[i].concepts, query.concepts) for i in expected
+            ]
+    assert {"p0", "p3"} <= related
 
 
 GROUPS = {"group": {"low": frozenset({"c0", "c1", "zz"}),
