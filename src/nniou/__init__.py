@@ -41,6 +41,7 @@ from .ranking_eval import (
     dcg,
     derive_labels,
     ground_truth_ranking,
+    ground_truth_rankings,
     label_from_concepts,
     ndcg_at_k,
     nn_cui_at_k,
@@ -86,6 +87,7 @@ __all__ = [
     "dcg",
     "derive_labels",
     "ground_truth_ranking",
+    "ground_truth_rankings",
     "label_from_concepts",
     "ndcg_at_k",
     "nn_cui_at_k",

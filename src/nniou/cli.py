@@ -38,10 +38,10 @@ from .ranking_eval import (
     RankingRun,
     derive_labels,
     ground_truth_ranking,
+    ground_truth_rankings,
     nn_cui_at_k,
     precision_at_k,
     precision_at_ks,
-    scoring_core,
 )
 from .relevance import RelevanceParams, iou, nn_iou
 from .scoring import ScoringCore
@@ -210,17 +210,6 @@ def _load_index_checked(index_path: str, edges_path: str | None) -> NeighborInde
     return index
 
 
-def _warn_coverage(docs: Sequence[Document], index: NeighborIndex | None) -> None:
-    if index is None:
-        return
-    missing = corpus_vocabulary(docs).difference(index.entries)
-    if missing:
-        _warn(
-            f"{len(missing)} corpus concept(s) have no entry in the index, "
-            f"e.g. {min(missing)!r}; they match only themselves"
-        )
-
-
 def _resolve_radius(index: NeighborIndex | None, n_flag: int | None) -> int:
     """Radius comes from the index when one is loaded; --n must then agree."""
     if index is not None:
@@ -238,6 +227,24 @@ def _require_index_for(measure: str, lam: float, index: NeighborIndex | None) ->
             "measure 'nniou' with lambda > 0 requires --index "
             "(build one with 'nniou build-index')"
         )
+
+
+def _ranking_setup(
+    args, docs: Sequence[Document]
+) -> tuple[EvalConfig, NeighborIndex | None]:
+    """The config and checked index (if any) that ``retrieve`` and ``eval`` rank with."""
+    index = None
+    if args.index:
+        index = _load_index_checked(args.index, args.edges)
+        missing = corpus_vocabulary(docs).difference(index.entries)
+        if missing:
+            _warn(
+                f"{len(missing)} corpus concept(s) have no entry in the index, "
+                f"e.g. {min(missing)!r}; they match only themselves"
+            )
+    _require_index_for(args.measure, args.lam, index)
+    relevance = RelevanceParams(lam=args.lam, radius=_resolve_radius(index, args.n))
+    return EvalConfig(k=args.k, relevance=relevance, measure=args.measure), index
 
 
 def _cmd_build_index(args) -> int:
@@ -283,28 +290,12 @@ def _cmd_relevance(args) -> int:
     return 0
 
 
-def _top_k_runs(core: ScoringCore, lam: float, k: int) -> list[RankingRun]:
-    """Every corpus document queried against every other, top ``k`` each."""
-    return [
-        RankingRun(query_id, [core.ids[j] for _, j in core.top(q, lam, k)])
-        for q, query_id in enumerate(core.ids)
-    ]
-
-
 def _cmd_retrieve(args) -> int:
     docs = read_corpus(args.corpus)
     if not docs:
         raise EvaluationError(f"corpus {args.corpus} contains no documents")
-    index = _load_index_checked(args.index, args.edges) if args.index else None
-    _warn_coverage(docs, index)
-    _require_index_for(args.measure, args.lam, index)
-    radius = _resolve_radius(index, args.n)
-    cfg = EvalConfig(
-        k=args.k,
-        relevance=RelevanceParams(lam=args.lam, radius=radius),
-        measure=args.measure,
-    )
-    runs = _top_k_runs(*scoring_core(docs, cfg, index), cfg.k)
+    cfg, index = _ranking_setup(args, docs)
+    runs = ground_truth_rankings(docs, cfg, index)
     write_runs(runs, args.out)
     print(f"queries={len(runs)} k={args.k} measure={args.measure} out={args.out}")
     return 0
@@ -343,17 +334,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_eval(args) -> int:
+    if args.categories is not None and not args.class_map:
+        raise ConfigError("--categories needs --class-map to derive the labels it names")
     docs = read_corpus(args.corpus)
     runs = read_runs(args.runs)
-    index = _load_index_checked(args.index, args.edges) if args.index else None
-    _warn_coverage(docs, index)
-    _require_index_for(args.measure, args.lam, index)
-    radius = _resolve_radius(index, args.n)
-    cfg = EvalConfig(
-        k=args.k,
-        relevance=RelevanceParams(lam=args.lam, radius=radius),
-        measure=args.measure,
-    )
+    cfg, index = _ranking_setup(args, docs)
     reports = [nn_cui_at_k(docs, runs, cfg, index)]
     if args.class_map:
         class_map = read_class_map(args.class_map)

@@ -145,11 +145,18 @@ def read_class_map(path: str | Path) -> dict[str, dict[str, frozenset[str]]]:
         claimed: dict[str, str] = {}
         values: dict[str, frozenset[str]] = {}
         for value, concept_list in value_map.items():
-            if not isinstance(concept_list, list) or not concept_list:
+            if not isinstance(concept_list, list) or not all(
+                isinstance(c, str) for c in concept_list
+            ):
+                raise ConfigError(
+                    f"category {category!r} value {value!r} must list concepts as "
+                    f"strings, got {concept_list!r}"
+                )
+            concepts = frozenset(c.strip() for c in concept_list if c.strip())
+            if not concepts:
                 raise ConfigError(
                     f"category {category!r} value {value!r} must list at least one concept"
                 )
-            concepts = frozenset(str(c).strip() for c in concept_list if str(c).strip())
             for concept in concepts:
                 if concept in claimed:
                     raise ConfigError(

@@ -32,7 +32,7 @@ from .kg_store import KnowledgeGraph
 
 FORMAT_VERSION = 1
 
-_HEADER_RE = re.compile(r"#nnidx v(\d+) radius=(\d+) checksum=([0-9a-f]+)")
+_HEADER_RE = re.compile(r"#nnidx v\d+ radius=(\d+) checksum=([0-9a-f]+)")
 
 _EMPTY: frozenset[str] = frozenset()
 
@@ -107,26 +107,21 @@ def load_index(path: str | Path) -> NeighborIndex:
     lines = text.splitlines()
     if not lines:
         raise IndexFormatError("empty index file")
+    versioned = re.match(r"#nnidx v(\d+)\b", lines[0])
+    if versioned and int(versioned.group(1)) != FORMAT_VERSION:
+        raise IndexFormatError(
+            f"unsupported index version {int(versioned.group(1))} "
+            f"(expected {FORMAT_VERSION})"
+        )
     header = _HEADER_RE.fullmatch(lines[0])
     if header is None:
-        versioned = re.match(r"#nnidx v(\d+)\b", lines[0])
-        if versioned and int(versioned.group(1)) != FORMAT_VERSION:
-            raise IndexFormatError(
-                f"unsupported index version {versioned.group(1)} "
-                f"(expected {FORMAT_VERSION})"
-            )
         raise IndexFormatError(
             "malformed index header: expected "
             "'#nnidx v1 radius=<n> checksum=<hex>', got "
             f"{lines[0]!r}"
         )
-    version = int(header.group(1))
-    if version != FORMAT_VERSION:
-        raise IndexFormatError(
-            f"unsupported index version {version} (expected {FORMAT_VERSION})"
-        )
-    radius = int(header.group(2))
-    checksum = header.group(3)
+    radius = int(header.group(1))
+    checksum = header.group(2)
 
     entries: dict[str, frozenset[str]] = {}
     for lineno, line in enumerate(lines[1:], start=2):

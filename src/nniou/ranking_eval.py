@@ -4,11 +4,13 @@ The evaluation treats every corpus document in turn as a query.  Candidate
 documents are scored against the query's concept set with the configured
 measure by the pruned scoring core (:mod:`nniou.scoring`), which scores
 only documents that can score above 0; ordering those scores (descending,
-ties broken by ascending id) yields the ground-truth ranking.  A system's
-returned ranking is then graded position by position: each result
-contributes its relevance divided by log2(rank + 1), the resulting DCG is
-normalized by the ideal DCG of the ground truth, and the final metric is
-the mean per-query NDCG.
+ties broken by ascending id) yields the ground-truth ranking.
+:func:`ground_truth_rankings` builds one core for a whole corpus and
+returns every query's top K from it; :func:`ground_truth_ranking` is the
+one-query case.  A system's returned ranking is then graded position by
+position: each result contributes its relevance divided by
+log2(rank + 1), the resulting DCG is normalized by the ideal DCG of the
+ground truth, and the final metric is the mean per-query NDCG.
 
 Per-query evaluations are independent; report assembly is a deterministic
 reduction over queries sorted by id.
@@ -179,6 +181,23 @@ def ground_truth_ranking(
     core, lam = scoring_core(pool, cfg, index)
     ranked = core.top(len(pool) - 1, lam)
     return RankingRun(query.id, [core.ids[j] for _, j in ranked])
+
+
+def ground_truth_rankings(
+    corpus: Sequence[Document],
+    cfg: EvalConfig,
+    index: NeighborIndex | None = None,
+) -> list[RankingRun]:
+    """Every document's ground-truth top ``cfg.k``, in corpus order.
+
+    Each run equals :func:`ground_truth_ranking` of that document cut at
+    ``cfg.k``, but one scoring core ranks them all.  Ids must be unique.
+    """
+    core, lam = scoring_core(list(_docs_by_id(corpus).values()), cfg, index)
+    return [
+        RankingRun(query_id, [core.ids[j] for _, j in core.top(q, lam, cfg.k)])
+        for q, query_id in enumerate(core.ids)
+    ]
 
 
 def dcg(relevances: Sequence[float]) -> float:

@@ -268,6 +268,20 @@ class TestRetrieveAndEval:
                      "--lambda", "0.5", "--k", "3", "--out", str(runs)]) == 0
         assert "different edge file" in capsys.readouterr().err
 
+    def test_eval_categories_without_class_map_is_usage_error(self, workspace, capsys):
+        tmp_path, edges, corpus, cmap = workspace
+        runs = tmp_path / "r.runs"
+        assert main(["retrieve", "--corpus", str(corpus), "--measure", "iou",
+                     "--k", "3", "--out", str(runs)]) == 0
+        report = tmp_path / "report.json"
+        code = main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--measure", "iou", "--k", "3", "--categories", "modality",
+                     "--out", str(report)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--categories" in err and "--class-map" in err
+        assert not report.exists()
+
     def test_unknown_run_id_is_data_error(self, workspace, capsys):
         tmp_path, edges, corpus, cmap, index = self._build(workspace)
         runs = tmp_path / "bad.runs"

@@ -145,6 +145,17 @@ class TestClassMap:
         with pytest.raises(ConfigError):
             read_class_map(path)
 
+    def test_non_string_concepts_rejected(self, tmp_path):
+        path = _write(tmp_path, "map.json", '{"modality": {"ct": [null, 1]}}')
+        with pytest.raises(ConfigError, match=r"'modality' value 'ct'.*strings"):
+            read_class_map(path)
+
+    def test_all_blank_concepts_rejected(self, tmp_path):
+        payload = {"modality": {"ct": ["C1"], "mri": ["", " "]}}
+        path = _write(tmp_path, "map.json", json.dumps(payload))
+        with pytest.raises(ConfigError, match=r"'modality' value 'mri'.*at least one"):
+            read_class_map(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = _write(tmp_path, "map.json", "{nope")
         with pytest.raises(DataFileError):

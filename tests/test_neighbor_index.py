@@ -126,9 +126,11 @@ class TestPersistence:
 
     def test_version_gate_names_both_versions(self, tmp_path):
         path = tmp_path / "vnext.nnidx"
-        path.write_text("#nnidx v2 radius=1 checksum=ff\nx\t\n", encoding="utf-8")
-        with pytest.raises(IndexFormatError, match="version 2.*expected 1"):
-            load_index(path)
+        # the version is judged before the rest of the header
+        for header in ("#nnidx v2 radius=1 checksum=ff", "#nnidx v2 radius=x"):
+            path.write_text(header + "\nx\t\n", encoding="utf-8")
+            with pytest.raises(IndexFormatError, match="version 2.*expected 1"):
+                load_index(path)
 
     def test_missing_checksum_rejected(self, tmp_path):
         path = tmp_path / "nochk.nnidx"

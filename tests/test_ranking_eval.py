@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from nniou import (
     dcg,
     derive_labels,
     ground_truth_ranking,
+    ground_truth_rankings,
     label_from_concepts,
     ndcg_at_k,
     nn_cui_at_k,
@@ -380,8 +383,17 @@ class TestLabelFromConcepts:
 class TestValidation:
     def test_duplicate_corpus_ids_rejected(self):
         corpus = [Document("a", frozenset()), Document("a", frozenset())]
-        with pytest.raises(EvaluationError, match="duplicate"):
+        with pytest.raises(EvaluationError, match="duplicate") as evaluated:
             nn_cui_at_k(corpus, [], _iou_cfg(1))
+        with pytest.raises(EvaluationError) as ranked:
+            ground_truth_rankings(corpus, _iou_cfg(1))
+        assert str(ranked.value) == str(evaluated.value)
+
+    def test_rankings_of_a_one_document_corpus_have_no_candidates(self):
+        only = [Document("only", frozenset({"x"}))]
+        with pytest.raises(EvaluationError, match="no candidate documents for query 'only'"):
+            ground_truth_rankings(only, _iou_cfg(1))
+        assert ground_truth_rankings([], _iou_cfg(1)) == []
 
     def test_run_with_duplicate_ids_rejected(self):
         with pytest.raises(EvaluationError, match="duplicate"):
@@ -429,3 +441,19 @@ def test_random_runs_never_exceed_one():
         rng.shuffle(candidates)
         report = nn_cui_at_k(corpus, [RankingRun(doc.id, candidates[:5])], cfg)
         assert 0.0 <= report.per_query[doc.id] <= 1.0 + 1e-12
+
+
+def test_readme_library_example_runs_verbatim(tmp_path, monkeypatch, capsys):
+    """The README's library code block, run as written, so it tracks the API."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"## Library\n+```python\n(.*?)```",
+                      readme.read_text(encoding="utf-8"), re.S)
+    (tmp_path / "kg.tsv").write_text("x\tz\ny\tz\n", encoding="utf-8")
+    (tmp_path / "corpus.jsonl").write_text(
+        '{"id": "a", "cuis": ["x"]}\n{"id": "b", "cuis": ["y", "w"]}\n'
+        '{"id": "c", "cuis": ["z"]}\n',
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out == "1.0\n"

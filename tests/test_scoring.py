@@ -7,6 +7,8 @@ it, byte for byte, to sorting every other document by (-nn_iou, id).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from nniou import (
     build_index,
     derive_labels,
     ground_truth_ranking,
+    ground_truth_rankings,
     iou,
     nn_cui_at_k,
     nn_iou,
@@ -110,6 +113,23 @@ def test_core_rankings_equal_brute_force(case):
             score(by_id[i].concepts, query.concepts) for i in expected[: cfg.k]
         ]
         assert ground_truth_ranking(query, docs, cfg, index).ranked_ids == expected
+
+
+@settings(max_examples=300)
+@given(settings_cases())
+def test_ground_truth_rankings_equal_brute_force(case):
+    """One shared core ranks every query like the brute force and like one call each."""
+    docs, cfg, index = case
+    score = _pair_score(cfg, index)
+    for k in (cfg.k, len(docs) + 1):  # the drawn cutoff, then one beyond the corpus
+        cut = replace(cfg, k=k)
+        runs = ground_truth_rankings(docs, cut, index)
+        assert [run.query_id for run in runs] == [d.id for d in docs]
+        for query, run in zip(docs, runs):
+            assert run.ranked_ids == brute_ranking(query, docs, score)[:k]
+            assert run.ranked_ids == (
+                ground_truth_ranking(query, docs, cut, index).ranked_ids[:k]
+            )
 
 
 @settings(max_examples=300)
