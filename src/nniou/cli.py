@@ -4,6 +4,12 @@ Subcommands: ``build-index``, ``relevance``, ``retrieve``, ``eval``,
 ``ablate``.  Exit status 0 on success, 1 on usage/configuration errors,
 2 on data errors.  All outputs are deterministic: identical inputs and
 flags produce byte-identical runs, report, and CSV files.
+
+The distance threshold n is chosen where neighbor sets are built:
+``build-index --n`` and ``ablate --radii``.  ``relevance``, ``retrieve``
+and ``eval`` take no ``--n``; they score at the radius recorded in the
+loaded index, and without an index at the default radius 1, where
+approximate matching is off (IoU or lambda 0) or refused.
 """
 
 from __future__ import annotations
@@ -99,43 +105,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_build_index)
 
+    # shared by the scoring commands, which take their radius from the index
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--index", help="neighbor index path (sets the radius)")
+    scoring.add_argument("--lambda", dest="lam", type=float, default=0.5,
+                         help="related-concept weight (default 0.5)")
+    ranking = argparse.ArgumentParser(add_help=False, parents=[scoring])
+    ranking.add_argument("--corpus", required=True, help="JSONL corpus file")
+    ranking.add_argument("--edges", help="edge file, only to cross-check the index checksum")
+    ranking.add_argument("--measure", choices=["iou", "nniou"], default="nniou",
+                         help="relevance measure (default nniou)")
+    ranking.add_argument("--k", type=int, default=10, help="ranking cutoff (default 10)")
+
     p = sub.add_parser(
         "relevance",
+        parents=[scoring],
         help="score two concept sets (or two corpus document ids)",
     )
     p.add_argument("set_a", help="comma-separated concepts or a document id")
     p.add_argument("set_b", help="comma-separated concepts or a document id")
     p.add_argument("--corpus", help="JSONL corpus used to resolve document ids")
-    p.add_argument("--index", help="neighbor index path")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                   help="related-concept weight (default 0.5)")
-    p.add_argument("--n", type=int, default=None,
-                   help="distance threshold (default 1, or the index radius)")
     p.set_defaults(func=_cmd_relevance)
 
     p = sub.add_parser(
         "retrieve",
+        parents=[ranking],
         help="rank every corpus document against every other (exact, pruned)",
     )
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--index", help="neighbor index path")
-    p.add_argument("--edges", help="edge file, only to cross-check the index checksum")
-    p.add_argument("--measure", choices=["iou", "nniou"], default="nniou")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", required=True, help="output runs file (JSONL)")
     p.set_defaults(func=_cmd_retrieve)
 
-    p = sub.add_parser("eval", help="score runs against a corpus")
-    p.add_argument("--corpus", required=True)
+    p = sub.add_parser("eval", parents=[ranking], help="score runs against a corpus")
     p.add_argument("--runs", required=True, help="JSONL runs file")
-    p.add_argument("--index", help="neighbor index path")
-    p.add_argument("--edges", help="edge file, only to cross-check the index checksum")
-    p.add_argument("--measure", choices=["iou", "nniou"], default="nniou")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=10)
     p.add_argument("--class-map", help="JSON class map enabling Precision@K")
     p.add_argument("--categories", help="comma-separated subset of class-map categories")
     p.add_argument("--out", help="write the report here instead of stdout")
@@ -210,15 +211,11 @@ def _load_index_checked(index_path: str, edges_path: str | None) -> NeighborInde
     return index
 
 
-def _resolve_radius(index: NeighborIndex | None, n_flag: int | None) -> int:
-    """Radius comes from the index when one is loaded; --n must then agree."""
-    if index is not None:
-        if n_flag is not None and n_flag != index.radius:
-            raise ConfigError(
-                f"--n {n_flag} conflicts with index radius {index.radius}"
-            )
-        return index.radius
-    return n_flag if n_flag is not None else 1
+def _params(lam: float, index: NeighborIndex | None) -> RelevanceParams:
+    """Relevance parameters at the loaded index's radius, or the default radius."""
+    if index is None:
+        return RelevanceParams(lam=lam)
+    return RelevanceParams(lam=lam, radius=index.radius)
 
 
 def _require_index_for(measure: str, lam: float, index: NeighborIndex | None) -> None:
@@ -243,7 +240,7 @@ def _ranking_setup(
                 f"e.g. {min(missing)!r}; they match only themselves"
             )
     _require_index_for(args.measure, args.lam, index)
-    relevance = RelevanceParams(lam=args.lam, radius=_resolve_radius(index, args.n))
+    relevance = _params(args.lam, index)
     return EvalConfig(k=args.k, relevance=relevance, measure=args.measure), index
 
 
@@ -283,8 +280,7 @@ def _cmd_relevance(args) -> int:
     set_a = resolve(args.set_a)
     set_b = resolve(args.set_b)
     _require_index_for("nniou", args.lam, index)
-    radius = _resolve_radius(index, args.n)
-    params = RelevanceParams(lam=args.lam, radius=radius)
+    params = _params(args.lam, index)
     print(f"iou={iou(set_a, set_b):.6f}")
     print(f"nniou={nn_iou(set_a, set_b, params, index):.6f}")
     return 0
@@ -302,7 +298,7 @@ def _cmd_retrieve(args) -> int:
 
 
 def _split_categories(args, class_map) -> list[str]:
-    if args.categories:
+    if args.categories is not None:
         categories = [c.strip() for c in args.categories.split(",") if c.strip()]
         if not categories:
             raise ConfigError("--categories must name at least one category")

@@ -19,17 +19,12 @@ number; writers emit deterministic, diff-friendly output.
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DataFileError, EvaluationError
+from .neighbor_index import _UNSTORABLE
 from .ranking_eval import Document, RankingRun
-
-# Characters the neighbor index uses as separators (``,`` between
-# neighbors, tab before them, any line boundary ``str.splitlines`` knows),
-# so a concept containing one could not be read back from an index.
-_UNSTORABLE = re.compile(r"[,\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _jsonl_records(path: str | Path):

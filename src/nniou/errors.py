@@ -18,24 +18,22 @@ class DataError(NnIouError):
     """Malformed or inconsistent input data."""
 
 
-class EdgeFileError(DataError):
+class _LineError(DataError):
+    """A data error that names the line of its file when the line is known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class EdgeFileError(_LineError):
     """Bad record in an edge file; carries the offending line number."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class DataFileError(DataError):
+class DataFileError(_LineError):
     """Bad record in a corpus, runs, or class-map file."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class IndexFormatError(DataError):

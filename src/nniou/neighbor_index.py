@@ -34,6 +34,11 @@ FORMAT_VERSION = 1
 
 _HEADER_RE = re.compile(r"#nnidx v\d+ radius=(\d+) checksum=([0-9a-f]+)")
 
+# The format's separators (``,`` between neighbors, tab before them, any
+# line boundary ``str.splitlines`` knows): a concept containing one could
+# not be read back.
+_UNSTORABLE = re.compile(r"[,\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
 _EMPTY: frozenset[str] = frozenset()
 
 
@@ -86,7 +91,17 @@ def build_index(
 
 
 def save_index(index: NeighborIndex, path: str | Path) -> None:
-    """Write the index in the nnidx v1 text format (sorted, reproducible)."""
+    """Write the index in the nnidx v1 text format (sorted, reproducible).
+
+    Raises :class:`IndexFormatError`, before anything is written, naming
+    the first (smallest) concept that holds one of the format's separators.
+    """
+    # a closed index lists only entries as neighbors, so this covers them too
+    if _UNSTORABLE.search("".join(index.entries)):
+        bad = min(c for c in index.entries if _UNSTORABLE.search(c))
+        raise IndexFormatError(
+            f"cannot store concept {bad!r}: it contains a comma, tab or line break"
+        )
     lines = [
         f"#nnidx v{FORMAT_VERSION} radius={index.radius} checksum={index.source_checksum}"
     ]

@@ -175,11 +175,12 @@ def ground_truth_ranking(
     (self-retrieval trivially scores 1.0).  Ordering is by descending
     score with ties broken by ascending document id, so repeated calls are
     deterministic.  The full ranking is returned: documents scoring above
-    0, then every other candidate by id.  Callers truncate to K.
+    0, then every other candidate by id.  Callers truncate to K.  Corpus
+    ids must be unique.
     """
-    pool = [doc for doc in corpus if doc.id != query.id] + [query]
+    pool = [doc for doc in _docs_by_id(corpus).values() if doc.id != query.id] + [query]
     core, lam = scoring_core(pool, cfg, index)
-    ranked = core.top(len(pool) - 1, lam)
+    ranked = core.top(len(pool) - 1, lam, len(pool) - 1)
     return RankingRun(query.id, [core.ids[j] for _, j in ranked])
 
 

@@ -35,7 +35,9 @@ ablation sweep scores each pair once per radius instead of once per
 Per lambda, the candidates' float scores come first and the k-th largest
 is a cut: only positive scores at or above it become (-score, id) sort
 keys, so a query builds about k keys instead of one per candidate, and
-every tie at the cut is kept for the id tie-break.
+every tie at the cut is kept for the id tie-break.  Every ranking has a
+cutoff; a ``k`` of one less than the corpus size ranks every other
+document.
 """
 
 from __future__ import annotations
@@ -103,24 +105,23 @@ class ScoringCore:
         swapped = query >> width | held << width
         return (inter + lam * (swapped & packed).bit_count()) / union
 
-    def top(self, q: int, lam: float, k: int | None = None) -> list[tuple[float, int]]:
+    def top(self, q: int, lam: float, k: int) -> list[tuple[float, int]]:
         """The first ``k`` (score, document) pairs of query ``q``'s ranking."""
         return self.tops(q, (lam,), k)[0]
 
     def tops(
-        self, q: int, lams: Sequence[float], k: int | None = None
+        self, q: int, lams: Sequence[float], k: int
     ) -> list[list[tuple[float, int]]]:
         """Query ``q``'s first ``k`` (score, document) pairs under each weight.
 
         One ranking per entry of ``lams``, in order.  Each is ordered by
-        descending score, ties by ascending id; ``k=None`` ranks every
-        other document.  Only reachable documents are scored, and each of
-        them once: its weight-free (inter, rel, union) counts are kept and
-        re-weighted per lambda.  Per lambda, the k-th largest float score
-        is the cut, and only positive scores at or above it are sorted by
-        (-score, id); ties at the cut all take part, so the tie-break is
-        exact.  The positive ones come first and zero-score documents fill
-        the remaining slots in id order.
+        descending score, ties by ascending id.  Only reachable documents
+        are scored, and each of them once: its weight-free (inter, rel,
+        union) counts are kept and re-weighted per lambda.  Per lambda, the
+        k-th largest float score is the cut, and only positive scores at or
+        above it are sorted by (-score, id); ties at the cut all take part,
+        so the tie-break is exact.  The positive ones come first and
+        zero-score documents fill the remaining slots in id order.
         """
         ids = self.ids
         if len(ids) < 2:
@@ -132,19 +133,19 @@ class ScoringCore:
         for lam in lams:
             scores = [(inter + lam * rel) / union for inter, rel, union, _ in counts]
             cut = 0.0
-            if k is not None and len(scores) > k:
+            if len(scores) > k:
                 cut = sorted(scores)[-k]
             best = sorted([
                 (-s, ids[c[3]], c[3]) for s, c in zip(scores, counts) if s >= cut and s > 0
             ])[:k]
             ranked = [(-neg, j) for neg, _, j in best]
-            if k is None or len(ranked) < k:
+            if len(ranked) < k:
                 # every positive document is ranked already; the rest score 0
                 taken = 1 << q
                 for _, j in ranked:
                     taken |= 1 << j
                 for j in self._id_order:
-                    if k is not None and len(ranked) == k:
+                    if len(ranked) == k:
                         break
                     if not taken >> j & 1:
                         ranked.append((0.0, j))

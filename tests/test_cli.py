@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -250,13 +253,26 @@ class TestRetrieveAndEval:
         assert code == 1
         assert "requires --index" in capsys.readouterr().err
 
-    def test_index_radius_conflict_is_usage_error(self, workspace, capsys):
-        tmp_path, edges, corpus, cmap, index = self._build(workspace, radius=1)
-        code = main(["retrieve", "--corpus", str(corpus), "--index", str(index),
-                     "--n", "2", "--measure", "nniou", "--lambda", "0.5",
-                     "--k", "3", "--out", str(tmp_path / "x.runs")])
-        assert code == 1
-        assert "conflicts" in capsys.readouterr().err
+    def test_radius_is_a_build_index_flag_only(self, workspace, capsys):
+        """build-index --n sets the radius; the scoring commands read it from the index."""
+        tmp_path, edges, corpus, cmap, index = self._build(workspace, radius=2)
+        runs = tmp_path / "x.runs"
+        scoring = ["--index", str(index), "--n", "2"]
+        for argv in (
+            ["relevance", "a", "b", *scoring],
+            ["retrieve", "--corpus", str(corpus), *scoring, "--out", str(runs)],
+            ["eval", "--corpus", str(corpus), "--runs", str(runs), *scoring],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert "unrecognized arguments: --n 2" in capsys.readouterr().err
+        assert not runs.exists()
+        assert main(["retrieve", "--corpus", str(corpus), "--index", str(index),
+                     "--out", str(runs)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--index", str(index)]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"][0]["config"]["n"] == 2
 
     def test_checksum_mismatch_warns(self, workspace, capsys):
         tmp_path, edges, corpus, cmap, index = self._build(workspace)
@@ -281,6 +297,22 @@ class TestRetrieveAndEval:
         err = capsys.readouterr().err
         assert "--categories" in err and "--class-map" in err
         assert not report.exists()
+
+    @pytest.mark.parametrize("categories", ["", ","])
+    def test_eval_categories_naming_none_is_usage_error(self, workspace, capsys,
+                                                        categories):
+        tmp_path, edges, corpus, cmap = workspace
+        runs = tmp_path / "r.runs"
+        assert main(["retrieve", "--corpus", str(corpus), "--measure", "iou",
+                     "--k", "3", "--out", str(runs)]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--measure", "iou", "--k", "3", "--class-map", str(cmap),
+                     "--categories", categories])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "must name at least one category" in captured.err
+        assert captured.out == ""
 
     def test_unknown_run_id_is_data_error(self, workspace, capsys):
         tmp_path, edges, corpus, cmap, index = self._build(workspace)
@@ -382,6 +414,17 @@ class TestAblate:
         assert code == 1
         assert "stain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("categories", ["", ","])
+    def test_categories_naming_none_is_usage_error(self, workspace, capsys, categories):
+        tmp_path, edges, corpus, cmap = workspace
+        code = main(["ablate", "--corpus", str(corpus), "--edges", str(edges),
+                     "--class-map", str(cmap), "--categories", categories,
+                     "--lambdas", "0", "--radii", "0", "--ks", "5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "must name at least one category" in captured.err
+        assert captured.out == ""
+
     def test_grid_validation(self):
         with pytest.raises(Exception):
             AblationGrid(lambdas=(), radii=(0,), ks=(5,))
@@ -434,3 +477,36 @@ class TestUsage:
                      "--k", "3", "--out", str(tmp_path / "x.runs")])
         assert code == 2
         assert "no documents" in capsys.readouterr().err
+
+
+def test_readme_cli_block_runs_verbatim(tmp_path, monkeypatch, capsys):
+    """The README's CLI commands, run as written, so the docs name only real flags."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    edges = re.search(r"\*\*Edge file\*\*.*?```\n(.*?)```", readme, re.S).group(1)
+    block = re.search(r"## CLI\n+```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("nniou ")]
+    documented = re.search(r"# -> (iou=\S+)\n#\s+(nniou=\S+)\n", block).groups()
+    (tmp_path / "kg.tsv").write_text(edges, encoding="utf-8")
+    (tmp_path / "corpus.jsonl").write_text(
+        '{"id": "d1", "cuis": ["C0000011", "C0000101"]}\n'
+        '{"id": "d2", "cuis": ["C0000012", "C0000101"]}\n'
+        '{"id": "d3", "cuis": ["C0000021"]}\n'
+        '{"id": "d4", "cuis": ["C0000022"]}\n',
+        encoding="utf-8",
+    )
+    (tmp_path / "classes.json").write_text(
+        '{"modality": {"ct": ["C0000011", "C0000012"], "mri": ["C0000021", "C0000022"]}}',
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    subcommands = []
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        capsys.readouterr()
+        assert main(argv) == 0, command
+        if argv[0] == "relevance":
+            assert tuple(capsys.readouterr().out.splitlines()) == documented
+        subcommands.append(argv[0])
+    assert subcommands == ["build-index", "relevance", "retrieve", "eval", "ablate"]
+    assert documented == ("iou=0.333333", "nniou=0.666667")

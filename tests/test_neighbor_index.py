@@ -124,6 +124,18 @@ class TestPersistence:
         assert index.source_checksum == "abc123"
         assert index.neighbors("C0042449") == {"C0005847"}
 
+    @pytest.mark.parametrize("concept", ["a,b", "a\tb", "a\nb", "a\u2028b"])
+    def test_unstorable_concept_rejected_before_writing(self, tmp_path, concept):
+        graph = KnowledgeGraph.from_edges([(concept, "p"), ("q,r", "p")])
+        index = build_index(graph, {concept, "p", "q,r"}, 1)
+        path = tmp_path / "bad.nnidx"
+        with pytest.raises(IndexFormatError) as raised:
+            save_index(index, path)
+        assert str(raised.value) == (
+            f"cannot store concept {concept!r}: it contains a comma, tab or line break"
+        )
+        assert not path.exists()
+
     def test_version_gate_names_both_versions(self, tmp_path):
         path = tmp_path / "vnext.nnidx"
         # the version is judged before the rest of the header

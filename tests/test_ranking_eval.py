@@ -389,6 +389,14 @@ class TestValidation:
             ground_truth_rankings(corpus, _iou_cfg(1))
         assert str(ranked.value) == str(evaluated.value)
 
+    def test_ground_truth_ranking_rejects_duplicate_corpus_ids(self):
+        corpus = [Document("a", frozenset({"x"})), Document("b", frozenset({"x"})),
+                  Document("b", frozenset({"x"}))]
+        for query in corpus[:2]:
+            with pytest.raises(EvaluationError) as raised:
+                ground_truth_ranking(query, corpus, _iou_cfg(1))
+            assert str(raised.value) == "duplicate document id 'b' in corpus"
+
     def test_rankings_of_a_one_document_corpus_have_no_candidates(self):
         only = [Document("only", frozenset({"x"}))]
         with pytest.raises(EvaluationError, match="no candidate documents for query 'only'"):
