@@ -7,9 +7,10 @@ flags produce byte-identical runs, report, and CSV files.
 
 The distance threshold n is chosen where neighbor sets are built:
 ``build-index --n`` and ``ablate --radii``.  ``relevance``, ``retrieve``
-and ``eval`` take no ``--n``; they score at the radius recorded in the
-loaded index, and without an index at the default radius 1, where
-approximate matching is off (IoU or lambda 0) or refused.
+and ``eval`` take no ``--n``; they score with the loaded index's neighbor
+lists, and an ``eval`` report records its radius as ``"n"``.  Without an
+index, approximate matching is off (IoU or lambda 0) or refused, and
+``"n"`` reads 1.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .corpus import (
     write_runs,
 )
 from .errors import ConfigError, DataError, EvaluationError
-from .kg_store import edge_file_checksum, parse_edge_file
+from .kg_store import KnowledgeGraph, edge_file_checksum, parse_edge_file
 from .neighbor_index import NeighborIndex, build_index, load_index, save_index
 # ground_truth_ranking is unused here but stays a module attribute:
 # benchmarks/tracer.py wraps it.
@@ -76,7 +77,8 @@ class AblationGrid:
         for lam in self.lambdas:
             RelevanceParams(lam=lam)
         for radius in self.radii:
-            RelevanceParams(radius=radius)
+            if radius < 0:
+                raise ConfigError(f"radius must be >= 0, got {radius}")
         for k in self.ks:
             EvalConfig(k=k)
 
@@ -211,13 +213,6 @@ def _load_index_checked(index_path: str, edges_path: str | None) -> NeighborInde
     return index
 
 
-def _params(lam: float, index: NeighborIndex | None) -> RelevanceParams:
-    """Relevance parameters at the loaded index's radius, or the default radius."""
-    if index is None:
-        return RelevanceParams(lam=lam)
-    return RelevanceParams(lam=lam, radius=index.radius)
-
-
 def _require_index_for(measure: str, lam: float, index: NeighborIndex | None) -> None:
     if measure == "nniou" and lam > 0 and index is None:
         raise ConfigError(
@@ -240,23 +235,28 @@ def _ranking_setup(
                 f"e.g. {min(missing)!r}; they match only themselves"
             )
     _require_index_for(args.measure, args.lam, index)
-    relevance = _params(args.lam, index)
+    relevance = RelevanceParams(lam=args.lam)
     return EvalConfig(k=args.k, relevance=relevance, measure=args.measure), index
 
 
-def _cmd_build_index(args) -> int:
+def _graph_and_corpus(args) -> tuple[KnowledgeGraph, list[Document]]:
+    """The graph and corpus that ``build-index`` and ``ablate`` read, warnings given."""
     graph = parse_edge_file(args.edges, strict_cui=args.strict_cui)
     _warn_cycle(graph)
     docs = read_corpus(args.corpus)
-    vocabulary = corpus_vocabulary(docs)
-    missing = sorted(c for c in vocabulary if not graph.has_node(c))
+    missing = [c for c in corpus_vocabulary(docs) if not graph.has_node(c)]
     if missing:
         _warn(
             f"{len(missing)} corpus concept(s) absent from the graph, "
-            f"e.g. {missing[0]!r}; indexed with empty neighbor sets"
+            f"e.g. {min(missing)!r}; indexed with empty neighbor sets"
         )
+    return graph, docs
+
+
+def _cmd_build_index(args) -> int:
+    graph, docs = _graph_and_corpus(args)
     start = time.perf_counter()
-    index = build_index(graph, vocabulary, args.n)
+    index = build_index(graph, corpus_vocabulary(docs), args.n)
     elapsed = time.perf_counter() - start
     save_index(index, args.out)
     print(
@@ -280,7 +280,7 @@ def _cmd_relevance(args) -> int:
     set_a = resolve(args.set_a)
     set_b = resolve(args.set_b)
     _require_index_for("nniou", args.lam, index)
-    params = _params(args.lam, index)
+    params = RelevanceParams(lam=args.lam)
     print(f"iou={iou(set_a, set_b):.6f}")
     print(f"nniou={nn_iou(set_a, set_b, params, index):.6f}")
     return 0
@@ -423,9 +423,7 @@ def _cmd_ablate(args) -> int:
         radii=_parse_number_list(args.radii, int, "--radii"),
         ks=_parse_number_list(args.ks, int, "--ks"),
     )
-    graph = parse_edge_file(args.edges, strict_cui=args.strict_cui)
-    _warn_cycle(graph)
-    docs = read_corpus(args.corpus)
+    graph, docs = _graph_and_corpus(args)
     class_map = read_class_map(args.class_map)
     categories = _split_categories(args, class_map)
     rows = ablation_rows(graph, docs, grid, class_map, categories)

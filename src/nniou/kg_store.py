@@ -10,7 +10,8 @@ offsets, built once; it holds no per-node container.  Acyclicity is
 decided at load time by Kahn's in-degree peel, linear in nodes plus
 edges, and a cyclic graph keeps a witness cycle.
 
-Edge file format (UTF-8 text, one record per line):
+Edge file format (UTF-8 text, one record per line; a leading byte-order
+mark is skipped):
   - ``#`` starts a comment line; blank lines are ignored
   - ``child<TAB>parent`` declares an is_a edge
   - a bare ``node`` registers an isolated concept
@@ -321,7 +322,7 @@ def parse_edge_file(path: str | Path, strict_cui: bool = False) -> KnowledgeGrap
     data = Path(path).read_bytes()
     rows = (
         (lineno, line.split("\t"))
-        for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=1)
+        for lineno, line in enumerate(data.decode("utf-8-sig").splitlines(), start=1)
         if (stripped := line.strip()) and stripped[0] != "#"
     )
     return KnowledgeGraph(*_intern(rows, strict_cui), hashlib.sha256(data).hexdigest())

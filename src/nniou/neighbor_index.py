@@ -16,7 +16,8 @@ comma-separated; a concept with no neighbors keeps the tab and an empty
 list.  The checksum is the SHA-256 of the edge file the index was built
 from, so stale indexes are detectable.  The neighbor relation is
 symmetric and closed (every listed neighbor has its own entry listing the
-concept back); a file that breaks this is rejected on load.
+concept back), and empty at radius 0; a file that breaks this is rejected
+on load, since scoring reads the neighbor lists and not the radius.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ def load_index(path: str | Path) -> NeighborIndex:
     """Read an nnidx file back into a :class:`NeighborIndex`.
 
     Raises :class:`IndexFormatError` on a missing/malformed header, an
-    unsupported version, a malformed record, or a neighbor relation that
-    is not symmetric (a neighbor without an entry of its own, or one that
-    does not list the concept back).
+    unsupported version, a malformed record, a neighbor list at radius 0,
+    or a neighbor relation that is not symmetric (a neighbor without an
+    entry of its own, or one that does not list the concept back).
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -154,6 +155,10 @@ def load_index(path: str | Path) -> NeighborIndex:
         if concept in neighbors:
             raise IndexFormatError(
                 f"line {lineno}: {concept!r} lists itself as a neighbor"
+            )
+        if neighbors and radius == 0:
+            raise IndexFormatError(
+                f"line {lineno}: {concept!r} lists neighbors, but the index radius is 0"
             )
         entries[concept] = neighbors
     # every record line holds one entry, in file order

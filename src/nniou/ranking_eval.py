@@ -124,13 +124,14 @@ def scoring_core(
     """The scoring core and weight that rank ``corpus`` under ``cfg``.
 
     IoU is nn-IoU with approximate matching off, and so is nn-IoU at
-    lambda 0 or radius 0; only then may the index be missing.
+    lambda 0; only then may the index be missing.  Otherwise the index's
+    neighbor lists are the distance threshold: one built at radius 0 lists
+    none, and scores equal IoU.
     """
-    params = cfg.relevance
-    lam = params.lam if cfg.measure == "nniou" else 0
-    if lam == 0 or params.radius == 0:
+    lam = cfg.relevance.lam if cfg.measure == "nniou" else 0
+    if lam == 0:
         return ScoringCore(corpus), lam
-    return ScoringCore(corpus, checked_index(params, index)), lam
+    return ScoringCore(corpus, checked_index(index)), lam
 
 
 def _docs_by_id(corpus: Iterable[Document]) -> dict[str, Document]:
@@ -237,7 +238,8 @@ def nn_cui_at_k(
     measure against the query's concepts; the ideal ranking is the measure's
     own descending ordering of the full candidate pool.  Corpus documents
     without a run are skipped as queries and recorded as exclusions; runs
-    shorter than k are padded with zero relevance and noted.
+    shorter than k are padded with zero relevance and noted.  The report's
+    ``"n"`` is the index's radius, or 1 without an index.
     """
     docs = _docs_by_id(corpus)
     by_query = _runs_by_query(docs, runs)
@@ -268,7 +270,7 @@ def nn_cui_at_k(
         "k": cfg.k,
         "measure": cfg.measure,
         "lambda": cfg.relevance.lam,
-        "n": cfg.relevance.radius,
+        "n": 1 if index is None else index.radius,
     }
     return MetricReport.from_scores(metric, config, per_query, exclusions, notes)
 

@@ -2,14 +2,16 @@
 
 Plain intersection-over-union treats distinct concepts as unrelated even
 when they sit one hop apart in the hierarchy.  nn-IoU credits those near
-misses: concepts of either set that are within the distance threshold of
-some concept on the other side join the numerator with weight ``lam``::
+misses: concepts of either set that the neighbor index lists next to some
+concept on the other side join the numerator with weight ``lam``::
 
     nn_iou(A, B) = (|A & B| + lam * |rel(A, B)|) / |A | B|
 
 where ``rel(A, B)`` contains every concept of the symmetric difference
 that participates in at least one within-threshold pair; no concept is
-counted twice, and exact matches stay in the intersection term.
+counted twice, and exact matches stay in the intersection term.  The
+distance threshold n is the radius the index was built at; an index at
+radius 0 lists no neighbors, so nn-IoU then equals IoU.
 
 All functions are pure and safe for concurrent use.
 """
@@ -25,21 +27,17 @@ from .neighbor_index import NeighborIndex
 
 @dataclass(frozen=True)
 class RelevanceParams:
-    """Weight and distance threshold for approximate matching.
+    """Weight of approximate matching.
 
     ``lam`` balances exact overlap against related-concept credit and must
-    lie in [0, 1]; ``radius`` is the hop threshold (0 disables approximate
-    matching entirely).
+    lie in [0, 1].  The distance threshold is the neighbor index's radius.
     """
 
     lam: float = 0.5
-    radius: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.radius < 0:
-            raise ConfigError(f"radius must be >= 0, got {self.radius}")
 
 
 def iou(a: Collection[str], b: Collection[str]) -> float:
@@ -55,10 +53,8 @@ def rel_set(a: Collection[str], b: Collection[str], index: NeighborIndex) -> fro
     """Related-but-not-shared concepts between two sets.
 
     A concept qualifies when it lies outside the intersection and the index
-    places it within the threshold radius of some concept on the other
-    side.  Equal pairs pass the distance test trivially but never
-    contribute, since they belong to the intersection.  The result is a
-    set, so it is independent of any iteration order.
+    lists it as a neighbor of some concept on the other side.  The result
+    is a set, so it is independent of any iteration order.
     """
     a, b = frozenset(a), frozenset(b)
     shared = a & b
@@ -80,31 +76,22 @@ def nn_iou(
 ) -> float:
     """Nearest-neighbor-aware IoU; 0.0 when both sets are empty.
 
-    The index is consulted only when both ``params.lam`` and
-    ``params.radius`` are positive; it must then have been built at the
-    configured radius.  Concepts absent from the index participate only in
-    exact matching.
+    The index is consulted, and required, only when ``params.lam`` is
+    positive.  Concepts absent from the index participate only in exact
+    matching.
     """
     a, b = frozenset(a), frozenset(b)
     union = a | b
     if not union:
         return 0.0
-    if params.lam == 0.0 or params.radius == 0:
-        related = 0
-    else:
-        related = len(rel_set(a, b, checked_index(params, index)))
+    related = 0
+    if params.lam:
+        related = len(rel_set(a, b, checked_index(index)))
     return (len(a & b) + params.lam * related) / len(union)
 
 
-def checked_index(params: RelevanceParams, index: NeighborIndex | None) -> NeighborIndex:
-    """The index approximate matching needs: present and built at ``params.radius``."""
+def checked_index(index: NeighborIndex | None) -> NeighborIndex:
+    """The index approximate matching needs, which must be present."""
     if index is None:
-        raise ConfigError(
-            "a neighbor index is required when lambda > 0 and radius > 0"
-        )
-    if index.radius != params.radius:
-        raise ConfigError(
-            f"index radius {index.radius} does not match configured radius "
-            f"{params.radius}"
-        )
+        raise ConfigError("a neighbor index is required when lambda > 0")
     return index

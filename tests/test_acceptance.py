@@ -96,7 +96,7 @@ def test_criterion_2_oracle_equivalence():
                         a, b, radius, oracle.dist
                     )
                     for lam in (0.0, 0.25, 0.5, 1.0):
-                        params = RelevanceParams(lam=lam, radius=radius)
+                        params = RelevanceParams(lam=lam)
                         got = nn_iou(a, b, params, index)
                         expected = brute_nn_iou(a, b, lam, radius, oracle.dist)
                         assert abs(got - expected) <= 1e-12
@@ -192,7 +192,7 @@ def test_criterion_4_dominance_and_range():
                 scores: dict[tuple[int, float], float] = {}
                 for radius in radii:
                     for lam in lambdas:
-                        params = RelevanceParams(lam=lam, radius=radius)
+                        params = RelevanceParams(lam=lam)
                         score = nn_iou(a, b, params, indexes[radius])
                         assert 0.0 <= base <= score <= 1.0
                         assert score == nn_iou(b, a, params, indexes[radius])
@@ -228,7 +228,7 @@ def test_criterion_5_ndcg_correctness():
             Document("d3", frozenset({"z"})),
         ]
         cfg = EvalConfig(
-            k=2, relevance=RelevanceParams(lam=0.0, radius=0), measure="iou"
+            k=2, relevance=RelevanceParams(lam=0.0), measure="iou"
         )
         reversed_run = [RankingRun("q", ["d2", "d1"])]
         report = nn_cui_at_k(corpus, reversed_run, cfg)
@@ -238,7 +238,7 @@ def test_criterion_5_ndcg_correctness():
         vocabulary = set().union(*(d.concepts for d in docs))
         index = build_index(graph, vocabulary, 1)
         cfg = EvalConfig(
-            k=10, relevance=RelevanceParams(lam=0.5, radius=1), measure="nniou"
+            k=10, relevance=RelevanceParams(lam=0.5), measure="nniou"
         )
         truth_runs = [
             RankingRun(
@@ -332,7 +332,7 @@ def test_criterion_8_precomputation_speedup():
         assert len(docs) == 1000
         vocabulary = set().union(*(d.concepts for d in docs))
         cfg = EvalConfig(
-            k=10, relevance=RelevanceParams(lam=0.5, radius=1), measure="nniou"
+            k=10, relevance=RelevanceParams(lam=0.5), measure="nniou"
         )
         index = build_index(graph, vocabulary, 1)
 
@@ -341,7 +341,7 @@ def test_criterion_8_precomputation_speedup():
         docs_by_id = {d.id: d for d in docs}
         query_ids = ["doc0000", "doc0400", "doc0800"]
         iou_cfg = EvalConfig(
-            k=10, relevance=RelevanceParams(lam=0.0, radius=0), measure="iou"
+            k=10, relevance=RelevanceParams(lam=0.0), measure="iou"
         )
         runs = [
             RankingRun(
@@ -365,7 +365,7 @@ def test_criterion_8_precomputation_speedup():
             for x in a:
                 for y in b:
                     distance = shortest_path_len(graph, x, y)
-                    if isinstance(distance, int) and distance <= cfg.relevance.radius:
+                    if isinstance(distance, int) and distance <= index.radius:
                         if x not in shared:
                             related.add(x)
                         if y not in shared:

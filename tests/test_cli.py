@@ -398,6 +398,36 @@ class TestAblate:
         assert cells[("0", "0.600000")] == cells[("1", "0.000000")]
         assert cells[("0", "0.000000")] == cells[("1", "0.000000")]
 
+    def test_concept_absent_from_graph_warns_and_keeps_the_csv(self, workspace, capsys):
+        """An absent concept is isolated, as if the graph listed it without edges."""
+        tmp_path, edges, corpus, cmap = workspace
+        with corpus.open("a", encoding="utf-8") as stream:
+            stream.write('{"id": "zz-ghost", "cuis": ["ghost"]}\n')
+        listed = tmp_path / "listed.tsv"
+        listed.write_text(edges.read_text(encoding="utf-8") + "ghost\n", encoding="utf-8")
+        outputs = {}
+        for name, graph in (("absent", edges), ("listed", listed)):
+            assert main(["ablate", "--corpus", str(corpus), "--edges", str(graph),
+                         "--class-map", str(cmap), "--lambdas", "0,0.5",
+                         "--radii", "0,1", "--ks", "5,40"]) == 0
+            outputs[name] = capsys.readouterr()
+        assert outputs["absent"].out == outputs["listed"].out
+        assert outputs["absent"].err == (
+            "warning: 1 corpus concept(s) absent from the graph, e.g. 'ghost'; "
+            "indexed with empty neighbor sets\n"
+        )
+        assert outputs["listed"].err == ""
+
+    def test_negative_radius_rejected_before_the_graph_is_read(self, workspace, capsys):
+        tmp_path, _, corpus, cmap = workspace
+        code = main(["ablate", "--corpus", str(corpus),
+                     "--edges", str(tmp_path / "missing.tsv"), "--class-map", str(cmap),
+                     "--lambdas", "0.5", "--radii", "1,-1", "--ks", "5"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "configuration error: radius must be >= 0, got -1\n"
+        )
+
     def test_empty_grid_is_usage_error(self, workspace, capsys):
         tmp_path, edges, corpus, cmap = workspace
         code = main(["ablate", "--corpus", str(corpus), "--edges", str(edges),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from nniou import (
     EdgeFileError,
     KnowledgeGraph,
     UnknownConceptError,
+    build_index,
     normalize_concept_id,
     parse_edge_file,
     validate_dag,
@@ -106,6 +109,24 @@ class TestParseEdgeFile:
         g2 = parse_edge_file(path2)
         assert g1.source_checksum != g2.source_checksum
         assert len(g1.source_checksum) == 64
+
+    def test_byte_order_mark_is_not_part_of_the_first_identifier(self, tmp_path):
+        text = "a\tb\nb\tc\n"
+        plain = parse_edge_file(_write(tmp_path, text))
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        marked = parse_edge_file(path)
+        assert marked.node_names == plain.node_names == ("a", "b", "c")
+        assert marked.edges() == plain.edges()
+        for node in plain.node_names:
+            assert marked.neighbors(node) == plain.neighbors(node)
+        vocabulary = set(plain.node_names)
+        assert build_index(marked, vocabulary, 1).entries == (
+            build_index(plain, vocabulary, 1).entries
+        )
+        # the checksum still hashes the file's raw bytes, mark included
+        assert marked.source_checksum == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert marked.source_checksum != plain.source_checksum
 
 
 class TestValidateDag:

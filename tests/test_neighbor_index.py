@@ -13,6 +13,7 @@ from nniou import (
     load_index,
     save_index,
 )
+from nniou.cli import main
 
 from oracles import DistanceOracle, random_graph_parts
 
@@ -194,6 +195,21 @@ class TestPersistence:
             match="line 2: 'a' lists neighbor 'b', but 'b' does not list 'a' back",
         ):
             load_index(path)
+
+    def test_radius_zero_file_listing_a_neighbor_rejected(self, tmp_path, capsys):
+        # scoring reads the lists, not the radius, so they must agree
+        path = tmp_path / "r0.nnidx"
+        path.write_text(
+            "#nnidx v1 radius=0 checksum=ff\na\t\nb\tc\nc\tb\n", encoding="utf-8"
+        )
+        message = "line 3: 'b' lists neighbors, but the index radius is 0"
+        with pytest.raises(IndexFormatError, match=message):
+            load_index(path)
+        code = main(["relevance", "b", "c", "--index", str(path), "--lambda", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.nnidx"

@@ -32,7 +32,7 @@ from synthdata import planted_cluster_corpus
 
 
 def _iou_cfg(k: int) -> EvalConfig:
-    return EvalConfig(k=k, relevance=RelevanceParams(lam=0.0, radius=0), measure="iou")
+    return EvalConfig(k=k, relevance=RelevanceParams(lam=0.0), measure="iou")
 
 
 @pytest.fixture()
@@ -145,7 +145,7 @@ class TestNnCuiAtK:
         ]
         index = build_index(graph, {"x", "y", "z", "w", "q1"}, 1)
         zero_lam = EvalConfig(
-            k=3, relevance=RelevanceParams(lam=0.0, radius=1), measure="nniou"
+            k=3, relevance=RelevanceParams(lam=0.0), measure="nniou"
         )
         iou_cfg = _iou_cfg(3)
         runs = [RankingRun("q", ["d3", "d1", "d2"])]
@@ -338,7 +338,7 @@ class TestPrecisionAtK:
         scores = {}
         for lam, radius in ((0.0, 0), (0.5, 1)):
             cfg = EvalConfig(
-                k=k, relevance=RelevanceParams(lam=lam, radius=radius), measure="nniou"
+                k=k, relevance=RelevanceParams(lam=lam), measure="nniou"
             )
             runs = [
                 RankingRun(

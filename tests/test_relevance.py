@@ -7,10 +7,15 @@ from hypothesis import given, strategies as st
 
 from nniou import (
     ConfigError,
+    Document,
+    EvalConfig,
     KnowledgeGraph,
+    RankingRun,
     RelevanceParams,
     build_index,
+    ground_truth_ranking,
     iou,
+    nn_cui_at_k,
     nn_iou,
     rel_set,
 )
@@ -66,61 +71,75 @@ class TestRelSet:
 class TestNnIou:
     def test_identical_sets_score_one(self, anatomy_graph):
         index = build_index(anatomy_graph, {"C0042449", "C0005847"}, 1)
-        params = RelevanceParams(lam=0.7, radius=1)
+        params = RelevanceParams(lam=0.7)
         both = {"C0042449", "C0005847"}
         assert nn_iou(both, both, params, index) == 1.0
 
     def test_directly_connected_pair_scores_half(self, anatomy_graph):
         index = build_index(anatomy_graph, {"C0042449", "C0005847"}, 1)
-        params = RelevanceParams(lam=0.5, radius=1)
+        params = RelevanceParams(lam=0.5)
         assert nn_iou({"C0042449"}, {"C0005847"}, params, index) == pytest.approx(0.5)
 
     def test_lambda_zero_degenerates_to_iou(self, chain_graph):
         index = build_index(chain_graph, set(chain_graph.node_names), 1)
-        params = RelevanceParams(lam=0.0, radius=1)
+        params = RelevanceParams(lam=0.0)
         a, b = {"a", "b"}, {"b", "c"}
         assert nn_iou(a, b, params, index) == iou(a, b)
 
     def test_related_pair_with_shared_member(self):
         graph = KnowledgeGraph.from_edges([("x", "z")])
         index = build_index(graph, {"x", "y", "z"}, 1)
-        params = RelevanceParams(lam=0.5, radius=1)
+        params = RelevanceParams(lam=0.5)
         assert nn_iou({"x", "y"}, {"y", "z"}, params, index) == pytest.approx(2 / 3)
 
     def test_empty_union_scores_zero(self):
-        params = RelevanceParams(lam=0.5, radius=1)
+        params = RelevanceParams(lam=0.5)
         assert nn_iou(set(), set(), params, index=None) == 0.0
 
     def test_index_required_when_effective(self):
-        params = RelevanceParams(lam=0.5, radius=1)
+        params = RelevanceParams(lam=0.5)
         with pytest.raises(ConfigError, match="index"):
             nn_iou({"a"}, {"b"}, params, index=None)
 
-    def test_radius_zero_needs_no_index(self):
-        params = RelevanceParams(lam=0.5, radius=0)
-        assert nn_iou({"a"}, {"a", "b"}, params, index=None) == 0.5
-
-    def test_index_radius_mismatch_rejected(self, chain_graph):
-        index = build_index(chain_graph, {"a", "b"}, 2)
-        params = RelevanceParams(lam=0.5, radius=1)
-        with pytest.raises(ConfigError, match="radius"):
-            nn_iou({"a"}, {"b"}, params, index)
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0])
+    def test_radius_zero_index_scores_iou(self, chain_graph, lam):
+        """An index built at radius 0 lists no neighbors, so every result is IoU's."""
+        docs = [
+            Document("q", frozenset({"a", "c"})),
+            Document("d1", frozenset({"b", "c"})),
+            Document("d2", frozenset({"b"})),
+            Document("d3", frozenset({"a", "d"})),
+        ]
+        index = build_index(chain_graph, set(chain_graph.node_names), 0)
+        params = RelevanceParams(lam=lam)
+        for x in docs:
+            for y in docs:
+                assert nn_iou(x.concepts, y.concepts, params, index) == iou(
+                    x.concepts, y.concepts
+                )
+        nn_cfg = EvalConfig(k=2, relevance=params, measure="nniou")
+        iou_cfg = EvalConfig(k=2, measure="iou")
+        for query in docs:
+            assert ground_truth_ranking(query, docs, nn_cfg, index) == (
+                ground_truth_ranking(query, docs, iou_cfg)
+            )
+        runs = [RankingRun("q", ["d2", "d3"]), RankingRun("d1", ["q", "d3"])]
+        nn_report = nn_cui_at_k(docs, runs, nn_cfg, index)
+        iou_report = nn_cui_at_k(docs, runs, iou_cfg)
+        assert nn_report.per_query == iou_report.per_query
+        assert nn_report.aggregate == iou_report.aggregate
+        assert nn_report.config["n"] == 0
 
 
 class TestParams:
     @pytest.mark.parametrize("lam", [-0.1, 1.1])
     def test_lambda_out_of_range(self, lam):
         with pytest.raises(ConfigError):
-            RelevanceParams(lam=lam, radius=1)
-
-    def test_negative_radius(self):
-        with pytest.raises(ConfigError):
-            RelevanceParams(lam=0.5, radius=-1)
+            RelevanceParams(lam=lam)
 
     def test_defaults(self):
         params = RelevanceParams()
         assert params.lam == 0.5
-        assert params.radius == 1
 
 
 def _random_case(rng):
@@ -147,7 +166,7 @@ def test_oracle_equivalence_on_random_graphs():
             index = build_index(graph, vocabulary, radius)
             assert rel_set(a, b, index) == literal_rel_set(a, b, radius, oracle.dist)
             for lam in (0.0, 0.25, 0.5, 1.0):
-                params = RelevanceParams(lam=lam, radius=radius)
+                params = RelevanceParams(lam=lam)
                 expected = brute_nn_iou(a, b, lam, radius, oracle.dist)
                 assert nn_iou(a, b, params, index) == pytest.approx(
                     expected, abs=1e-12
@@ -175,7 +194,7 @@ def sets_on_graph(draw):
 def test_range_dominance_symmetry(data, radius, lam):
     graph, a, b = data
     index = build_index(graph, a | b, radius)
-    params = RelevanceParams(lam=lam, radius=radius)
+    params = RelevanceParams(lam=lam)
     base = iou(a, b)
     score = nn_iou(a, b, params, index)
     assert 0.0 <= base <= score <= 1.0
@@ -188,7 +207,7 @@ def test_monotone_in_lambda(data, radius):
     graph, a, b = data
     index = build_index(graph, a | b, radius)
     scores = [
-        nn_iou(a, b, RelevanceParams(lam=lam, radius=radius), index)
+        nn_iou(a, b, RelevanceParams(lam=lam), index)
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
     assert scores == sorted(scores)
@@ -200,5 +219,5 @@ def test_monotone_in_radius(data, lam):
     scores = []
     for radius in (0, 1, 2, 3):
         index = build_index(graph, a | b, radius)
-        scores.append(nn_iou(a, b, RelevanceParams(lam=lam, radius=radius), index))
+        scores.append(nn_iou(a, b, RelevanceParams(lam=lam), index))
     assert scores == sorted(scores)

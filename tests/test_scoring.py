@@ -81,7 +81,7 @@ def settings_cases(draw):
     radius = draw(st.integers(0, 2))
     cfg = EvalConfig(
         k=draw(st.integers(1, len(docs) + 2)),
-        relevance=RelevanceParams(lam=draw(st.sampled_from(LAMBDAS)), radius=radius),
+        relevance=RelevanceParams(lam=draw(st.sampled_from(LAMBDAS))),
         measure=draw(st.sampled_from(("iou", "nniou"))),
     )
     if draw(st.booleans()):
@@ -146,13 +146,13 @@ def test_tops_equal_brute_force_for_every_lambda(docs, radius, data):
     else:
         vocabulary = set().union(*(d.concepts for d in docs)) - {"yy"}
         index = build_index(data.draw(graphs()), vocabulary, radius)
-    core = ScoringCore(docs, index if radius else None)
+    core = ScoringCore(docs, index)
     by_id = {d.id: d for d in docs}
     for q, query in enumerate(docs):
         rankings = core.tops(q, lams, k)
         assert len(rankings) == len(lams)
         for lam, ranked in zip(lams, rankings):
-            params = RelevanceParams(lam=lam, radius=radius)
+            params = RelevanceParams(lam=lam)
 
             def score(a, b, params=params):
                 return nn_iou(a, b, params, index)
@@ -219,7 +219,7 @@ def test_ties_straddling_the_kth_place_break_by_id(case):
     for q, query in enumerate(docs):
         full = core.tops(q, lams, len(docs) - 1)
         for lam, ranked in zip(lams, full):
-            params = RelevanceParams(lam=lam, radius=1)
+            params = RelevanceParams(lam=lam)
 
             def score(a, b, params=params):
                 return nn_iou(a, b, params, index)
@@ -236,7 +236,7 @@ def test_ties_straddling_the_kth_place_break_by_id(case):
     assert straddled
     for lam in lams:
         for k in (1, 2, 3, len(docs)):
-            cfg = EvalConfig(k=k, relevance=RelevanceParams(lam=lam, radius=1))
+            cfg = EvalConfig(k=k, relevance=RelevanceParams(lam=lam))
             runs = [RankingRun(d.id, [o.id for o in reversed(docs) if o is not d][:k])
                     for d in docs]
             expected = brute_nn_cui(docs, runs, k,
@@ -270,7 +270,7 @@ def test_related_concepts_on_the_first_and_last_concept_bits(entries):
     by_id = {d.id: d for d in docs}
     related = set()
     for lam in (0.5, 1.0):
-        params = RelevanceParams(lam=lam, radius=1)
+        params = RelevanceParams(lam=lam)
 
         def score(a, b, params=params):
             return nn_iou(a, b, params, index)
@@ -299,7 +299,7 @@ def _brute_ablation_rows(graph, docs, grid):
     for radius in grid.radii:
         index = build_index(graph, vocabulary, radius)
         for lam in grid.lambdas:
-            params = RelevanceParams(lam=lam, radius=radius)
+            params = RelevanceParams(lam=lam)
             runs = [
                 RankingRun(doc.id, brute_ranking(
                     doc, docs, lambda a, b: nn_iou(a, b, params, index))[: max(grid.ks)])
@@ -373,7 +373,7 @@ class TestErrorPaths:
         assert "no candidate documents for query 'only'" in capsys.readouterr().err
 
     def test_missing_index_raises_the_nn_iou_config_error(self):
-        params = RelevanceParams(lam=0.5, radius=1)
+        params = RelevanceParams(lam=0.5)
         with pytest.raises(ConfigError) as pairwise:
             nn_iou({"x"}, {"y"}, params, None)
         cfg = EvalConfig(k=1, relevance=params)
@@ -381,18 +381,3 @@ class TestErrorPaths:
             nn_cui_at_k(self.CORPUS, [RankingRun("q", ["d"])], cfg, None)
         assert str(evaluated.value) == str(pairwise.value)
         assert "neighbor index is required" in str(evaluated.value)
-
-    def test_index_radius_mismatch_raises_the_nn_iou_config_error(self):
-        params = RelevanceParams(lam=0.5, radius=2)
-        index = NeighborIndex(1, "ff", {"x": frozenset({"y"}), "y": frozenset({"x"})})
-        with pytest.raises(ConfigError) as pairwise:
-            nn_iou({"x"}, {"y"}, params, index)
-        cfg = EvalConfig(k=1, relevance=params)
-        for call in (
-            lambda: nn_cui_at_k(self.CORPUS, [RankingRun("q", ["d"])], cfg, index),
-            lambda: ground_truth_ranking(self.CORPUS[0], self.CORPUS, cfg, index),
-        ):
-            with pytest.raises(ConfigError) as raised:
-                call()
-            assert str(raised.value) == str(pairwise.value)
-            assert "index radius 1 does not match configured radius 2" in str(raised.value)
