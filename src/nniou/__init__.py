@@ -23,7 +23,6 @@ from .kg_store import (
     edge_file_checksum,
     normalize_concept_id,
     parse_edge_file,
-    validate_dag,
 )
 from .neighbor_index import NeighborIndex, build_index, load_index, save_index
 from .corpus import (
@@ -70,7 +69,6 @@ __all__ = [
     "edge_file_checksum",
     "normalize_concept_id",
     "parse_edge_file",
-    "validate_dag",
     "NeighborIndex",
     "build_index",
     "load_index",

@@ -92,19 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
+    # shared by the commands that read the graph and corpus (_graph_and_corpus)
+    graph_input = argparse.ArgumentParser(add_help=False)
+    graph_input.add_argument("--edges", required=True,
+                             help="edge file (child<TAB>parent lines)")
+    graph_input.add_argument("--corpus", required=True, help="JSONL corpus file")
+    graph_input.add_argument("--strict-cui", action="store_true",
+                             help="require identifiers shaped like 'C' + seven digits")
+
     p = sub.add_parser(
         "build-index",
+        parents=[graph_input],
         help="precompute within-radius neighbor sets for a corpus vocabulary",
     )
-    p.add_argument("--edges", required=True, help="edge file (child<TAB>parent lines)")
-    p.add_argument("--corpus", required=True, help="JSONL corpus file")
     p.add_argument("--n", type=int, default=1, help="distance threshold (default 1)")
     p.add_argument("--out", required=True, help="output index path")
-    p.add_argument(
-        "--strict-cui",
-        action="store_true",
-        help="require identifiers shaped like 'C' + seven digits",
-    )
     p.set_defaults(func=_cmd_build_index)
 
     # shared by the scoring commands, which take their radius from the index
@@ -147,17 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "ablate",
+        parents=[graph_input],
         help="sweep (radius, lambda, k) and report precision per cell",
     )
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--edges", required=True)
     p.add_argument("--class-map", required=True)
     p.add_argument("--categories", help="comma-separated subset of class-map categories")
     p.add_argument("--lambdas", required=True, help="comma-separated lambda values")
     p.add_argument("--radii", required=True, help="comma-separated radius values")
     p.add_argument("--ks", required=True, help="comma-separated cutoff values")
     p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.add_argument("--strict-cui", action="store_true")
     p.set_defaults(func=_cmd_ablate)
 
     return parser

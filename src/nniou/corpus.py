@@ -28,7 +28,7 @@ from .ranking_eval import Document, RankingRun
 
 
 def _jsonl_records(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -126,7 +126,7 @@ def write_runs(runs: Sequence[RankingRun], path: str | Path) -> None:
 def read_class_map(path: str | Path) -> dict[str, dict[str, frozenset[str]]]:
     """Load a class map and validate that each category's value sets are disjoint."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise DataFileError(f"invalid JSON in class map: {exc.msg}") from None
     if not isinstance(raw, dict) or not raw:

@@ -1,14 +1,18 @@
-"""Shortest-path distances between concepts.
+"""Shortest-path distances and bounded neighborhoods between concepts.
 
 Distance is the minimum hop count between two concepts treating edges as
 undirected; a pair with no connecting path gets the distinguished
 ``UNREACHABLE`` value rather than a sentinel integer, so threshold
-comparisons against it fail loudly instead of silently matching.
+comparisons against it fail loudly instead of silently matching.  Both
+questions are answered by one layered breadth-first walk, which yields
+the concepts first reached at each hop distance.
 
 Pure functions over an immutable graph; safe to call from many threads.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .errors import ConfigError
 from .kg_store import KnowledgeGraph
@@ -33,6 +37,29 @@ UNREACHABLE = Unreachable()
 Distance = int | Unreachable
 
 
+def _layers(graph: KnowledgeGraph, src: int) -> Iterator[list[int]]:
+    """Yield the ids first reached at hop distance 1, 2, ... from ``src``.
+
+    One list per distance, each non-empty; the walk stops when a layer
+    reaches no new node, and a caller that stops iterating stops the walk.
+    """
+    # a set, not a bytearray per node: a search touches few of a large
+    # graph's nodes, and allocating the whole table cost more than the walk
+    seen = {src}
+    frontier = [src]
+    while True:
+        layer: list[int] = []
+        for u in frontier:
+            for v in graph.neighbor_ids(u):
+                if v not in seen:
+                    seen.add(v)
+                    layer.append(v)
+        if not layer:
+            return
+        yield layer
+        frontier = layer
+
+
 def shortest_path_len(graph: KnowledgeGraph, x: str, y: str) -> Distance:
     """Length of the shortest undirected path between two concepts.
 
@@ -44,47 +71,28 @@ def shortest_path_len(graph: KnowledgeGraph, x: str, y: str) -> Distance:
     dst = graph.node_id(y)
     if src == dst:
         return 0
-    # a set, not a bytearray per node: a search touches few of a large
-    # graph's nodes, and allocating the whole table cost more than the walk
-    seen = {src}
-    frontier = [src]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt: list[int] = []
-        for u in frontier:
-            for v in graph.neighbor_ids(u):
-                if v == dst:
-                    return depth
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
+    for depth, layer in enumerate(_layers(graph, src), start=1):
+        if dst in layer:
+            return depth
     return UNREACHABLE
 
 
 def bounded_neighborhood(graph: KnowledgeGraph, x: str, n: int) -> set[str]:
     """All concepts within ``n`` hops of ``x``, excluding ``x`` itself.
 
-    Breadth-first traversal truncated at depth ``n``; never explores
-    further, so radius 0 returns the empty set without touching edges.
+    The first ``n`` layers of the walk; radius 0 returns the empty set
+    without touching edges.
     """
     if n < 0:
         raise ConfigError(f"radius must be >= 0, got {n}")
     src = graph.node_id(x)
     if n == 0:
         return set()
-    seen = {src}
-    frontier = [src]
-    for _ in range(n):
-        nxt: list[int] = []
-        for u in frontier:
-            for v in graph.neighbor_ids(u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        if not nxt:
+    reached: list[int] = []
+    depth = 0
+    for layer in _layers(graph, src):
+        reached += layer
+        depth += 1
+        if depth == n:
             break
-        frontier = nxt
-    seen.remove(src)
-    return {graph.name_of(i) for i in seen}
+    return {graph.name_of(i) for i in reached}

@@ -8,7 +8,8 @@ distinct edges are kept as two parallel int arrays (children, parents).
 The undirected view is one flat array of neighbor ids with per-node
 offsets, built once; it holds no per-node container.  Acyclicity is
 decided at load time by Kahn's in-degree peel, linear in nodes plus
-edges, and a cyclic graph keeps a witness cycle.
+edges; the graph's ``acyclic`` and ``cycle`` attributes hold the verdict
+and, for a cyclic graph, a witness cycle.
 
 Edge file format (UTF-8 text, one record per line; a leading byte-order
 mark is skipped):
@@ -200,9 +201,11 @@ def _drop_twins(offsets: array, targets: array) -> tuple[array, array]:
 class KnowledgeGraph:
     """Immutable concept graph: interned nodes plus directed is_a edges.
 
-    ``acyclic`` records whether the directed edge set is a DAG; a witness
-    cycle is kept when it is not.  Cyclic input is usable (distances run on
-    the undirected view) but callers may want to surface the warning.
+    ``acyclic`` records whether the directed edge set is a DAG.  When it is
+    not, ``cycle`` is a witness: concepts along directed edges, starting
+    and ending on the same one; for a DAG it is None.  Cyclic input is
+    usable (distances run on the undirected view) but callers may want to
+    surface the warning.
     """
 
     __slots__ = (
@@ -250,7 +253,6 @@ class KnowledgeGraph:
         cls,
         edges: Iterable[tuple[str, str]],
         nodes: Iterable[str] = (),
-        strict_cui: bool = False,
     ) -> "KnowledgeGraph":
         """Build a graph from (child, parent) pairs plus optional isolated nodes."""
         rows = chain(
@@ -258,7 +260,7 @@ class KnowledgeGraph:
             ((None, (child, parent)) for child, parent in edges),
         )
         try:
-            index, children, parents = _intern(rows, strict_cui)
+            index, children, parents = _intern(rows, False)
         except EdgeFileError as exc:
             raise ValueError(str(exc)) from None
         names = list(index)
@@ -326,16 +328,6 @@ def parse_edge_file(path: str | Path, strict_cui: bool = False) -> KnowledgeGrap
         if (stripped := line.strip()) and stripped[0] != "#"
     )
     return KnowledgeGraph(*_intern(rows, strict_cui), hashlib.sha256(data).hexdigest())
-
-
-def validate_dag(graph: KnowledgeGraph) -> tuple[bool, list[str] | None]:
-    """Report whether the directed edge set is acyclic.
-
-    Returns ``(True, None)`` for a DAG, otherwise ``(False, witness)`` where
-    the witness is a node sequence starting and ending on the same concept.
-    Both were settled when the graph was loaded.
-    """
-    return graph.acyclic, graph.cycle
 
 
 def edge_file_checksum(path: str | Path) -> str:

@@ -311,7 +311,7 @@ def precision_at_ks(
     docs = _docs_by_id(corpus)
     for category in categories:
         if not any(category in doc.labels for doc in docs.values()):
-            raise ConfigError(f"unknown label category {category!r}")
+            raise ConfigError(f"no document carries label category {category!r}")
     by_query = _runs_by_query(docs, runs)
     # one label key per document; a result matches when its key equals the
     # query's, and a label it lacks reads None

@@ -20,6 +20,15 @@ def workspace(tmp_path):
     return tmp_path, edges, corpus, cmap
 
 
+def _with_unused_category(cmap):
+    """The class map plus a category whose only concept no document carries."""
+    payload = json.loads(cmap.read_text(encoding="utf-8"))
+    payload["organ"] = {"liver": ["not-in-the-corpus"]}
+    path = cmap.with_name("unused-category.json")
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
 class TestBuildIndex:
     def test_two_node_fixture(self, tmp_path, capsys):
         edges = tmp_path / "edges.tsv"
@@ -314,6 +323,43 @@ class TestRetrieveAndEval:
         assert "must name at least one category" in captured.err
         assert captured.out == ""
 
+    def test_class_map_category_labelling_no_document_is_usage_error(self, workspace,
+                                                                     capsys):
+        tmp_path, edges, corpus, cmap = workspace
+        runs = tmp_path / "r.runs"
+        assert main(["retrieve", "--corpus", str(corpus), "--measure", "iou",
+                     "--k", "3", "--out", str(runs)]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--measure", "iou", "--k", "3",
+                     "--class-map", str(_with_unused_category(cmap))])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: no document carries label category 'organ'\n"
+        )
+        assert captured.out == ""
+
+    def test_byte_order_mark_leaves_runs_and_report_unchanged(self, workspace):
+        """A corpus or runs file may start with a UTF-8 byte-order mark."""
+        tmp_path, edges, corpus, cmap, index = self._build(workspace)
+        marked = tmp_path / "marked.jsonl"
+        marked.write_bytes(b"\xef\xbb\xbf" + corpus.read_bytes())
+        outputs = {}
+        for name, source in (("plain", corpus), ("marked", marked)):
+            runs = tmp_path / f"{name}.runs"
+            assert main(["retrieve", "--corpus", str(source), "--index", str(index),
+                         "--lambda", "0.5", "--k", "5", "--out", str(runs)]) == 0
+            if name == "marked":
+                runs.write_bytes(b"\xef\xbb\xbf" + runs.read_bytes())
+            report = tmp_path / f"{name}.json"
+            assert main(["eval", "--corpus", str(source), "--runs", str(runs),
+                         "--index", str(index), "--lambda", "0.5", "--k", "5",
+                         "--out", str(report)]) == 0
+            outputs[name] = runs.read_bytes(), report.read_bytes()
+        assert outputs["marked"][0] == b"\xef\xbb\xbf" + outputs["plain"][0]
+        assert outputs["marked"][1] == outputs["plain"][1]
+
     def test_unknown_run_id_is_data_error(self, workspace, capsys):
         tmp_path, edges, corpus, cmap, index = self._build(workspace)
         runs = tmp_path / "bad.runs"
@@ -453,6 +499,19 @@ class TestAblate:
         assert code == 1
         captured = capsys.readouterr()
         assert "must name at least one category" in captured.err
+        assert captured.out == ""
+
+    def test_class_map_category_labelling_no_document_is_usage_error(self, workspace,
+                                                                     capsys):
+        tmp_path, edges, corpus, cmap = workspace
+        code = main(["ablate", "--corpus", str(corpus), "--edges", str(edges),
+                     "--class-map", str(_with_unused_category(cmap)),
+                     "--lambdas", "0", "--radii", "0", "--ks", "5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: no document carries label category 'organ'\n"
+        )
         assert captured.out == ""
 
     def test_grid_validation(self):

@@ -7,8 +7,10 @@ import pytest
 from nniou import (
     ConfigError,
     DataFileError,
+    Document,
     RankingRun,
     corpus_vocabulary,
+    derive_labels,
     read_class_map,
     read_corpus,
     read_runs,
@@ -160,3 +162,13 @@ class TestClassMap:
         path = _write(tmp_path, "map.json", "{nope")
         with pytest.raises(DataFileError):
             read_class_map(path)
+
+    def test_byte_order_mark_gives_the_same_labels(self, tmp_path):
+        payload = json.dumps({"modality": {"ct": ["C1"], "mri": ["C2", "C3"]}})
+        plain = read_class_map(_write(tmp_path, "plain.json", payload))
+        marked = read_class_map(_write(tmp_path, "marked.json", "\ufeff" + payload))
+        assert marked == plain
+        docs = [Document("a", {"C1"}), Document("b", {"C3", "C9"}), Document("c", {"C9"})]
+        labels = [doc.labels for doc in derive_labels(docs, marked)]
+        assert labels == [doc.labels for doc in derive_labels(docs, plain)]
+        assert labels == [{"modality": "ct"}, {"modality": "mri"}, {}]

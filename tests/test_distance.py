@@ -85,10 +85,16 @@ class TestBoundedNeighborhood:
     def test_negative_radius_rejected(self, chain_graph):
         with pytest.raises(ConfigError):
             bounded_neighborhood(chain_graph, "a", -1)
+        # the radius is checked before the concept is looked up
+        with pytest.raises(ConfigError):
+            bounded_neighborhood(chain_graph, "missing", -1)
 
     def test_unknown_concept_raises(self, chain_graph):
         with pytest.raises(UnknownConceptError):
             bounded_neighborhood(chain_graph, "missing", 1)
+        # radius 0 touches no edge, but the concept is still looked up
+        with pytest.raises(UnknownConceptError):
+            bounded_neighborhood(chain_graph, "missing", 0)
 
     def test_matches_threshold_filter_of_oracle(self):
         rng = random.Random(23)

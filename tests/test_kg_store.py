@@ -13,7 +13,6 @@ from nniou import (
     build_index,
     normalize_concept_id,
     parse_edge_file,
-    validate_dag,
 )
 
 from oracles import kahn_acyclic, oracle_edge_file
@@ -132,18 +131,17 @@ class TestParseEdgeFile:
 class TestValidateDag:
     def test_chain_is_acyclic(self):
         graph = KnowledgeGraph.from_edges([("b", "a"), ("c", "b")])
-        assert validate_dag(graph) == (True, None)
+        assert (graph.acyclic, graph.cycle) == (True, None)
 
     def test_two_cycle_witness(self):
         graph = KnowledgeGraph.from_edges([("a", "b"), ("b", "a")])
-        acyclic, witness = validate_dag(graph)
-        assert acyclic is False
-        assert witness == ["a", "b", "a"]
+        assert graph.acyclic is False
+        assert graph.cycle == ["a", "b", "a"]
 
     def test_witness_against_topological_sort_oracle(self):
         edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
         graph = KnowledgeGraph.from_edges(edges)
-        acyclic, witness = validate_dag(graph)
+        acyclic, witness = graph.acyclic, graph.cycle
 
         # a topological order exists iff the directed edge set is acyclic
         assert kahn_acyclic(graph.node_names, edges) == acyclic
@@ -213,7 +211,6 @@ def test_loader_matches_dict_of_sets_oracle(tmp_path_factory, text):
             graph.node_id(other) for other in adjacency[name]
         )
     assert graph.acyclic == kahn_acyclic(nodes, edges)
-    assert validate_dag(graph) == (graph.acyclic, graph.cycle)
     if graph.acyclic:
         assert graph.cycle is None
     else:

@@ -1,0 +1,35 @@
+"""What outside code relies on: the public names and the module attributes the benchmark traces.
+
+``benchmarks/tracer.py`` replaces module globals of ``nniou`` by name, so a
+rename or deletion inside the package would break the traced benchmark
+without failing any other test.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import nniou
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+def test_every_public_name_resolves():
+    assert [name for name in nniou.__all__ if not hasattr(nniou, name)] == []
+    assert len(set(nniou.__all__)) == len(nniou.__all__)
+
+
+def test_every_traced_attribute_exists():
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = [(module, attr) for module, attr, _ in tracer.SPANS + tracer.LEAVES]
+    assert traced
+    missing = [
+        f"nniou.{module}.{attr}"
+        for module, attr in traced
+        if not hasattr(importlib.import_module(f"nniou.{module}"), attr)
+    ]
+    assert missing == []
