@@ -47,7 +47,7 @@ from .ranking_eval import (
     precision_at_k,
     precision_at_ks,
 )
-from .relevance import RelevanceParams, iou, nn_iou, rel_set
+from .relevance import iou, nn_iou, rel_set
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "nn_cui_at_k",
     "precision_at_k",
     "precision_at_ks",
-    "RelevanceParams",
     "iou",
     "nn_iou",
     "rel_set",

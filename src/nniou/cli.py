@@ -11,6 +11,10 @@ and ``eval`` take no ``--n``; they score with the loaded index's neighbor
 lists, and an ``eval`` report records its radius as ``"n"``.  Without an
 index, approximate matching is off (IoU or lambda 0) or refused, and
 ``"n"`` reads 1.
+
+Lambda, k, radius and the ablation grid are checked before any file is
+read; a value listed twice in ``--categories``, ``--lambdas``, ``--radii``
+or ``--ks`` is an error.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .corpus import (
     read_runs,
     write_runs,
 )
+from .distance import checked_radius
 from .errors import ConfigError, DataError, EvaluationError
 from .kg_store import KnowledgeGraph, edge_file_checksum, parse_edge_file
 from .neighbor_index import NeighborIndex, build_index, load_index, save_index
@@ -50,7 +55,7 @@ from .ranking_eval import (
     precision_at_k,
     precision_at_ks,
 )
-from .relevance import RelevanceParams, iou, nn_iou
+from .relevance import checked_lambda, iou, nn_iou
 from .scoring import ScoringCore
 
 
@@ -75,12 +80,20 @@ class AblationGrid:
         if not self.lambdas or not self.radii or not self.ks:
             raise ConfigError("ablation grid lists must be non-empty")
         for lam in self.lambdas:
-            RelevanceParams(lam=lam)
+            checked_lambda(lam)
         for radius in self.radii:
-            if radius < 0:
-                raise ConfigError(f"radius must be >= 0, got {radius}")
+            checked_radius(radius)
         for k in self.ks:
             EvalConfig(k=k)
+        _no_repeats(self.lambdas, "lambda")
+        _no_repeats(self.radii, "radius")
+        _no_repeats(self.ks, "k")
+
+
+def _no_repeats(values: Sequence, name: str) -> None:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{name} {value!r} is listed more than once")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,42 +214,25 @@ def _warn_cycle(graph) -> None:
         )
 
 
-def _load_index_checked(index_path: str, edges_path: str | None) -> NeighborIndex:
-    index = load_index(index_path)
-    if edges_path:
-        actual = edge_file_checksum(edges_path)
+def _ranking_index(args, docs: Sequence[Document]) -> NeighborIndex | None:
+    """The index (if any) that ``retrieve`` and ``eval`` rank with, warnings given."""
+    if not args.index:
+        return None
+    index = load_index(args.index)
+    if args.edges:
+        actual = edge_file_checksum(args.edges)
         if actual != index.source_checksum:
             _warn(
-                f"index {index_path} was built from a different edge file "
+                f"index {args.index} was built from a different edge file "
                 f"(checksum {index.source_checksum[:12]}.. != {actual[:12]}..)"
             )
-    return index
-
-
-def _require_index_for(measure: str, lam: float, index: NeighborIndex | None) -> None:
-    if measure == "nniou" and lam > 0 and index is None:
-        raise ConfigError(
-            "measure 'nniou' with lambda > 0 requires --index "
-            "(build one with 'nniou build-index')"
+    missing = corpus_vocabulary(docs).difference(index.entries)
+    if missing:
+        _warn(
+            f"{len(missing)} corpus concept(s) have no entry in the index, "
+            f"e.g. {min(missing)!r}; they match only themselves"
         )
-
-
-def _ranking_setup(
-    args, docs: Sequence[Document]
-) -> tuple[EvalConfig, NeighborIndex | None]:
-    """The config and checked index (if any) that ``retrieve`` and ``eval`` rank with."""
-    index = None
-    if args.index:
-        index = _load_index_checked(args.index, args.edges)
-        missing = corpus_vocabulary(docs).difference(index.entries)
-        if missing:
-            _warn(
-                f"{len(missing)} corpus concept(s) have no entry in the index, "
-                f"e.g. {min(missing)!r}; they match only themselves"
-            )
-    _require_index_for(args.measure, args.lam, index)
-    relevance = RelevanceParams(lam=args.lam)
-    return EvalConfig(k=args.k, relevance=relevance, measure=args.measure), index
+    return index
 
 
 def _graph_and_corpus(args) -> tuple[KnowledgeGraph, list[Document]]:
@@ -254,6 +250,7 @@ def _graph_and_corpus(args) -> tuple[KnowledgeGraph, list[Document]]:
 
 
 def _cmd_build_index(args) -> int:
+    checked_radius(args.n)
     graph, docs = _graph_and_corpus(args)
     start = time.perf_counter()
     index = build_index(graph, corpus_vocabulary(docs), args.n)
@@ -267,7 +264,8 @@ def _cmd_build_index(args) -> int:
 
 
 def _cmd_relevance(args) -> int:
-    index = _load_index_checked(args.index, None) if args.index else None
+    checked_lambda(args.lam)
+    index = load_index(args.index) if args.index else None
     docs_by_id: dict[str, Document] = {}
     if args.corpus:
         docs_by_id = {d.id: d for d in read_corpus(args.corpus)}
@@ -279,19 +277,17 @@ def _cmd_relevance(args) -> int:
 
     set_a = resolve(args.set_a)
     set_b = resolve(args.set_b)
-    _require_index_for("nniou", args.lam, index)
-    params = RelevanceParams(lam=args.lam)
-    print(f"iou={iou(set_a, set_b):.6f}")
-    print(f"nniou={nn_iou(set_a, set_b, params, index):.6f}")
+    nniou = nn_iou(set_a, set_b, args.lam, index)
+    print(f"iou={iou(set_a, set_b):.6f}\nnniou={nniou:.6f}")
     return 0
 
 
 def _cmd_retrieve(args) -> int:
+    cfg = EvalConfig(k=args.k, lam=args.lam, measure=args.measure)
     docs = read_corpus(args.corpus)
     if not docs:
         raise EvaluationError(f"corpus {args.corpus} contains no documents")
-    cfg, index = _ranking_setup(args, docs)
-    runs = ground_truth_rankings(docs, cfg, index)
+    runs = ground_truth_rankings(docs, cfg, _ranking_index(args, docs))
     write_runs(runs, args.out)
     print(f"queries={len(runs)} k={args.k} measure={args.measure} out={args.out}")
     return 0
@@ -302,6 +298,7 @@ def _split_categories(args, class_map) -> list[str]:
         categories = [c.strip() for c in args.categories.split(",") if c.strip()]
         if not categories:
             raise ConfigError("--categories must name at least one category")
+        _no_repeats(categories, "category")
         for category in categories:
             if category not in class_map:
                 raise ConfigError(
@@ -332,10 +329,10 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_eval(args) -> int:
     if args.categories is not None and not args.class_map:
         raise ConfigError("--categories needs --class-map to derive the labels it names")
+    cfg = EvalConfig(k=args.k, lam=args.lam, measure=args.measure)
     docs = read_corpus(args.corpus)
     runs = read_runs(args.runs)
-    cfg, index = _ranking_setup(args, docs)
-    reports = [nn_cui_at_k(docs, runs, cfg, index)]
+    reports = [nn_cui_at_k(docs, runs, cfg, _ranking_index(args, docs))]
     if args.class_map:
         class_map = read_class_map(args.class_map)
         categories = _split_categories(args, class_map)

@@ -77,14 +77,20 @@ def shortest_path_len(graph: KnowledgeGraph, x: str, y: str) -> Distance:
     return UNREACHABLE
 
 
+def checked_radius(n: int) -> int:
+    """A distance threshold, which must be >= 0."""
+    if n < 0:
+        raise ConfigError(f"radius must be >= 0, got {n}")
+    return n
+
+
 def bounded_neighborhood(graph: KnowledgeGraph, x: str, n: int) -> set[str]:
     """All concepts within ``n`` hops of ``x``, excluding ``x`` itself.
 
     The first ``n`` layers of the walk; radius 0 returns the empty set
     without touching edges.
     """
-    if n < 0:
-        raise ConfigError(f"radius must be >= 0, got {n}")
+    checked_radius(n)
     src = graph.node_id(x)
     if n == 0:
         return set()

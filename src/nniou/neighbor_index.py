@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .distance import bounded_neighborhood
-from .errors import ConfigError, IndexFormatError
+from .distance import bounded_neighborhood, checked_radius
+from .errors import IndexFormatError
 from .kg_store import KnowledgeGraph
 
 FORMAT_VERSION = 1
@@ -77,8 +77,7 @@ def build_index(
     neighbor sets (isolated), matching how corpus concepts missing from
     the hierarchy are treated everywhere else.
     """
-    if radius < 0:
-        raise ConfigError(f"radius must be >= 0, got {radius}")
+    checked_radius(radius)
     vocabulary = set(concepts)
     entries: dict[str, frozenset[str]] = {}
     for concept in sorted(vocabulary):

@@ -5,6 +5,8 @@ documents are scored against the query's concept set with the configured
 measure by the pruned scoring core (:mod:`nniou.scoring`), which scores
 only documents that can score above 0; ordering those scores (descending,
 ties broken by ascending id) yields the ground-truth ranking.
+An :class:`EvalConfig` holds k, the weight ``lam`` and the measure; only
+:func:`scoring_core` maps a measure to a weight (IoU is nn-IoU at 0).
 :func:`ground_truth_rankings` builds one core for a whole corpus and
 returns every query's top K from it; :func:`ground_truth_ranking` is the
 one-query case.  A system's returned ranking is then graded position by
@@ -26,7 +28,7 @@ from .errors import ConfigError, EvaluationError
 from .neighbor_index import NeighborIndex
 # ``iou`` and ``nn_iou`` stay module attributes (benchmarks/tracer.py wraps
 # them) although ranking now goes through the scoring core.
-from .relevance import RelevanceParams, checked_index, iou, nn_iou
+from .relevance import checked_index, checked_lambda, iou, nn_iou
 from .scoring import ScoringCore
 
 MEASURES = ("iou", "nniou")
@@ -68,15 +70,16 @@ class RankingRun:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Cutoff, relevance parameters, and measure for one evaluation."""
+    """Cutoff, weight of approximate matching, and measure for one evaluation."""
 
     k: int
-    relevance: RelevanceParams = RelevanceParams()
+    lam: float = 0.5
     measure: str = "nniou"
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        checked_lambda(self.lam)
         if self.measure not in MEASURES:
             raise ConfigError(
                 f"measure must be one of {MEASURES}, got {self.measure!r}"
@@ -128,7 +131,7 @@ def scoring_core(
     neighbor lists are the distance threshold: one built at radius 0 lists
     none, and scores equal IoU.
     """
-    lam = cfg.relevance.lam if cfg.measure == "nniou" else 0
+    lam = cfg.lam if cfg.measure == "nniou" else 0
     if lam == 0:
         return ScoringCore(corpus), lam
     return ScoringCore(corpus, checked_index(index)), lam
@@ -242,8 +245,8 @@ def nn_cui_at_k(
     ``"n"`` is the index's radius, or 1 without an index.
     """
     docs = _docs_by_id(corpus)
-    by_query = _runs_by_query(docs, runs)
     core, lam = scoring_core(list(docs.values()), cfg, index)
+    by_query = _runs_by_query(docs, runs)
     position = {doc_id: j for j, doc_id in enumerate(docs)}
 
     per_query: dict[str, float] = {}
@@ -269,7 +272,7 @@ def nn_cui_at_k(
     config = {
         "k": cfg.k,
         "measure": cfg.measure,
-        "lambda": cfg.relevance.lam,
+        "lambda": cfg.lam,
         "n": 1 if index is None else index.radius,
     }
     return MetricReport.from_scores(metric, config, per_query, exclusions, notes)

@@ -13,31 +13,18 @@ counted twice, and exact matches stay in the intersection term.  The
 distance threshold n is the radius the index was built at; an index at
 radius 0 lists no neighbors, so nn-IoU then equals IoU.
 
+Both parameters are checked here alone: :func:`checked_lambda` keeps
+``lam`` in [0, 1] and :func:`checked_index` demands an index when it is > 0.
+
 All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection
 
 from .errors import ConfigError
 from .neighbor_index import NeighborIndex
-
-
-@dataclass(frozen=True)
-class RelevanceParams:
-    """Weight of approximate matching.
-
-    ``lam`` balances exact overlap against related-concept credit and must
-    lie in [0, 1].  The distance threshold is the neighbor index's radius.
-    """
-
-    lam: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
 
 
 def iou(a: Collection[str], b: Collection[str]) -> float:
@@ -71,27 +58,35 @@ def rel_set(a: Collection[str], b: Collection[str], index: NeighborIndex) -> fro
 def nn_iou(
     a: Collection[str],
     b: Collection[str],
-    params: RelevanceParams,
+    lam: float,
     index: NeighborIndex | None = None,
 ) -> float:
     """Nearest-neighbor-aware IoU; 0.0 when both sets are empty.
 
-    The index is consulted, and required, only when ``params.lam`` is
-    positive.  Concepts absent from the index participate only in exact
-    matching.
+    The index is consulted, and required, only when ``lam`` is positive.
+    Concepts absent from the index participate only in exact matching.
     """
+    checked_lambda(lam)
     a, b = frozenset(a), frozenset(b)
     union = a | b
     if not union:
         return 0.0
     related = 0
-    if params.lam:
+    if lam:
         related = len(rel_set(a, b, checked_index(index)))
-    return (len(a & b) + params.lam * related) / len(union)
+    return (len(a & b) + lam * related) / len(union)
+
+
+def checked_lambda(lam: float) -> float:
+    """The weight of approximate matching, which must lie in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:
+        raise ConfigError(f"lambda must be in [0, 1], got {lam}")
+    return lam
 
 
 def checked_index(index: NeighborIndex | None) -> NeighborIndex:
     """The index approximate matching needs, which must be present."""
     if index is None:
-        raise ConfigError("a neighbor index is required when lambda > 0")
+        raise ConfigError("a neighbor index is required when lambda > 0 "
+                          "(build one with 'nniou build-index')")
     return index

@@ -18,7 +18,6 @@ from nniou import (
     EvalConfig,
     KnowledgeGraph,
     RankingRun,
-    RelevanceParams,
     build_index,
     dcg,
     ground_truth_ranking,
@@ -96,8 +95,7 @@ def test_criterion_2_oracle_equivalence():
                         a, b, radius, oracle.dist
                     )
                     for lam in (0.0, 0.25, 0.5, 1.0):
-                        params = RelevanceParams(lam=lam)
-                        got = nn_iou(a, b, params, index)
+                        got = nn_iou(a, b, lam, index)
                         expected = brute_nn_iou(a, b, lam, radius, oracle.dist)
                         assert abs(got - expected) <= 1e-12
                         comparisons += 1
@@ -192,10 +190,9 @@ def test_criterion_4_dominance_and_range():
                 scores: dict[tuple[int, float], float] = {}
                 for radius in radii:
                     for lam in lambdas:
-                        params = RelevanceParams(lam=lam)
-                        score = nn_iou(a, b, params, indexes[radius])
+                        score = nn_iou(a, b, lam, indexes[radius])
                         assert 0.0 <= base <= score <= 1.0
-                        assert score == nn_iou(b, a, params, indexes[radius])
+                        assert score == nn_iou(b, a, lam, indexes[radius])
                         scores[(radius, lam)] = score
                         cases += 1
                 for radius in radii:
@@ -227,9 +224,7 @@ def test_criterion_5_ndcg_correctness():
             Document("d2", frozenset({"x"})),
             Document("d3", frozenset({"z"})),
         ]
-        cfg = EvalConfig(
-            k=2, relevance=RelevanceParams(lam=0.0), measure="iou"
-        )
+        cfg = EvalConfig(k=2, lam=0.0, measure="iou")
         reversed_run = [RankingRun("q", ["d2", "d1"])]
         report = nn_cui_at_k(corpus, reversed_run, cfg)
         assert report.per_query["q"] == pytest.approx(0.859719, abs=1e-6)
@@ -237,9 +232,7 @@ def test_criterion_5_ndcg_correctness():
         graph, docs, _, _ = planted_cluster_corpus(docs_per_cluster=10)
         vocabulary = set().union(*(d.concepts for d in docs))
         index = build_index(graph, vocabulary, 1)
-        cfg = EvalConfig(
-            k=10, relevance=RelevanceParams(lam=0.5), measure="nniou"
-        )
+        cfg = EvalConfig(k=10, lam=0.5, measure="nniou")
         truth_runs = [
             RankingRun(
                 doc.id,
@@ -331,18 +324,14 @@ def test_criterion_8_precomputation_speedup():
         graph, docs = random_tree_corpus()
         assert len(docs) == 1000
         vocabulary = set().union(*(d.concepts for d in docs))
-        cfg = EvalConfig(
-            k=10, relevance=RelevanceParams(lam=0.5), measure="nniou"
-        )
+        cfg = EvalConfig(k=10, lam=0.5, measure="nniou")
         index = build_index(graph, vocabulary, 1)
 
         # modest system runs for a few queries; both timings evaluate the
         # same queries over the full 1,000-doc candidate pool
         docs_by_id = {d.id: d for d in docs}
         query_ids = ["doc0000", "doc0400", "doc0800"]
-        iou_cfg = EvalConfig(
-            k=10, relevance=RelevanceParams(lam=0.0), measure="iou"
-        )
+        iou_cfg = EvalConfig(k=10, lam=0.0, measure="iou")
         runs = [
             RankingRun(
                 qid,
@@ -370,7 +359,7 @@ def test_criterion_8_precomputation_speedup():
                             related.add(x)
                         if y not in shared:
                             related.add(y)
-            return (len(shared) + cfg.relevance.lam * len(related)) / len(union)
+            return (len(shared) + cfg.lam * len(related)) / len(union)
 
         start = time.perf_counter()
         slow_scores = {}

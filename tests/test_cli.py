@@ -7,10 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from nniou import load_index, read_runs
+from nniou import ConfigError, RankingRun, load_index, read_runs, write_runs
 from nniou.cli import AblationGrid, main
 
 from synthdata import planted_cluster_corpus, write_fixture_files
+
+INDEX_ERROR = (
+    "configuration error: a neighbor index is required when lambda > 0 "
+    "(build one with 'nniou build-index')\n"
+)
 
 
 @pytest.fixture()
@@ -126,6 +131,17 @@ class TestBuildIndex:
         )
         assert code == 2
         assert "line 2: concept 'a,b'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_radius_rejected_before_the_graph_is_read(self, workspace, capsys):
+        tmp_path, _, corpus, _ = workspace
+        out = tmp_path / "x.nnidx"
+        code = main(["build-index", "--edges", str(tmp_path / "missing.tsv"),
+                     "--corpus", str(corpus), "--n", "-1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "configuration error: radius must be >= 0, got -1\n"
+        )
         assert not out.exists()
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
@@ -260,7 +276,7 @@ class TestRetrieveAndEval:
                      "--lambda", "0.5", "--k", "3",
                      "--out", str(tmp_path / "x.runs")])
         assert code == 1
-        assert "requires --index" in capsys.readouterr().err
+        assert capsys.readouterr().err == INDEX_ERROR
 
     def test_radius_is_a_build_index_flag_only(self, workspace, capsys):
         """build-index --n sets the radius; the scoring commands read it from the index."""
@@ -292,6 +308,38 @@ class TestRetrieveAndEval:
                      "--edges", str(other_edges), "--measure", "nniou",
                      "--lambda", "0.5", "--k", "3", "--out", str(runs)]) == 0
         assert "different edge file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_index_of_a_multi_block_edge_file_matches_it(self, workspace, capsys, mark):
+        """The streamed checksum of an edge file over 64 KiB agrees with its own index."""
+        tmp_path, edges, corpus, cmap = workspace
+        padding = "".join(f"P{i:07d}\tP{i + 1:07d}\n" for i in range(10000))
+        large = tmp_path / "large.tsv"
+        large.write_bytes(mark + (edges.read_text(encoding="utf-8") + padding).encode("utf-8"))
+        assert large.stat().st_size > 2 * (1 << 16)
+        index = tmp_path / "large.nnidx"
+        assert main(["build-index", "--edges", str(large), "--corpus", str(corpus),
+                     "--out", str(index)]) == 0
+        capsys.readouterr()
+        assert main(["retrieve", "--corpus", str(corpus), "--index", str(index),
+                     "--edges", str(large), "--out", str(tmp_path / "large.runs")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_eval_repeated_category_is_usage_error(self, workspace, capsys):
+        tmp_path, edges, corpus, cmap = workspace
+        runs = tmp_path / "r.runs"
+        assert main(["retrieve", "--corpus", str(corpus), "--measure", "iou",
+                     "--k", "3", "--out", str(runs)]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--measure", "iou", "--k", "3", "--class-map", str(cmap),
+                     "--categories", "modality,modality"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: category 'modality' is listed more than once\n"
+        )
+        assert captured.out == ""
 
     def test_eval_categories_without_class_map_is_usage_error(self, workspace, capsys):
         tmp_path, edges, corpus, cmap = workspace
@@ -514,6 +562,23 @@ class TestAblate:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag, values, named", [
+        pytest.param("--lambdas", "0.5,0.50", "lambda 0.5", id="lambdas"),
+        pytest.param("--radii", "1,0,1", "radius 1", id="radii"),
+        pytest.param("--ks", "5,5", "k 5", id="ks"),
+        pytest.param("--categories", "modality,modality", "category 'modality'",
+                     id="categories"),
+    ])
+    def test_repeated_value_is_usage_error(self, workspace, capsys, flag, values, named):
+        tmp_path, edges, corpus, cmap = workspace
+        flags = {"--lambdas": "0.5", "--radii": "1", "--ks": "5", flag: values}
+        code = main(["ablate", "--corpus", str(corpus), "--edges", str(edges),
+                     "--class-map", str(cmap), *(x for item in flags.items() for x in item)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {named} is listed more than once\n"
+        assert captured.out == ""
+
     def test_grid_validation(self):
         with pytest.raises(Exception):
             AblationGrid(lambdas=(), radii=(0,), ks=(5,))
@@ -523,6 +588,73 @@ class TestAblate:
             AblationGrid(lambdas=(0.5,), radii=(-1,), ks=(5,))
         with pytest.raises(Exception):
             AblationGrid(lambdas=(0.5,), radii=(0,), ks=(0,))
+        with pytest.raises(ConfigError, match="lambda 0.0 is listed more than once"):
+            AblationGrid(lambdas=(0.0, 0.5, 0.0), radii=(0,), ks=(5,))
+        with pytest.raises(ConfigError, match="radius 2 is listed more than once"):
+            AblationGrid(lambdas=(0.5,), radii=(2, 2), ks=(5,))
+        with pytest.raises(ConfigError, match="k 5 is listed more than once"):
+            AblationGrid(lambdas=(0.5,), radii=(0,), ks=(5, 10, 5))
+
+
+class TestFlagsCheckedBeforeFiles:
+    """A bad scoring flag exits 1 before any input file, missing here, is read."""
+
+    @staticmethod
+    def _argv(command, tmp_path, with_index=False):
+        missing = str(tmp_path / "missing")
+        index = ["--index", missing] if with_index else []
+        return {
+            "relevance": ["relevance", "a", "b", "--corpus", missing, *index],
+            "retrieve": ["retrieve", "--corpus", missing, "--edges", missing, *index,
+                         "--out", str(tmp_path / "x.runs")],
+            "eval": ["eval", "--corpus", missing, "--runs", missing, "--edges", missing,
+                     *index],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["relevance", "retrieve", "eval"])
+    @pytest.mark.parametrize("with_index", [False, True], ids=["no-index", "missing-index"])
+    def test_lambda_out_of_range(self, tmp_path, capsys, command, with_index):
+        assert main([*self._argv(command, tmp_path, with_index), "--lambda", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: lambda must be in [0, 1], got 1.5\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["retrieve", "eval"])
+    def test_k_below_one(self, tmp_path, capsys, command):
+        assert main([*self._argv(command, tmp_path), "--k", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: k must be >= 1, got 0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["relevance", "retrieve", "eval"])
+    def test_missing_index_at_positive_lambda_prints_and_writes_nothing(
+        self, workspace, capsys, command
+    ):
+        tmp_path, edges, corpus, cmap = workspace
+        runs = tmp_path / "iou.runs"
+        assert main(["retrieve", "--corpus", str(corpus), "--measure", "iou",
+                     "--out", str(runs)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "relevance": ["relevance", "ct000", "mri000", "--corpus", str(corpus)],
+            "retrieve": ["retrieve", "--corpus", str(corpus), "--out", str(out)],
+            "eval": ["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--class-map", str(cmap), "--out", str(out)],
+        }[command]
+        assert main([*argv, "--lambda", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == INDEX_ERROR
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_missing_index_is_reported_before_a_bad_run(self, workspace, capsys):
+        tmp_path, edges, corpus, cmap = workspace
+        runs = tmp_path / "ghost.runs"
+        write_runs([RankingRun("ghost", ["ct000"])], runs)
+        assert main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--lambda", "0.5"]) == 1
+        assert capsys.readouterr().err == INDEX_ERROR
 
 
 class TestUsage:

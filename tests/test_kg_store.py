@@ -11,6 +11,7 @@ from nniou import (
     KnowledgeGraph,
     UnknownConceptError,
     build_index,
+    edge_file_checksum,
     normalize_concept_id,
     parse_edge_file,
 )
@@ -126,6 +127,18 @@ class TestParseEdgeFile:
         # the checksum still hashes the file's raw bytes, mark included
         assert marked.source_checksum == hashlib.sha256(path.read_bytes()).hexdigest()
         assert marked.source_checksum != plain.source_checksum
+
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_streamed_checksum_equals_the_parsed_one(self, tmp_path, mark):
+        """edge_file_checksum reads 64 KiB blocks; a file of several agrees with the parse."""
+        text = "".join(f"C{i:07d}\tC{i // 2:07d}\n" for i in range(1, 12000))
+        path = tmp_path / "large.tsv"
+        path.write_bytes(mark + text.encode("utf-8"))
+        assert path.stat().st_size > 3 * (1 << 16)
+        checksum = edge_file_checksum(path)
+        assert checksum == parse_edge_file(path).source_checksum
+        assert checksum == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestValidateDag:

@@ -14,7 +14,6 @@ from nniou import (
     EvaluationError,
     KnowledgeGraph,
     RankingRun,
-    RelevanceParams,
     build_index,
     dcg,
     derive_labels,
@@ -32,7 +31,7 @@ from synthdata import planted_cluster_corpus
 
 
 def _iou_cfg(k: int) -> EvalConfig:
-    return EvalConfig(k=k, relevance=RelevanceParams(lam=0.0), measure="iou")
+    return EvalConfig(k=k, lam=0.0, measure="iou")
 
 
 @pytest.fixture()
@@ -144,9 +143,7 @@ class TestNnCuiAtK:
             Document("d3", frozenset({"q1"})),
         ]
         index = build_index(graph, {"x", "y", "z", "w", "q1"}, 1)
-        zero_lam = EvalConfig(
-            k=3, relevance=RelevanceParams(lam=0.0), measure="nniou"
-        )
+        zero_lam = EvalConfig(k=3, lam=0.0, measure="nniou")
         iou_cfg = _iou_cfg(3)
         runs = [RankingRun("q", ["d3", "d1", "d2"])]
         with_nn = nn_cui_at_k(corpus, runs, zero_lam, index)
@@ -337,9 +334,7 @@ class TestPrecisionAtK:
         k = 5
         scores = {}
         for lam, radius in ((0.0, 0), (0.5, 1)):
-            cfg = EvalConfig(
-                k=k, relevance=RelevanceParams(lam=lam), measure="nniou"
-            )
+            cfg = EvalConfig(k=k, lam=lam, measure="nniou")
             runs = [
                 RankingRun(
                     doc.id,

