@@ -45,9 +45,9 @@ from .ranking_eval import (
     ndcg_at_k,
     nn_cui_at_k,
     precision_at_k,
-    precision_at_ks,
 )
 from .relevance import iou, nn_iou, rel_set
+from .ablation import AblationGrid, ablation_rows
 
 __version__ = "0.1.0"
 
@@ -90,9 +90,10 @@ __all__ = [
     "ndcg_at_k",
     "nn_cui_at_k",
     "precision_at_k",
-    "precision_at_ks",
     "iou",
     "nn_iou",
     "rel_set",
+    "AblationGrid",
+    "ablation_rows",
     "__version__",
 ]

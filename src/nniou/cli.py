@@ -14,7 +14,9 @@ index, approximate matching is off (IoU or lambda 0) or refused, and
 
 Lambda, k, radius and the ablation grid are checked before any file is
 read; a value listed twice in ``--categories``, ``--lambdas``, ``--radii``
-or ``--ks`` is an error.
+or ``--ks`` is an error.  ``eval`` and ``ablate`` then check the class
+map and ``--categories`` before reading the graph, corpus, runs or index.
+The sweep that ``ablate`` runs is :func:`nniou.ablation.ablation_rows`.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ import io
 import json
 import sys
 import time
-from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .ablation import AblationGrid, _no_repeats, ablation_rows
 from .corpus import (
     corpus_vocabulary,
     read_class_map,
@@ -47,16 +48,13 @@ from .ranking_eval import (
     Document,
     EvalConfig,
     MetricReport,
-    RankingRun,
     derive_labels,
     ground_truth_ranking,
     ground_truth_rankings,
     nn_cui_at_k,
     precision_at_k,
-    precision_at_ks,
 )
 from .relevance import checked_lambda, iou, nn_iou
-from .scoring import ScoringCore
 
 
 class _UsageError(Exception):
@@ -66,34 +64,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A002 - argparse API
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class AblationGrid:
-    """Parameter grid for the (radius, lambda, k) precision sweep."""
-
-    lambdas: tuple[float, ...]
-    radii: tuple[int, ...]
-    ks: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.lambdas or not self.radii or not self.ks:
-            raise ConfigError("ablation grid lists must be non-empty")
-        for lam in self.lambdas:
-            checked_lambda(lam)
-        for radius in self.radii:
-            checked_radius(radius)
-        for k in self.ks:
-            EvalConfig(k=k)
-        _no_repeats(self.lambdas, "lambda")
-        _no_repeats(self.radii, "radius")
-        _no_repeats(self.ks, "k")
-
-
-def _no_repeats(values: Sequence, name: str) -> None:
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"{name} {value!r} is listed more than once")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,12 +300,12 @@ def _cmd_eval(args) -> int:
     if args.categories is not None and not args.class_map:
         raise ConfigError("--categories needs --class-map to derive the labels it names")
     cfg = EvalConfig(k=args.k, lam=args.lam, measure=args.measure)
+    class_map = read_class_map(args.class_map) if args.class_map else {}
+    categories = _split_categories(args, class_map)
     docs = read_corpus(args.corpus)
     runs = read_runs(args.runs)
     reports = [nn_cui_at_k(docs, runs, cfg, _ranking_index(args, docs))]
-    if args.class_map:
-        class_map = read_class_map(args.class_map)
-        categories = _split_categories(args, class_map)
+    if categories:
         labeled = derive_labels(docs, class_map)
         for category in categories:
             reports.append(precision_at_k(labeled, runs, args.k, [category]))
@@ -348,55 +318,6 @@ def _cmd_eval(args) -> int:
         text = _reports_to_csv(reports)
     _emit(text, args.out)
     return 0
-
-
-def ablation_rows(
-    graph,
-    docs: Sequence[Document],
-    grid: AblationGrid,
-    class_map,
-    categories: Sequence[str],
-) -> list[tuple[int, float, int, float]]:
-    """Precision per (radius, lambda, k) cell, one index and scoring pass per radius.
-
-    At radius 0 approximate matching is inert, so the precision in those
-    rows cannot depend on lambda; any variation would mean the measure
-    degeneracy is broken, which is asserted here as an internal error.
-    """
-    vocabulary = corpus_vocabulary(docs)
-    labeled = derive_labels(docs, class_map)
-    ids = [doc.id for doc in docs]
-    max_k = max(grid.ks)
-    width = min(max_k, len(ids) - 1)  # every run has this many positions
-    rows: list[tuple[int, float, int, float]] = []
-    for radius in grid.radii:
-        core = ScoringCore(docs, build_index(graph, vocabulary, radius))
-        # each lambda keeps its runs' positions back to back in one array
-        positions = [array("I") for _ in grid.lambdas]
-        for q in range(len(ids)):
-            for kept, ranked in zip(positions, core.tops(q, grid.lambdas, max_k)):
-                kept.extend([j for _, j in ranked])
-        del core  # only positions are graded
-        for lam, kept in zip(grid.lambdas, positions):
-            runs = [
-                RankingRun(query_id, [ids[j] for j in kept[q * width:(q + 1) * width]])
-                for q, query_id in enumerate(ids)
-            ]
-            reports = precision_at_ks(labeled, runs, grid.ks, categories)
-            for k, report in zip(grid.ks, reports):
-                rows.append((radius, lam, k, report.aggregate))
-        del positions, runs  # freed before the next radius's build_index
-    baseline: dict[int, float] = {}
-    for radius, lam, k, precision in rows:
-        if radius != 0:
-            continue
-        if k in baseline and baseline[k] != precision:
-            raise RuntimeError(
-                "precision varies with lambda at radius 0 "
-                f"(k={k}: {baseline[k]!r} != {precision!r})"
-            )
-        baseline.setdefault(k, precision)
-    return rows
 
 
 def _parse_number_list(raw: str, kind, flag: str) -> tuple:
@@ -420,9 +341,9 @@ def _cmd_ablate(args) -> int:
         radii=_parse_number_list(args.radii, int, "--radii"),
         ks=_parse_number_list(args.ks, int, "--ks"),
     )
-    graph, docs = _graph_and_corpus(args)
     class_map = read_class_map(args.class_map)
     categories = _split_categories(args, class_map)
+    graph, docs = _graph_and_corpus(args)
     rows = ablation_rows(graph, docs, grid, class_map, categories)
     lines = ["n,lambda,k,precision"]
     for radius, lam, k, precision in rows:

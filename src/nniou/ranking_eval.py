@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, EvaluationError
 from .neighbor_index import NeighborIndex
@@ -291,41 +291,16 @@ def precision_at_k(
     over the results actually considered (at most k), so exhaustive
     retrieval on a small corpus is not penalized.
     """
-    return precision_at_ks(corpus, runs, (k,), label_categories)[0]
-
-
-def precision_at_ks(
-    corpus: Sequence[Document],
-    runs: Iterable[RankingRun],
-    ks: Sequence[int],
-    label_categories: Sequence[str],
-) -> list[MetricReport]:
-    """One :func:`precision_at_k` report per entry of ``ks``, in order.
-
-    The corpus and runs are validated and indexed once for every cutoff,
-    which is how the ablation sweep grades one weight's runs at each k.
-    """
-    for k in ks:
-        if k < 1:
-            raise ConfigError(f"k must be >= 1, got {k}")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     categories = list(label_categories)
-    if not categories:
-        raise ConfigError("at least one label category is required")
     docs = _docs_by_id(corpus)
-    for category in categories:
-        if not any(category in doc.labels for doc in docs.values()):
-            raise ConfigError(f"no document carries label category {category!r}")
+    keys = dict(zip(docs, _label_keys(docs.values(), categories)))
     by_query = _runs_by_query(docs, runs)
-    # one label key per document; a result matches when its key equals the
-    # query's, and a label it lacks reads None
-    keys = {
-        doc_id: tuple(doc.labels.get(c) for c in categories)
-        for doc_id, doc in docs.items()
-    }
 
-    deepest = max(ks, default=0)
+    per_query: dict[str, float] = {}
     exclusions: list[dict[str, str]] = []
-    graded: list[tuple[str, tuple, list[tuple]]] = []  # query, its key, result keys
+    notes: list[str] = []
     for query_id in sorted(docs):
         run = by_query.get(query_id)
         if run is None:
@@ -333,31 +308,27 @@ def precision_at_ks(
             continue
         missing = [c for c in categories if c not in docs[query_id].labels]
         if missing:
-            exclusions.append(
-                {
-                    "query_id": query_id,
-                    "reason": f"missing label(s): {', '.join(missing)}",
-                }
-            )
+            reason = f"missing label(s): {', '.join(missing)}"
+            exclusions.append({"query_id": query_id, "reason": reason})
             continue
-        top = run.ranked_ids[:deepest]
-        graded.append((query_id, keys[query_id], [keys[ranked_id] for ranked_id in top]))
+        top = [keys[ranked_id] for ranked_id in run.ranked_ids[:k]]
+        if not top:
+            notes.append(f"query {query_id}: empty result list")
+        per_query[query_id] = top.count(keys[query_id]) / len(top) if top else 0.0
 
-    reports = []
-    for k in ks:
-        per_query: dict[str, float] = {}
-        notes: list[str] = []
-        for query_id, key, results in graded:
-            top = results[:k]
-            if not top:
-                per_query[query_id] = 0.0
-                notes.append(f"query {query_id}: empty result list")
-                continue
-            per_query[query_id] = top.count(key) / len(top)
-        metric = f"Precision@{k}[{'&'.join(categories)}]"
-        config = {"k": k, "categories": list(categories)}
-        reports.append(MetricReport.from_scores(metric, config, per_query, exclusions, notes))
-    return reports
+    metric = f"Precision@{k}[{'&'.join(categories)}]"
+    config = {"k": k, "categories": categories}
+    return MetricReport.from_scores(metric, config, per_query, exclusions, notes)
+
+
+def _label_keys(corpus: Collection[Document], categories: Sequence[str]) -> list[tuple]:
+    """Each document's label key, None where it lacks a label; equal keys match."""
+    if not categories:
+        raise ConfigError("at least one label category is required")
+    for category in categories:
+        if not any(category in doc.labels for doc in corpus):
+            raise ConfigError(f"no document carries label category {category!r}")
+    return [tuple(doc.labels.get(c) for c in categories) for doc in corpus]
 
 
 def label_from_concepts(

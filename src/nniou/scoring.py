@@ -35,9 +35,10 @@ ablation sweep scores each pair once per radius instead of once per
 Per lambda, the candidates' float scores come first and the k-th largest
 is a cut: only positive scores at or above it become (-score, id) sort
 keys, so a query builds about k keys instead of one per candidate, and
-every tie at the cut is kept for the id tie-break.  Every ranking has a
-cutoff; a ``k`` of one less than the corpus size ranks every other
-document.
+every float tie at the cut is kept for the id tie-break.  A query lists
+its zero-score tail once for all lambdas, when the first one falls short
+of k.  Every ranking has a cutoff; a ``k`` of one less than the corpus
+size ranks every other document.
 """
 
 from __future__ import annotations
@@ -119,9 +120,13 @@ class ScoringCore:
         are scored, and each of them once: its weight-free (inter, rel,
         union) counts are kept and re-weighted per lambda.  Per lambda, the
         k-th largest float score is the cut, and only positive scores at or
-        above it are sorted by (-score, id); ties at the cut all take part,
-        so the tie-break is exact.  The positive ones come first and
-        zero-score documents fill the remaining slots in id order.
+        above it are sorted by (-score, id); float ties at the cut all take
+        part, so equal floats break by id.  The positive ones come first and
+        zero-score documents fill the rest in id order: the unreachable
+        ones, listed when the first lambda falls short of ``k`` (and again
+        only for a later one that needs more), merged with the reachable
+        ones that score 0 at this lambda (at lambda 0, those sharing no
+        concept).
         """
         ids = self.ids
         if len(ids) < 2:
@@ -129,6 +134,7 @@ class ScoringCore:
                 f"no candidate documents for query {ids[q]!r} (corpus too small)"
             )
         counts = self._counts(q)
+        fill: list[tuple[float, int]] = []  # unreached documents, (0.0, j) in id order
         rankings = []
         for lam in lams:
             scores = [(inter + lam * rel) / union for inter, rel, union, _ in counts]
@@ -139,16 +145,21 @@ class ScoringCore:
                 (-s, ids[c[3]], c[3]) for s, c in zip(scores, counts) if s >= cut and s > 0
             ])[:k]
             ranked = [(-neg, j) for neg, _, j in best]
-            if len(ranked) < k:
+            short = k - len(ranked)
+            if short > 0:
                 # every positive document is ranked already; the rest score 0
-                taken = 1 << q
-                for _, j in ranked:
-                    taken |= 1 << j
-                for j in self._id_order:
-                    if len(ranked) == k:
-                        break
-                    if not taken >> j & 1:
-                        ranked.append((0.0, j))
+                if len(fill) < short and len(fill) < len(ids) - 1 - len(counts):
+                    fill, outside = [], self._reach[q] | 1 << q
+                    for j in self._id_order:
+                        if not outside >> j & 1:
+                            fill.append((0.0, j))
+                            if len(fill) == short:
+                                break
+                if len(counts) > len(ranked):  # some candidates score 0: merge by id
+                    zeros = [(0.0, c[3]) for s, c in zip(scores, counts) if not s > 0]
+                    ranked += sorted(zeros + fill[:short], key=lambda z: ids[z[1]])[:short]
+                else:
+                    ranked += fill[:short]
             rankings.append(ranked)
         return rankings
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import pytest
 from hypothesis import settings
 
@@ -7,6 +9,22 @@ from nniou import KnowledgeGraph
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+# Hypothesis's pytest plugin imports hypothesis.extra._patching while it
+# reports a failing test, and that imports libcst where it is installed,
+# which raises a DeprecationWarning about mypy_extensions.TypedDict.  Under
+# ``-W error`` that warning turns the failure report into an INTERNALERROR
+# and the falsifying example is lost, so import the module once here with
+# that one warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated",
+        category=DeprecationWarning,
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # Real UMLS is_a fragments with well-known taxonomy distances: veins sit one
 # hop from blood vessels; brain stem reaches head in three hops via brain

@@ -341,6 +341,21 @@ class TestRetrieveAndEval:
         )
         assert captured.out == ""
 
+    def test_eval_unknown_category_is_reported_before_the_runs_are_read(self, workspace,
+                                                                        capsys):
+        tmp_path, edges, corpus, cmap = workspace
+        runs = tmp_path / "malformed.runs"
+        runs.write_text("not json\n", encoding="utf-8")
+        code = main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--measure", "iou", "--k", "3", "--class-map", str(cmap),
+                     "--categories", "stain"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: unknown label category 'stain' (not in class map)\n"
+        )
+        assert captured.out == ""
+
     def test_eval_categories_without_class_map_is_usage_error(self, workspace, capsys):
         tmp_path, edges, corpus, cmap = workspace
         runs = tmp_path / "r.runs"
@@ -537,6 +552,20 @@ class TestAblate:
                      "--lambdas", "0", "--radii", "0", "--ks", "5"])
         assert code == 1
         assert "stain" in capsys.readouterr().err
+
+    def test_unknown_category_is_reported_before_the_graph_is_read(self, workspace,
+                                                                   capsys):
+        tmp_path, _, corpus, cmap = workspace
+        code = main(["ablate", "--corpus", str(corpus),
+                     "--edges", str(tmp_path / "missing.tsv"), "--class-map", str(cmap),
+                     "--categories", "stain", "--lambdas", "0", "--radii", "0",
+                     "--ks", "5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: unknown label category 'stain' (not in class map)\n"
+        )
+        assert captured.out == ""
 
     @pytest.mark.parametrize("categories", ["", ","])
     def test_categories_naming_none_is_usage_error(self, workspace, capsys, categories):

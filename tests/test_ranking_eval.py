@@ -23,7 +23,6 @@ from nniou import (
     ndcg_at_k,
     nn_cui_at_k,
     precision_at_k,
-    precision_at_ks,
 )
 
 from oracles import brute_precision
@@ -295,7 +294,7 @@ class TestPrecisionAtK:
         assert report.per_query == {"a": 1.0, "q": 0.0}
         assert report.notes == ["query q: empty result list"]
 
-    def test_several_cutoffs_equal_one_report_per_cutoff(self, labeled_corpus):
+    def test_each_cutoff_grades_the_same_runs(self, labeled_corpus):
         corpus = labeled_corpus + [Document("e", frozenset({"x"}))]
         runs = [
             RankingRun("q", ["a", "b", "c", "d"]),
@@ -304,12 +303,10 @@ class TestPrecisionAtK:
             RankingRun("e", ["a"]),
         ]
         categories = ["modality", "organ"]
-        ks = (4, 1, 2, 4, 9)
-        reports = precision_at_ks(corpus, runs, ks, categories)
-        assert len(reports) == len(ks)
-        for k, report in zip(ks, reports):
-            single = precision_at_k(corpus, runs, k, categories)
-            assert report.to_dict() == single.to_dict()
+        for k in (4, 1, 2, 4, 9):
+            report = precision_at_k(corpus, runs, k, categories)
+            assert report.metric == f"Precision@{k}[modality&organ]"
+            assert report.config == {"k": k, "categories": categories}
             assert report.per_query == brute_precision(corpus, runs, k, categories)
             assert report.exclusions == [
                 {"query_id": "c", "reason": "no run provided"},
@@ -318,13 +315,12 @@ class TestPrecisionAtK:
             ]
             assert report.notes == ["query a: empty result list"]
 
-    def test_several_cutoffs_reject_like_one(self, labeled_corpus):
+    def test_bad_cutoff_and_unknown_result_are_rejected(self, labeled_corpus):
         runs = [RankingRun("q", ["a"])]
         with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
-            precision_at_ks(labeled_corpus, runs, (2, 0), ["modality"])
+            precision_at_k(labeled_corpus, runs, 0, ["modality"])
         with pytest.raises(EvaluationError, match="unknown document id 'zz'"):
-            precision_at_ks(labeled_corpus, [RankingRun("q", ["zz"])], (1, 2), ["modality"])
-        assert precision_at_ks(labeled_corpus, runs, (), ["modality"]) == []
+            precision_at_k(labeled_corpus, [RankingRun("q", ["zz"])], 2, ["modality"])
 
     def test_nn_iou_retrieval_beats_iou_on_planted_clusters(self):
         graph, docs, class_map, _ = planted_cluster_corpus(docs_per_cluster=10)

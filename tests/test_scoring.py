@@ -163,6 +163,52 @@ def test_tops_equal_brute_force_for_every_lambda(docs, radius, data):
 
 
 @settings(max_examples=200)
+@given(corpora(min_docs=2), st.integers(0, 2), st.data())
+def test_shared_zero_fill_equals_one_lambda_at_a_time(docs, radius, data):
+    """The zero-score tail, listed once per query, serves every lambda and every k."""
+    if data.draw(st.booleans()):
+        index = data.draw(asymmetric_indexes(radius))
+    else:
+        vocabulary = set().union(*(d.concepts for d in docs)) - {"yy"}
+        index = build_index(data.draw(graphs()), vocabulary, radius)
+    core = ScoringCore(docs, index)
+    lams = (0.0, 0.1, 0.5, 1.0)
+    for q, query in enumerate(docs):
+        expected = [
+            brute_ranking(query, docs, lambda a, b, lam=lam: nn_iou(a, b, lam, index))
+            for lam in lams
+        ]
+        for k in range(1, len(docs)):
+            rankings = core.tops(q, lams, k)
+            assert rankings == [core.top(q, lam, k) for lam in lams]
+            assert [[core.ids[j] for _, j in r] for r in rankings] == [
+                ids[:k] for ids in expected
+            ]
+
+
+def test_lambda_zero_candidate_sorts_by_id_between_non_candidates():
+    """At lambda 0 a document holding only a neighbor scores 0 and joins the id-ordered tail."""
+    index = NeighborIndex(radius=1, source_checksum="hand",
+                          entries={"a": frozenset({"b"}), "b": frozenset({"a"})})
+    docs = [
+        Document("x", frozenset({"y"})),
+        Document("m", frozenset({"b"})),  # a candidate: b neighbors the query's a
+        Document("q", frozenset({"a"})),
+        Document("c", frozenset({"z"})),
+        Document("p", frozenset({"a"})),
+    ]
+    core = ScoringCore(docs, index)
+    named = {0.0: ["p", "c", "m", "x"], 0.5: ["p", "m", "c", "x"]}
+    for lams in ((0.0, 0.5), (0.5, 0.0)):  # the fill first listed for 0 or for 0.5
+        for k in range(1, 5):
+            rankings = core.tops(2, lams, k)
+            assert [[core.ids[j] for _, j in r] for r in rankings] == [
+                named[lam][:k] for lam in lams
+            ]
+    assert core.top(2, 0.0, 4) == [(1.0, 4), (0.0, 3), (0.0, 1), (0.0, 0)]
+
+
+@settings(max_examples=200)
 @given(settings_cases(), st.randoms(use_true_random=False))
 def test_nn_cui_reports_equal_brute_force(case, rng):
     docs, cfg, index = case
@@ -330,6 +376,31 @@ def test_ablation_rows_with_every_k_beyond_a_two_document_corpus():
     assert rows == _brute_ablation_rows(graph, docs, grid)
     # both are "low", and each one's single result is the other
     assert [precision for *_, precision in rows] == [1.0] * 27
+
+
+def test_ablation_rows_rank_only_labelled_queries(monkeypatch):
+    """A query Precision@K excludes is never ranked, yet still ranks as a result."""
+    graph = KnowledgeGraph.from_edges([("c0", "c2"), ("c2", "c4")], nodes=GRAPH_CONCEPTS)
+    docs = [
+        Document("u", frozenset({"c2"})),  # in no group
+        Document("h", frozenset({"c4"})),
+        Document("both", frozenset({"c0", "c4"})),  # in two groups: no label
+        Document("a", frozenset({"c0"})),
+        Document("b", frozenset({"c1", "c2"})),
+    ]
+    ranked = []
+    tops = ScoringCore.tops
+
+    def counting(core, q, lams, k):
+        ranked.append(core.ids[q])
+        return tops(core, q, lams, k)
+
+    monkeypatch.setattr(ScoringCore, "tops", counting)
+    grid = AblationGrid(lambdas=(0.0, 0.5), radii=(0, 1, 2), ks=(1, 2, 4))
+    rows = ablation_rows(graph, docs, grid, GROUPS, ["group"])
+    assert ranked == ["a", "b", "h"] * 3
+    monkeypatch.undo()
+    assert rows == _brute_ablation_rows(graph, docs, grid)
 
 
 class TestErrorPaths:
