@@ -16,6 +16,9 @@ Lambda, k, radius and the ablation grid are checked before any file is
 read; a value listed twice in ``--categories``, ``--lambdas``, ``--radii``
 or ``--ks`` is an error.  ``eval`` and ``ablate`` then check the class
 map and ``--categories`` before reading the graph, corpus, runs or index.
+A chosen category that labels no document is reported once the corpus is
+read and before any query is ranked; ``eval`` reports it before reading
+the runs or the index.
 The sweep that ``ablate`` runs is :func:`nniou.ablation.ablation_rows`.
 """
 
@@ -48,6 +51,7 @@ from .ranking_eval import (
     Document,
     EvalConfig,
     MetricReport,
+    _label_keys,
     derive_labels,
     ground_truth_ranking,
     ground_truth_rankings,
@@ -303,10 +307,12 @@ def _cmd_eval(args) -> int:
     class_map = read_class_map(args.class_map) if args.class_map else {}
     categories = _split_categories(args, class_map)
     docs = read_corpus(args.corpus)
+    if categories:
+        labeled = derive_labels(docs, class_map)
+        _label_keys(labeled, categories)  # fails on a category no document carries
     runs = read_runs(args.runs)
     reports = [nn_cui_at_k(docs, runs, cfg, _ranking_index(args, docs))]
     if categories:
-        labeled = derive_labels(docs, class_map)
         for category in categories:
             reports.append(precision_at_k(labeled, runs, args.k, [category]))
         if len(categories) > 1:

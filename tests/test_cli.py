@@ -9,6 +9,7 @@ import pytest
 
 from nniou import ConfigError, RankingRun, load_index, read_runs, write_runs
 from nniou.cli import AblationGrid, main
+from nniou.scoring import ScoringCore
 
 from synthdata import planted_cluster_corpus, write_fixture_files
 
@@ -402,6 +403,37 @@ class TestRetrieveAndEval:
             "configuration error: no document carries label category 'organ'\n"
         )
         assert captured.out == ""
+
+    @pytest.mark.parametrize("runs_text", [None, "not json\n"],
+                             ids=["valid-runs", "malformed-runs"])
+    def test_category_labelling_no_document_is_reported_before_ranking(
+            self, workspace, capsys, monkeypatch, runs_text):
+        """No query is ranked, and the runs file is not read, before the error."""
+        tmp_path, edges, corpus, cmap, index = self._build(workspace)
+        runs = tmp_path / "r.runs"
+        assert main(["retrieve", "--corpus", str(corpus), "--index", str(index),
+                     "--k", "3", "--out", str(runs)]) == 0
+        if runs_text is not None:
+            runs.write_text(runs_text, encoding="utf-8")
+        capsys.readouterr()
+        ranked = []
+        tops = ScoringCore.tops
+
+        def counting(core, q, lams, k):
+            ranked.append(q)
+            return tops(core, q, lams, k)
+
+        monkeypatch.setattr(ScoringCore, "tops", counting)
+        code = main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--index", str(index), "--k", "3",
+                     "--class-map", str(_with_unused_category(cmap))])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: no document carries label category 'organ'\n"
+        )
+        assert captured.out == ""
+        assert ranked == []
 
     def test_byte_order_mark_leaves_runs_and_report_unchanged(self, workspace):
         """A corpus or runs file may start with a UTF-8 byte-order mark."""

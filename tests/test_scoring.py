@@ -8,6 +8,7 @@ it, byte for byte, to sorting every other document by (-nn_iou, id).
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -327,6 +328,234 @@ def test_related_concepts_on_the_first_and_last_concept_bits(entries):
     assert {"p0", "p3"} <= related
 
 
+# Which way ScoringCore counts a query's candidates follows from the corpus
+# alone: a query whose candidates are at least half of the other documents
+# is summed in byte fields, any other is walked, and so is every query of a
+# corpus holding a document of 128 or more concepts.  The strategies below
+# build corpora on either side of that rule, and the tests check that the
+# path they target is the one that ran.
+SWITCH_LAMBDAS = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0)
+# one document holding all of these has 2 * 130 > 255, so its counts need
+# fields wider than a byte and its corpus is walked
+WIDE = [f"w{i}" for i in range(130)]
+
+
+def _shaped_index(draw, pool, linked):
+    """No index, a hand-built asymmetric one over ``pool``, or one built from a
+    drawn graph over ``pool``; ``linked`` concept pairs are always listed."""
+    choice = draw(st.sampled_from(("none", "asymmetric", "graph")))
+    if choice == "none":
+        return None
+    radius = draw(st.integers(1, 2))
+    if choice == "asymmetric":
+        keys = draw(st.sets(st.sampled_from(pool))) | {a for a, _ in linked}
+        entries = {
+            c: frozenset(draw(st.sets(st.sampled_from([x for x in pool if x != c]),
+                                      max_size=3)))
+            | {b for a, b in linked if a == c}
+            for c in keys
+        }
+        return NeighborIndex(radius=radius, source_checksum="hand", entries=entries)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                          max_size=10))
+    edges = sorted({(a, b) for a, b in pairs if a != b} | set(linked))
+    return build_index(KnowledgeGraph.from_edges(edges, nodes=pool), set(pool), radius)
+
+
+def _drawn_ids(draw, n):
+    # drawn order, not sorted, so corpus position is no stand-in for the id
+    return draw(st.lists(st.sampled_from("abcdefghijklmnopqrst"), min_size=n, max_size=n,
+                         unique=True))
+
+
+@st.composite
+def summed_corpora(draw, linked_hub=True):
+    """Every document with concepts is a candidate of every other one.
+
+    Each holds the hub ``h`` or ``g``, which lists ``h``: a shared concept
+    or a neighbor joins every pair.  Without an index, or unless
+    ``linked_hub``, all hold ``h``.  At most one fewer empty documents than
+    nonempty ones keeps each nonempty query's candidates at half of the
+    other documents or more.
+    """
+    pool = GRAPH_CONCEPTS + ["g", "h", "w0", "w1"]
+    index = _shaped_index(draw, pool, [("g", "h")])
+    filled = draw(st.integers(3, 9))
+    empty = draw(st.integers(0, min(2, filled - 1)))
+    hubs = ["g", "h"] if index is not None and linked_hub else ["h"]
+    concept_sets = [
+        {draw(st.sampled_from(hubs))} | draw(st.sets(st.sampled_from(pool), max_size=4))
+        for _ in range(filled)
+    ]
+    concept_sets += [set()] * empty
+    order = draw(st.permutations(range(filled + empty)))
+    ids = _drawn_ids(draw, filled + empty)
+    return [Document(i, frozenset(concept_sets[o])) for i, o in zip(ids, order)], index
+
+
+@st.composite
+def walked_corpora(draw):
+    """No document is a candidate of half of the other documents.
+
+    Four or five groups of one to three documents, each group over concepts
+    of its own, so a query reaches at most two others out of at least five.
+    """
+    groups = draw(st.lists(st.integers(1, 3), min_size=4, max_size=5))
+    pool = [f"s{g}{x}" for g in range(len(groups)) for x in "abc"]
+    # within-group neighbors only
+    linked = [(a, b) for a in pool for b in pool if a[:2] == b[:2] and a < b]
+    index = _shaped_index(draw, pool, draw(st.lists(st.sampled_from(linked), max_size=4)))
+    if index is not None:  # drop any cross-group neighbor the draw added
+        index = NeighborIndex(index.radius, "hand", {
+            c: frozenset(x for x in n if x[:2] == c[:2]) for c, n in index.entries.items()
+        })
+    concept_sets = [
+        draw(st.sets(st.sampled_from([c for c in pool if c[:2] == f"s{g}"])))
+        for g, size in enumerate(groups) for _ in range(size)
+    ]
+    if draw(st.booleans()):
+        concept_sets[draw(st.integers(0, len(concept_sets) - 1))] |= set(WIDE)
+    concept_sets += [set()] * draw(st.integers(0, 2))
+    ids = _drawn_ids(draw, len(concept_sets))
+    return [Document(i, frozenset(c)) for i, c in zip(ids, concept_sets)], index
+
+
+def _ranks_like_brute_force(docs, index):
+    """Rank every query under SWITCH_LAMBDAS at every k from 1 to N + 2.
+
+    Returns the core and the queries that were summed; each summed query's
+    counts are also checked against the walk's.
+    """
+    core = ScoringCore(docs, index)
+    by_id = {d.id: d for d in docs}
+    summed = []
+    sums = ScoringCore._sums
+
+    def recording(self, q, reach):
+        summed.append(q)
+        counted = sums(self, q, reach)
+        assert counted == self._walk(q, reach)
+        return counted
+
+    with mock.patch.object(ScoringCore, "_sums", recording):
+        for q, query in enumerate(docs):
+            expected = []
+            for lam in SWITCH_LAMBDAS:
+                def score(a, b, lam=lam):
+                    return nn_iou(a, b, lam, index) if index is not None else iou(a, b)
+
+                ranked = brute_ranking(query, docs, score)
+                expected.append([(score(by_id[i].concepts, query.concepts), core.ids.index(i))
+                                 for i in ranked])
+            for k in range(1, len(docs) + 3):
+                assert core.tops(q, SWITCH_LAMBDAS, k) == [e[:k] for e in expected]
+    return core, summed
+
+
+@settings(max_examples=150)
+@given(summed_corpora())
+def test_summed_queries_rank_like_brute_force_and_count_like_the_walk(case):
+    docs, index = case
+    core, summed = _ranks_like_brute_force(docs, index)
+    # every query with concepts took the sums, at every k
+    nonempty = [q for q, d in enumerate(docs) if d.concepts]
+    assert sorted(set(summed)) == nonempty
+
+
+@settings(max_examples=100)
+@given(walked_corpora())
+def test_walked_queries_rank_like_brute_force_and_build_no_counters(case):
+    docs, index = case
+    core, summed = _ranks_like_brute_force(docs, index)
+    assert summed == []
+    assert core._built == 0 and core._spread == [] and core._meets == []
+
+
+@settings(max_examples=50)
+@given(summed_corpora(), st.data())
+def test_a_dense_corpus_with_a_document_of_130_concepts_is_walked(case, data):
+    docs, index = case
+    j = data.draw(st.integers(0, len(docs) - 1))
+    docs[j] = replace(docs[j], concepts=docs[j].concepts | set(WIDE))
+    core, summed = _ranks_like_brute_force(docs, index)
+    assert summed == []
+    assert core._built == 0 and core._spread == [] and core._meets == []
+
+
+@pytest.mark.parametrize("size, summed", [(127, True), (128, False)])
+def test_sums_need_every_count_in_one_byte(size, summed):
+    big = Document("big", frozenset({"h"} | {f"w{i}" for i in range(size - 1)}))
+    docs = [big] + [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(3)]
+    core = ScoringCore(docs)
+    assert core.top(1, 0.5, 3) == [(1 / 3, 2), (1 / 3, 3), (1 / (size + 1), 0)]
+    assert bool(core._built) == summed
+
+
+def test_an_interrupted_counter_build_is_redone():
+    """A build cut short marks no concept as built, so the next query redoes it."""
+    docs = [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(4)]
+    index = NeighborIndex(radius=1, source_checksum="hand",
+                          entries={"h": frozenset({"x0"}), "x1": frozenset({"x2"})})
+    core = ScoringCore(docs, index)
+    expected = ScoringCore(docs, index).tops(1, SWITCH_LAMBDAS, 3)
+    with mock.patch.object(NeighborIndex, "neighbors", side_effect=MemoryError):
+        with pytest.raises(MemoryError):
+            core.tops(1, SWITCH_LAMBDAS, 3)
+    assert core._built == 0
+    assert core.tops(1, SWITCH_LAMBDAS, 3) == expected
+
+
+def test_score_tables_are_kept_for_the_latest_lambdas_only():
+    docs = [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(4)]
+    core = ScoringCore(docs)
+    for step in range(100):
+        core.top(0, step / 100, 3)
+    assert list(core._scores) == [0.99]
+    core.tops(0, SWITCH_LAMBDAS, 3)
+    assert list(core._scores) == list(SWITCH_LAMBDAS)
+
+
+def test_both_counts_agree_on_a_query_with_no_concepts_in_a_dense_corpus():
+    """An empty query reaches nothing, so it is walked; its counts sum to zeros."""
+    docs = [Document("e", frozenset())] + [
+        Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(4)
+    ]
+    core = ScoringCore(docs)
+    assert core._sums(0, 0) == core._walk(0, 0) == ([], [])
+    assert core.top(0, 0.5, 4) == [(0.0, 1), (0.0, 2), (0.0, 3), (0.0, 4)]
+    assert core.top(1, 0.5, 4) == [(1 / 3, 2), (1 / 3, 3), (1 / 3, 4), (0.0, 0)]
+
+
+@settings(max_examples=100)
+@given(summed_corpora(linked_hub=False), st.sampled_from(SWITCH_LAMBDAS), st.data())
+def test_dense_rankings_and_nn_cui_equal_brute_force(case, lam, data):
+    """Summed even where IoU or lambda 0 leaves the index out: all share ``h``."""
+    docs, index = case
+    measure = "iou" if index is None else data.draw(st.sampled_from(("iou", "nniou")))
+    cfg = EvalConfig(k=data.draw(st.integers(1, len(docs) + 2)), lam=lam, measure=measure)
+    score = _pair_score(cfg, index)
+    summed = []
+    sums = ScoringCore._sums
+
+    def recording(self, q, reach):
+        summed.append(q)
+        return sums(self, q, reach)
+
+    rng = data.draw(st.randoms(use_true_random=False))
+    runs = []
+    for doc in docs:
+        others = [d.id for d in docs if d is not doc]
+        rng.shuffle(others)
+        runs.append(RankingRun(doc.id, others[: rng.randint(0, cfg.k + 1)]))
+    with mock.patch.object(ScoringCore, "_sums", recording):
+        rankings = ground_truth_rankings(docs, cfg, index)
+        report = nn_cui_at_k(docs, runs, cfg, index)
+    for query, run in zip(docs, rankings):
+        assert run.ranked_ids == brute_ranking(query, docs, score)[: cfg.k]
+    assert report.per_query == brute_nn_cui(docs, runs, cfg.k, score)
+    assert len(summed) == 2 * sum(1 for d in docs if d.concepts)
+
+
 GROUPS = {"group": {"low": frozenset({"c0", "c1", "zz"}),
                     "high": frozenset({"c4", "c5", "c6"})}}
 
@@ -401,6 +630,33 @@ def test_ablation_rows_rank_only_labelled_queries(monkeypatch):
     assert ranked == ["a", "b", "h"] * 3
     monkeypatch.undo()
     assert rows == _brute_ablation_rows(graph, docs, grid)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.sets(st.sampled_from(CONCEPTS), max_size=4), min_size=3, max_size=8),
+    graphs(),
+    st.lists(st.sampled_from(SWITCH_LAMBDAS), min_size=1, max_size=6, unique=True),
+    st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True),
+)
+def test_ablation_rows_on_a_summed_corpus_equal_brute_force(concept_sets, graph, lambdas,
+                                                            ks):
+    """Every document holds ``h``, so every graded query is summed at every radius."""
+    docs = [Document(f"d{i}", frozenset(c | {"h"})) for i, c in enumerate(concept_sets)]
+    docs.append(Document("low", frozenset({"h", "c0"})))  # one graded query at least
+    graded = [d for d in derive_labels(docs, GROUPS) if "group" in d.labels]
+    grid = AblationGrid(lambdas=tuple(lambdas), radii=(0, 1, 2), ks=tuple(ks))
+    summed = []
+    sums = ScoringCore._sums
+
+    def recording(self, q, reach):
+        summed.append(q)
+        return sums(self, q, reach)
+
+    with mock.patch.object(ScoringCore, "_sums", recording):
+        rows = ablation_rows(graph, docs, grid, GROUPS, ["group"])
+    assert rows == _brute_ablation_rows(graph, docs, grid)
+    assert len(summed) == 3 * len(graded)
 
 
 class TestErrorPaths:
