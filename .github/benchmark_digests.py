@@ -2,18 +2,19 @@
 
 Usage (from the repository root)::
 
-    python3 .github/benchmark_digests.py WORKLOAD PLAIN.out TRACED.out
+    python3 .github/benchmark_digests.py WORKLOAD RUN.out [RUN.out ...]
 
-``PLAIN.out`` and ``TRACED.out`` hold the stdout of
-``benchmarks/run.py --workload WORKLOAD --seed 1`` with ``--trace 0`` and
-``--trace 1``; the line before the last one carries the SHA-256 of every
-output file.  The check fails when the traced run's digests differ from the
-plain run's, or the plain run's from the seed-1 table below: the index,
-runs, eval report and ablation CSV that every change so far has kept
-byte-identical.  They are CPython 3.11's: on 3.12 and later the
-ablate-labelled eval report differs in one aggregate's last digit.  A
-change that alters output bytes on purpose updates the table and says why
-in CHANGES.md.
+Each ``RUN.out`` holds the stdout of one
+``benchmarks/run.py --workload WORKLOAD --seed SEED --trace 0|1`` run; the
+line before the last one carries the workload, the seed and the SHA-256 of
+every output file.  The check fails when a run is of another workload or of
+a seed with no table below, when runs of one seed (``--trace 0`` and
+``--trace 1``) differ in their digests, or when a run's digests differ from
+its seed's table: the index, runs, eval report and ablation CSV that every
+change so far has kept byte-identical.  They are CPython 3.11's: on 3.12
+and later the ablate-labelled eval report differs in one aggregate's last
+digit.  A change that alters output bytes on purpose updates the tables and
+says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -42,21 +43,57 @@ SEED_1 = {
     },
 }
 
+SEED_7 = {
+    "sparse-large-kg": {
+        "build-index": "86deea8315fbc98e0668a435a7796c4520afa01cacc7e215b0ef4c700e1cdb96",
+        "retrieve": "a312c51f1ae4ed7dcf1dfe1ac14dd71cdebb6f06f1fb1c633611a8bae1ca8a20",
+        "eval": "9f5d9c541e5a73cd34238194d4cf4bc9fee3c6c76435eaa6c5c27e16d9b8a12d",
+        "ablate": "724921588a40ba0ba9fcba4280c98572497ac26f5050e83cd860c84a9567470b",
+    },
+    "dense-small-kg": {
+        "build-index": "5f110af8641988a030e23a3d8b80a3ef54c95ed0ef7b9075340a79d6be6d35c5",
+        "retrieve": "bd13f787868d73a0c50ff5453889232696e5ae776b936ce57da3c9016b252229",
+        "eval": "fbda702010883d660ee29c4a31b958960b30e5a1a9aa6e886eed0474a6f4972b",
+        "ablate": "1f25021b2ebd3209a31631f9ce34f2eb51ddddc677bb32900cf794e1064acd02",
+    },
+    "ablate-labelled": {
+        "build-index": "002d9b364838a1448a6119828239f30019faee9bed7c619ef0bbf846672dc4ef",
+        "retrieve": "31509ffd46c47a0a919719fac4af9b3059d1fad1ab4cd62682c160d8d1653cdf",
+        "eval": "657b90cfbb2cfa8b73b2a92e32819c5c94a4edb6f6a4e9830dc2b2ae1470b631",
+        "ablate": "2515cf126b10ea6be04535509aaf9d21a7bb026da4cb953ce3d11a12614c1867",
+    },
+}
 
-def digests(path: str) -> dict[str, str]:
+TABLES = {1: SEED_1, 7: SEED_7}
+
+
+def summary(path: str) -> dict:
     with open(path, encoding="utf-8") as out:
-        return json.loads(out.read().splitlines()[-2])["digests"]
+        return json.loads(out.read().splitlines()[-2])
 
 
 def main(argv: list[str]) -> int:
-    workload, plain, traced = argv
-    got = digests(plain)
+    if len(argv) < 2:
+        print("usage: benchmark_digests.py WORKLOAD RUN.out [RUN.out ...]", file=sys.stderr)
+        return 2
+    workload, *paths = argv
     problems = []
-    if digests(traced) != got:
-        problems.append("--trace 1 outputs differ from --trace 0 outputs")
-    for stage, want in SEED_1[workload].items():
-        if got.get(stage) != want:
-            problems.append(f"{stage} output SHA-256 {got.get(stage)} != {want}")
+    by_seed: dict[int, dict[str, str]] = {}
+    for path in paths:
+        run = summary(path)
+        seed, got = run["seed"], run["digests"]
+        if run["workload"] != workload:
+            problems.append(f"{path}: a run of {run['workload']}")
+        elif seed not in TABLES:
+            problems.append(f"{path}: no digest table for seed {seed}")
+        elif by_seed.setdefault(seed, got) != got:
+            problems.append(f"{path}: seed {seed} outputs differ from an earlier run's")
+        else:
+            for stage, want in TABLES[seed][workload].items():
+                if got.get(stage) != want:
+                    problems.append(
+                        f"seed {seed} {stage} output SHA-256 {got.get(stage)} != {want}"
+                    )
     for problem in problems:
         print(f"{workload}: {problem}", file=sys.stderr)
     return 1 if problems else 0

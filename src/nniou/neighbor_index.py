@@ -118,7 +118,7 @@ def load_index(path: str | Path) -> NeighborIndex:
     or a neighbor relation that is not symmetric (a neighbor without an
     entry of its own, or one that does not list the concept back).
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = text.splitlines()
     if not lines:
         raise IndexFormatError("empty index file")

@@ -11,8 +11,12 @@ An :class:`EvalConfig` holds k, the weight ``lam`` and the measure; only
 returns every query's top K from it; :func:`ground_truth_ranking` is the
 one-query case.  A system's returned ranking is then graded position by
 position: each result contributes its relevance divided by
-log2(rank + 1), the resulting DCG is normalized by the ideal DCG of the
-ground truth, and the final metric is the mean per-query NDCG.
+log2(rank + 1), the resulting DCG is normalized by the ideal DCG, that of
+the query's k largest scores, and the final metric is the mean per-query
+NDCG.  nn-CUI@K builds no ranking: one count per query scores every
+candidate (:meth:`ScoringCore.gains`), the ideal takes the k largest
+values, and the run's documents are looked up in it, so its result does
+not depend on tie order.
 
 Per-query evaluations are independent; report assembly is a deterministic
 reduction over queries sorted by id.
@@ -20,8 +24,10 @@ reduction over queries sorted by id.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
+from operator import truediv
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, EvaluationError
@@ -205,12 +211,22 @@ def ground_truth_rankings(
     ]
 
 
+# log2(rank + 1) for ranks 1, 2, ...; replaced by a longer table when a list
+# outgrows it, never changed in place
+_DISCOUNTS = [math.log2(rank + 1) for rank in range(1, 65)]
+
+
 def dcg(relevances: Sequence[float]) -> float:
     """Discounted cumulative gain with a log2(rank + 1) position penalty.
 
     Ranks are 1-based, so the first item is undiscounted (log2(2) = 1).
     """
-    return sum(rel / math.log2(j + 1) for j, rel in enumerate(relevances, start=1))
+    global _DISCOUNTS
+    discounts = _DISCOUNTS
+    if len(relevances) > len(discounts):
+        size = max(len(relevances), 2 * len(discounts))
+        discounts = _DISCOUNTS = [math.log2(rank + 1) for rank in range(1, size + 1)]
+    return sum(map(truediv, relevances, discounts))
 
 
 def ndcg_at_k(
@@ -238,8 +254,10 @@ def nn_cui_at_k(
     """Mean NDCG@k of system rankings against measure-derived ground truth.
 
     For each query, the top-k system results are graded by the configured
-    measure against the query's concepts; the ideal ranking is the measure's
-    own descending ordering of the full candidate pool.  Corpus documents
+    measure against the query's concepts; the ideal DCG is that of the k
+    largest scores over the candidate pool, in descending order, so it does
+    not depend on how ties are ordered.  One count per query gives both:
+    :meth:`ScoringCore.gains` scores every candidate once.  Corpus documents
     without a run are skipped as queries and recorded as exclusions; runs
     shorter than k are padded with zero relevance and noted.  The report's
     ``"n"`` is the index's radius, or 1 without an index.
@@ -264,9 +282,11 @@ def nn_cui_at_k(
                 f"query {query_id}: run returned {len(top)} of k={cfg.k} results; "
                 "missing positions padded with zero relevance"
             )
-        system_relevances = [core.score(q, position[r], lam) for r in top]
-        ideal_relevances = [s for s, _ in core.top(q, lam, cfg.k)]
-        per_query[query_id] = ndcg_at_k(system_relevances, ideal_relevances, cfg.k)
+        # non-candidates score exactly 0, so they are not listed
+        gains = core.gains(q, lam)
+        gain = gains.get
+        per_query[query_id] = ndcg_at_k([gain(position[r], 0.0) for r in top],
+                                        heapq.nlargest(cfg.k, gains.values()), cfg.k)
 
     metric = f"nn-CUI@{cfg.k}" if cfg.measure == "nniou" else f"CUI@{cfg.k}"
     config = {

@@ -63,6 +63,10 @@ the pairwise definition byte for byte.  :meth:`ScoringCore.tops` ranks a
 query under a whole list of lambdas from one count, which is how the
 ablation sweep scores each pair once per radius instead of once per
 (radius, lambda) cell; :meth:`ScoringCore.top` is its one-lambda case.
+:meth:`ScoringCore.gains` takes the same count and ranks nothing: it maps
+each candidate to its score, which is all nn-CUI@K needs, since an ideal
+DCG depends only on the k largest gains and a run's documents are looked
+up in it.
 Per lambda, the candidates' float scores come first and the k-th largest
 is a cut: only positive scores at or above it become (-score, id) sort
 keys, so a query builds about k keys instead of one per candidate, and
@@ -90,10 +94,13 @@ class ScoringCore:
     Built once per (corpus, index) from documents with ``id`` and
     ``concepts``; without an index, approximate matching is off and scores
     reduce to IoU.  Queries are corpus positions and never retrieve
-    themselves; document ids are expected to be unique.  Its rankings are
-    fixed at construction; the byte-field counters and the score of each
-    count code are cached as queries first need them, the scores only for
-    the lambdas of the latest :meth:`tops` call.
+    themselves; document ids are expected to be unique.  :meth:`tops`
+    ranks a query (retrieval, the ablation sweep); :meth:`gains` lists its
+    scores unranked (nn-CUI@K).  Both count through one step, so they
+    agree float for float.  Results are fixed at construction; the
+    byte-field counters and the score of each count code are cached as
+    queries first need them, the scores only for the lambdas of the latest
+    :meth:`tops` or :meth:`gains` call.
     """
 
     def __init__(self, docs: Sequence, index: NeighborIndex | None = None):
@@ -147,19 +154,6 @@ class ScoringCore:
         self._one_fields = 0  # 1 in every field
         self._scores: dict[float, _Scores] = {}
 
-    def score(self, q: int, j: int, lam: float) -> float:
-        """nn-IoU of documents ``q`` and ``j``; 0.0 when both are empty."""
-        # unpacked inline as in _walk, not by a shared helper: nn-CUI
-        # calls this k times per query, where a helper call is a visible cost
-        query, packed, width = self._packed[q], self._packed[j], self._width
-        held = query & self._held_bits
-        inter = (held & packed).bit_count()
-        union = self._sizes[q] + self._sizes[j] - inter
-        if not union:
-            return 0.0
-        swapped = query >> width | held << width
-        return (inter + lam * (swapped & packed).bit_count()) / union
-
     def top(self, q: int, lam: float, k: int) -> list[tuple[float, int]]:
         """The first ``k`` (score, document) pairs of query ``q``'s ranking."""
         return self.tops(q, (lam,), k)[0]
@@ -183,23 +177,8 @@ class ScoringCore:
         sharing no concept).
         """
         ids = self.ids
-        if len(ids) < 2:
-            raise EvaluationError(
-                f"no candidate documents for query {ids[q]!r} (corpus too small)"
-            )
-        reach = self._reach[q] & ~(1 << q)
-        # the switch rule (module docstring): sum once the candidates are at
-        # least half of the other documents
-        if self._summable and 2 * reach.bit_count() >= len(ids) - 1:
-            candidates, codes = self._sums(q, reach)
-        else:
-            candidates, codes = self._walk(q, reach)
-        # only this call's lambdas keep their score tables, so a core swept
-        # over many lambdas holds no more tables than one call asks for
-        kept = self._scores
-        self._scores = tables = {
-            lam: kept[lam] if lam in kept else _Scores(lam, self._bits) for lam in lams
-        }
+        reach, candidates, codes = self._count(q)
+        tables = self._tables(lams)
         fill: list[tuple[float, int]] = []  # unreached documents, (0.0, j) in id order
         rankings = []
         for lam in lams:
@@ -228,6 +207,42 @@ class ScoringCore:
                     ranked += fill[:short]
             rankings.append(ranked)
         return rankings
+
+    def gains(self, q: int, lam: float) -> dict[int, float]:
+        """Every candidate of query ``q`` with its score at ``lam``, by position.
+
+        The candidates are the documents :meth:`tops` scores, each score
+        the float it ranks by; every other document, ``q`` itself aside,
+        scores exactly 0 at every lambda (see :meth:`_walk`).  Nothing is
+        ranked: an ideal DCG needs only the largest values.
+        """
+        _, candidates, codes = self._count(q)
+        return dict(zip(candidates, map(self._tables((lam,))[lam].__getitem__, codes)))
+
+    def _count(self, q: int) -> tuple[int, list[int], list[int]]:
+        """Query ``q``'s reach, then its candidates and their count codes."""
+        ids = self.ids
+        if len(ids) < 2:
+            raise EvaluationError(
+                f"no candidate documents for query {ids[q]!r} (corpus too small)"
+            )
+        reach = self._reach[q] & ~(1 << q)
+        # the switch rule (module docstring): sum once the candidates are at
+        # least half of the other documents
+        if self._summable and 2 * reach.bit_count() >= len(ids) - 1:
+            candidates, codes = self._sums(q, reach)
+        else:
+            candidates, codes = self._walk(q, reach)
+        return reach, candidates, codes
+
+    def _tables(self, lams: Sequence[float]) -> dict[float, _Scores]:
+        """The score tables of ``lams``; only they are kept from now on, so a
+        core swept over many lambdas holds no more tables than one call asks for."""
+        kept = self._scores
+        self._scores = tables = {
+            lam: kept[lam] if lam in kept else _Scores(lam, self._bits) for lam in lams
+        }
+        return tables
 
     def _walk(self, q: int, reach: int) -> tuple[list[int], list[int]]:
         """``q``'s candidates in position order, each with its count code.

@@ -326,6 +326,24 @@ class TestRetrieveAndEval:
                      "--edges", str(large), "--out", str(tmp_path / "large.runs")]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_index_file_may_start_with_a_byte_order_mark(self, workspace, capsys, mark):
+        """retrieve and eval read a marked index like the file build-index wrote."""
+        tmp_path, edges, corpus, cmap, index = self._build(workspace)
+        marked = tmp_path / "marked.nnidx"
+        marked.write_bytes(mark + index.read_bytes())
+        outputs = []
+        for source in (index, marked):
+            runs = tmp_path / f"{source.stem}.runs"
+            report = tmp_path / f"{source.stem}.json"
+            assert main(["retrieve", "--corpus", str(corpus), "--index", str(source),
+                         "--edges", str(edges), "--k", "5", "--out", str(runs)]) == 0
+            assert main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                         "--index", str(source), "--k", "5", "--out", str(report)]) == 0
+            assert capsys.readouterr().err == ""
+            outputs.append((runs.read_bytes(), report.read_bytes()))
+        assert outputs[1] == outputs[0]
+
     def test_eval_repeated_category_is_usage_error(self, workspace, capsys):
         tmp_path, edges, corpus, cmap = workspace
         runs = tmp_path / "r.runs"

@@ -125,6 +125,15 @@ class TestPersistence:
         assert index.source_checksum == "abc123"
         assert index.neighbors("C0042449") == {"C0005847"}
 
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_byte_order_mark_is_skipped(self, anatomy_graph, tmp_path, mark):
+        index = build_index(anatomy_graph, set(anatomy_graph.node_names), 1)
+        saved = tmp_path / "saved.nnidx"
+        save_index(index, saved)
+        marked = tmp_path / "marked.nnidx"
+        marked.write_bytes(mark + saved.read_bytes())
+        assert load_index(marked) == index
+
     @pytest.mark.parametrize("concept", ["a,b", "a\tb", "a\nb", "a\u2028b"])
     def test_unstorable_concept_rejected_before_writing(self, tmp_path, concept):
         graph = KnowledgeGraph.from_edges([(concept, "p"), ("q,r", "p")])

@@ -1,8 +1,9 @@
 """The pruned scoring core against the pairwise brute force it replaces.
 
-Every ranking the toolkit produces (retrieval runs, nn-CUI@K's ideal
-rankings and ablation cells) goes through ``ScoringCore``; these tests pin
-it, byte for byte, to sorting every other document by (-nn_iou, id).
+Every ranking the toolkit produces (retrieval runs and ablation cells)
+goes through ``ScoringCore.tops``, and every nn-CUI@K gain through
+``ScoringCore.gains``; these tests pin them, byte for byte, to sorting
+every other document by (-nn_iou, id) and to nn_iou itself.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from nniou import (
     ConfigError,
     Document,
     EvalConfig,
+    EvaluationError,
     KnowledgeGraph,
     NeighborIndex,
     RankingRun,
@@ -316,9 +318,11 @@ def test_related_concepts_on_the_first_and_last_concept_bits(entries):
             return nn_iou(a, b, lam, index)
 
         for q, query in enumerate(docs):
+            gains = core.gains(q, lam)
             for j, doc in enumerate(docs):
                 related |= rel_set(query.concepts, doc.concepts, index)
-                assert core.score(q, j, lam) == score(query.concepts, doc.concepts)
+                if j != q:
+                    assert gains.get(j, 0.0) == score(query.concepts, doc.concepts)
             expected = brute_ranking(query, docs, score)
             top = core.top(q, lam, len(docs) - 1)
             assert [core.ids[j] for _, j in top] == expected
@@ -556,6 +560,86 @@ def test_dense_rankings_and_nn_cui_equal_brute_force(case, lam, data):
     assert len(summed) == 2 * sum(1 for d in docs if d.concepts)
 
 
+def _gains_equal_nn_iou(docs, index, lams):
+    """Every pair q != j: the gain, 0.0 for a non-candidate, is nn_iou's float.
+
+    Returns the queries whose count was summed.
+    """
+    core = ScoringCore(docs, index)
+    summed = []
+    sums = ScoringCore._sums
+
+    def recording(self, q, reach):
+        summed.append(q)
+        return sums(self, q, reach)
+
+    with mock.patch.object(ScoringCore, "_sums", recording):
+        for lam in lams:
+            for q, query in enumerate(docs):
+                gains = core.gains(q, lam)
+                assert q not in gains and set(gains) <= set(range(len(docs)))
+                for j, doc in enumerate(docs):
+                    if j == q:
+                        continue
+                    expected = (nn_iou(query.concepts, doc.concepts, lam, index)
+                                if index is not None else iou(query.concepts, doc.concepts))
+                    got = gains.get(j, 0.0)
+                    assert got == expected and type(got) is float
+                    if j not in gains:  # a non-candidate: no shared or related concept
+                        assert not query.concepts & doc.concepts
+                        assert index is None or not rel_set(query.concepts, doc.concepts,
+                                                            index)
+                assert core.gains(q, lam) == gains
+    assert list(core._scores) == [lams[-1]]
+    return summed
+
+
+@settings(max_examples=150)
+@given(summed_corpora())
+def test_gains_of_summed_queries_equal_nn_iou(case):
+    docs, index = case
+    summed = _gains_equal_nn_iou(docs, index, SWITCH_LAMBDAS)
+    nonempty = [q for q, d in enumerate(docs) if d.concepts]
+    assert summed and sorted(set(summed)) == nonempty
+
+
+@settings(max_examples=100)
+@given(walked_corpora())
+def test_gains_of_walked_queries_equal_nn_iou(case):
+    docs, index = case
+    assert _gains_equal_nn_iou(docs, index, SWITCH_LAMBDAS) == []
+
+
+@settings(max_examples=150)
+@given(settings_cases())
+def test_gains_equal_nn_iou_on_graph_and_asymmetric_indexes(case):
+    docs, _, index = case
+    _gains_equal_nn_iou(docs, index, SWITCH_LAMBDAS)
+
+
+def test_nn_cui_ranks_no_query(monkeypatch):
+    """The ideal DCG comes from the k largest gains, so tops is never called."""
+    index = NeighborIndex(radius=1, source_checksum="hand",
+                          entries={"a": frozenset({"b"}), "b": frozenset({"a"})})
+    docs = [Document(i, frozenset(c)) for i, c in
+            (("q", "ab"), ("r", "a"), ("s", "b"), ("t", "c"), ("u", ""))]
+    runs = [RankingRun(d.id, [o.id for o in reversed(docs) if o is not d][:2])
+            for d in docs]
+    cfg = EvalConfig(k=3, lam=0.5)
+    ranked = []
+    tops = ScoringCore.tops
+
+    def counting(core, q, lams, k):
+        ranked.append(q)
+        return tops(core, q, lams, k)
+
+    monkeypatch.setattr(ScoringCore, "tops", counting)
+    report = nn_cui_at_k(docs, runs, cfg, index)
+    assert ranked == []
+    assert report.per_query == brute_nn_cui(docs, runs, cfg.k,
+                                            lambda a, b: nn_iou(a, b, cfg.lam, index))
+
+
 GROUPS = {"group": {"low": frozenset({"c0", "c1", "zz"}),
                     "high": frozenset({"c4", "c5", "c6"})}}
 
@@ -671,6 +755,17 @@ class TestErrorPaths:
                      "--k", "3", "--out", str(tmp_path / "x.runs")])
         assert code == 2
         assert "no candidate documents for query 'only'" in capsys.readouterr().err
+
+    def test_one_document_corpus_has_no_gains_either(self):
+        docs = [Document("only", frozenset({"x"}))]
+        core = ScoringCore(docs)
+        message = "no candidate documents for query 'only' (corpus too small)"
+        for call in (lambda: core.top(0, 0.5, 1), lambda: core.gains(0, 0.5),
+                     lambda: nn_cui_at_k(docs, [RankingRun("only", [])],
+                                         EvalConfig(k=1, measure="iou"))):
+            with pytest.raises(EvaluationError) as raised:
+                call()
+            assert str(raised.value) == message
 
     def test_missing_index_raises_the_nn_iou_config_error(self):
         with pytest.raises(ConfigError) as pairwise:
