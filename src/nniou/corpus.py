@@ -12,8 +12,9 @@ Class map (single JSON object)::
 
     {"modality": {"ct": ["C0000001", ...], "mri": [...]}, "organ": {...}}
 
-Readers validate shape and identifiers and report the offending line
-number; writers emit deterministic, diff-friendly output.
+JSON Lines records end at ``\n``, ``\r\n`` or ``\r``.  Readers validate
+shape and identifiers and report the offending line number; writers emit
+deterministic, diff-friendly output.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DataFileError, EvaluationError
+from .kg_store import _lines
 from .neighbor_index import _UNSTORABLE
 from .ranking_eval import Document, RankingRun
 
 
 def _jsonl_records(path: str | Path):
     text = Path(path).read_text(encoding="utf-8-sig")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         stripped = line.strip()
         if not stripped:
             continue

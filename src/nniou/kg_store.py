@@ -11,8 +11,8 @@ decided at load time by Kahn's in-degree peel, linear in nodes plus
 edges; the graph's ``acyclic`` and ``cycle`` attributes hold the verdict
 and, for a cyclic graph, a witness cycle.
 
-Edge file format (UTF-8 text, one record per line; a leading byte-order
-mark is skipped):
+Edge file format (UTF-8 text, one record per line, lines ending at
+``\n``, ``\r\n`` or ``\r``; a leading byte-order mark is skipped):
   - ``#`` starts a comment line; blank lines are ignored
   - ``child<TAB>parent`` declares an is_a edge
   - a bare ``node`` registers an isolated concept
@@ -55,6 +55,17 @@ def normalize_concept_id(raw: str, strict_cui: bool = False) -> str:
             f"invalid CUI {concept!r}: expected the letter 'C' followed by seven digits"
         )
     return concept
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` split at ``\n``, ``\r\n`` and ``\r`` only.
+
+    ``str.splitlines`` also splits at ``\v``, ``\f``, ``\x1c``-``\x1e``,
+    U+0085, U+2028 and U+2029, which may sit inside a record.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def _reject(fields: Sequence[str], strict_cui: bool, line: int | None) -> None:
@@ -324,7 +335,7 @@ def parse_edge_file(path: str | Path, strict_cui: bool = False) -> KnowledgeGrap
     data = Path(path).read_bytes()
     rows = (
         (lineno, line.split("\t"))
-        for lineno, line in enumerate(data.decode("utf-8-sig").splitlines(), start=1)
+        for lineno, line in enumerate(_lines(data.decode("utf-8-sig")), start=1)
         if (stripped := line.strip()) and stripped[0] != "#"
     )
     return KnowledgeGraph(*_intern(rows, strict_cui), hashlib.sha256(data).hexdigest())

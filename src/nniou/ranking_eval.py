@@ -190,7 +190,7 @@ def ground_truth_ranking(
     """
     pool = [doc for doc in _docs_by_id(corpus).values() if doc.id != query.id] + [query]
     core, lam = scoring_core(pool, cfg, index)
-    ranked = core.top(len(pool) - 1, lam, len(pool) - 1)
+    ranked = core.tops(len(pool) - 1, (lam,), len(pool) - 1)[0]
     return RankingRun(query.id, [core.ids[j] for _, j in ranked])
 
 
@@ -206,7 +206,7 @@ def ground_truth_rankings(
     """
     core, lam = scoring_core(list(_docs_by_id(corpus).values()), cfg, index)
     return [
-        RankingRun(query_id, [core.ids[j] for _, j in core.top(q, lam, cfg.k)])
+        RankingRun(query_id, [core.ids[j] for _, j in core.tops(q, (lam,), cfg.k)[0]])
         for q, query_id in enumerate(core.ids)
     ]
 

@@ -36,9 +36,9 @@ The two halves of ``rel`` are :func:`nniou.relevance.rel_set`'s two loops,
   of ``spread[c]`` over ``A``, and ``rel`` the sum of ``meets[c]`` over
   ``A`` plus that of ``spread[c]`` over ``near(A) - A``: a few dozen big
   int additions.  ``to_bytes`` reads the sums out, and one
-  ``memoryview.cast`` gives every document's code.  A concept's two ints
-  are built from its bitmasks with bytes work (``bin``, ``translate``,
-  ``int.from_bytes``) when a summed query first needs them.
+  ``memoryview.cast`` gives every document's code.  The core's first
+  summed query builds every concept's two ints from its bitmasks with
+  bytes work (``bin``, ``translate``, ``int.from_bytes``).
 
 The switch rule is fixed: a query is summed when its candidates are at
 least half of the other documents, and walked otherwise.  The walk costs
@@ -62,7 +62,7 @@ A code's score at a lambda is the same float expression as
 the pairwise definition byte for byte.  :meth:`ScoringCore.tops` ranks a
 query under a whole list of lambdas from one count, which is how the
 ablation sweep scores each pair once per radius instead of once per
-(radius, lambda) cell; :meth:`ScoringCore.top` is its one-lambda case.
+(radius, lambda) cell.
 :meth:`ScoringCore.gains` takes the same count and ranks nothing: it maps
 each candidate to its score, which is all nn-CUI@K needs, since an ideal
 DCG depends only on the k largest gains and a run's documents are looked
@@ -97,9 +97,10 @@ class ScoringCore:
     themselves; document ids are expected to be unique.  :meth:`tops`
     ranks a query (retrieval, the ablation sweep); :meth:`gains` lists its
     scores unranked (nn-CUI@K).  Both count through one step, so they
-    agree float for float.  Results are fixed at construction; the
-    byte-field counters and the score of each count code are cached as
-    queries first need them, the scores only for the lambdas of the latest
+    agree float for float.  Results are fixed at construction, and the
+    index is read only there.  The first summed query builds every
+    concept's byte-field counters; the score of each count code is cached
+    as queries first need it, only for the lambdas of the latest
     :meth:`tops` or :meth:`gains` call.
     """
 
@@ -120,43 +121,38 @@ class ScoringCore:
         # without an index no concept is near, so only the held half is set
         self._packed = [sum(1 << bit[c] for c in doc.concepts) for doc in docs]
 
-        reach = postings
+        # near[c]: the documents B with c in near(B), i.e. holding a concept
+        # c lists; reach[c] adds those that hold c or a concept listing c
+        near = [0] * width
+        reach = list(postings)
         if index is not None:
             listed_by = [0] * width
-            reach = list(postings)
             for c, i in bit.items():
                 for neighbor in index.neighbors(c):
                     n = bit.get(neighbor)
                     if n is not None:
                         listed_by[n] |= 1 << i
-                        reach[i] |= postings[n]
+                        near[i] |= postings[n]
                         reach[n] |= postings[i]
             self._packed = [
                 held | (_union(bit, listed_by, doc.concepts) & ~held) << width
                 for held, doc in zip(self._packed, docs)
             ]
+        reach = [r | n for r, n in zip(reach, near)]
         self._reach = [_union(bit, reach, doc.concepts) for doc in docs]
-        # kept for the sums' counters, built only when a query is summed
-        self._bit, self._names = bit, list(bit)
-        self._postings, self._index = postings, index
+        self._postings, self._near = postings, near  # for the sums' counters
 
         # bits per count field: inter <= the largest size, rel and union
         # <= twice that; the size limit of the sums (module docstring)
         self._bits = max(8, (2 * max(self._sizes, default=0)).bit_length())
         self._summable = self._bits == 8 and sys.byteorder == "little"
         self._inter_weight = (1 << 2 * self._bits) - 1
-        # spread[c] and meets[c] (see _sums), filled in only for the concepts
-        # in the mask _built
+        # spread[c] and meets[c] (see _sums), built on the first summed query
         self._spread: list[int] = []
         self._meets: list[int] = []
-        self._built = 0
         self._size_fields = 0  # each document's size in its field
         self._one_fields = 0  # 1 in every field
         self._scores: dict[float, _Scores] = {}
-
-    def top(self, q: int, lam: float, k: int) -> list[tuple[float, int]]:
-        """The first ``k`` (score, document) pairs of query ``q``'s ranking."""
-        return self.tops(q, (lam,), k)[0]
 
     def tops(
         self, q: int, lams: Sequence[float], k: int
@@ -287,10 +283,10 @@ class ScoringCore:
         largest document's size, and ``rel`` and ``union`` at most twice
         that, below 256 in a summable corpus.
         """
-        held = self._packed[q] & self._held_bits
-        near = self._packed[q] >> self._width
-        self._build(held | near)
-        spread, held, near = self._spread, _digits(held), _digits(near)
+        if not self._spread:
+            self._build()
+        spread, packed = self._spread, self._packed[q]
+        held, near = _digits(packed & self._held_bits), _digits(packed >> self._width)
         inter = sum(compress(spread, held))
         rel = sum(compress(self._meets, held)) + sum(compress(spread, near))
         union = self._size_fields + self._sizes[q] * self._one_fields - inter
@@ -304,30 +300,13 @@ class ScoringCore:
         codes = memoryview(data).cast("I")
         return list(compress(count(), chosen)), list(compress(codes, chosen))
 
-    def _build(self, concepts: int) -> None:
-        """Fill in ``spread`` and ``meets`` for the concepts in the mask ``concepts``."""
-        todo = concepts & ~self._built
-        if not todo:
-            return
-        if not self._built:
-            self._spread = [0] * self._width
-            self._meets = [0] * self._width
-            self._size_fields = int.from_bytes(bytes(self._sizes), "little")
-            self._one_fields = int.from_bytes(b"\1" * len(self.ids), "little")
-        postings, bit, names = self._postings, self._bit, self._names
-        for c in compress(count(), _digits(todo)):
-            # the documents that hold a concept c lists, so have c near, but
-            # do not hold c
-            near = 0
-            if self._index is not None:
-                for neighbor in self._index.neighbors(names[c]):
-                    n = bit.get(neighbor)
-                    if n is not None:
-                        near |= postings[n]
-            self._spread[c] = _fields(postings[c])
-            self._meets[c] = _fields(near & ~postings[c])
-        # marked only once filled in, so an interrupted build is redone
-        self._built |= todo
+    def _build(self) -> None:
+        """Fill in ``spread`` and ``meets`` for every concept."""
+        self._size_fields = int.from_bytes(bytes(self._sizes), "little")
+        self._one_fields = int.from_bytes(b"\1" * len(self.ids), "little")
+        self._meets = [_fields(near & ~held) for held, near in zip(self._postings, self._near)]
+        # assigned last, so an interrupted build is redone
+        self._spread = list(map(_fields, self._postings))
 
 
 class _Scores(dict):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 
@@ -56,13 +57,14 @@ class DistanceOracle:
 def oracle_edge_file(text: str):
     """Nodes and edges in first-seen order, plus the undirected adjacency.
 
-    Follows the documented format: ``#`` comment lines and blank lines are
-    skipped, fields are tab-separated and trimmed, duplicates collapse.
-    The text must be well-formed.
+    Follows the documented format: lines end at ``\n``, ``\r\n`` or ``\r``,
+    ``#`` comment lines and blank lines are skipped, fields are
+    tab-separated and trimmed, duplicates collapse.  The text must be
+    well-formed.
     """
     nodes: list[str] = []
     edges: list[tuple[str, str]] = []
-    for line in text.splitlines():
+    for line in re.split(r"\r\n|\r|\n", text):
         if not line.strip() or line.strip().startswith("#"):
             continue
         fields = [field.strip() for field in line.split("\t")]

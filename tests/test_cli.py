@@ -263,6 +263,21 @@ class TestRetrieveAndEval:
         assert lines[0] == "metric,query_id,score"
         assert lines[1].startswith("CUI@3,ct000,")
 
+    def test_an_id_holding_u2028_round_trips_retrieve_then_eval(self, tmp_path, capsys):
+        """Runs are written with the raw U+2028, which ends no record on reading."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a\\u2028b", "cuis": ["x"]}\n'
+                          '{"id": "c", "cuis": ["x", "y"]}\n', encoding="utf-8")
+        runs = tmp_path / "r.runs"
+        assert main(["retrieve", "--corpus", str(corpus), "--measure", "iou",
+                     "--k", "1", "--out", str(runs)]) == 0
+        assert "a\u2028b" in runs.read_text(encoding="utf-8")
+        assert [r.ranked_ids for r in read_runs(runs)] == [["c"], ["a\u2028b"]]
+        capsys.readouterr()
+        assert main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--measure", "iou", "--k", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"][0]["aggregate"] == 1.0
+
     def test_retrieve_k_beyond_corpus_returns_all_candidates(self, workspace):
         tmp_path, edges, corpus, cmap, index = self._build(workspace)
         runs_path = tmp_path / "all.runs"

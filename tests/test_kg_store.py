@@ -64,6 +64,16 @@ class TestParseEdgeFile:
         with pytest.raises(EdgeFileError, match="line 2"):
             parse_edge_file(_write(tmp_path, "a\tb\nx\ty\tz\n"))
 
+    @pytest.mark.parametrize("inner", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"])
+    def test_records_end_only_at_newlines(self, tmp_path, inner):
+        """``str.splitlines`` would split here, making node C1 and edge C9 -> C2."""
+        graph = parse_edge_file(_write(tmp_path, f"C1{inner}C9\tC2\r\nC3\tC4\rC5\n"))
+        assert graph.edges() == [(f"C1{inner}C9", "C2"), ("C3", "C4")]
+        assert graph.node_names == (f"C1{inner}C9", "C2", "C3", "C4", "C5")
+        with pytest.raises(EdgeFileError, match="line 2"):
+            parse_edge_file(_write(tmp_path, f"C1{inner}C9\tC2\nx\ty\tz\n"))
+
     def test_self_loop_reports_line_number(self, tmp_path):
         with pytest.raises(EdgeFileError, match="line 3.*self-loop"):
             parse_edge_file(_write(tmp_path, "a\tb\nb\tc\nq\tq\n"))
@@ -184,7 +194,8 @@ class TestConceptIds:
             KnowledgeGraph.from_edges([("a", "a")])
 
 
-NAMES = ["a", "b", "c", "d", "e", "x y", "C0000001"]
+# "x\u2028y": str.splitlines would end a line inside it, the loader must not
+NAMES = ["a", "b", "c", "d", "e", "x y", "x\u2028y", "C0000001"]
 _pad = st.sampled_from(["", " ", "  "])
 _name = st.builds(lambda l, n, r: l + n + r, _pad, st.sampled_from(NAMES), _pad)
 _pair = st.tuples(_name, _name).filter(lambda t: t[0].strip() != t[1].strip())
@@ -203,7 +214,7 @@ def edge_file_texts(draw):
     if len(ring) >= 2:
         lines += [f"{a}\t{b}" for a, b in zip(ring, ring[1:] + ring[:1])]
     lines = draw(st.permutations(lines))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 

@@ -1,4 +1,5 @@
-"""What outside code relies on: the public names and the module attributes the benchmark traces.
+"""What outside code relies on: the public names, the module attributes the
+benchmark traces, and a runtime that needs nothing beyond the standard library.
 
 ``benchmarks/tracer.py`` replaces module globals of ``nniou`` by name, so a
 rename or deletion inside the package would break the traced benchmark
@@ -7,8 +8,10 @@ without failing any other test.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import nniou
@@ -33,3 +36,23 @@ def test_every_traced_attribute_exists():
         if not hasattr(importlib.import_module(f"nniou.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    package = Path(nniou.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert modules
+    outside = []
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{module.name}: {name}" for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

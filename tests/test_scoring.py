@@ -109,7 +109,7 @@ def test_core_rankings_equal_brute_force(case):
     by_id = {d.id: d for d in docs}
     for q, query in enumerate(docs):
         expected = brute_ranking(query, docs, score)
-        top = core.top(q, lam, cfg.k)
+        top = core.tops(q, (lam,), cfg.k)[0]
         assert [core.ids[j] for _, j in top] == expected[: cfg.k]
         assert [s for s, _ in top] == [
             score(by_id[i].concepts, query.concepts) for i in expected[: cfg.k]
@@ -162,7 +162,7 @@ def test_tops_equal_brute_force_for_every_lambda(docs, radius, data):
             assert [s for s, _ in ranked] == [
                 score(by_id[i].concepts, query.concepts) for i in expected
             ]
-        assert core.top(q, lams[0], k) == rankings[0]
+        assert core.tops(q, (lams[0],), k)[0] == rankings[0]
 
 
 @settings(max_examples=200)
@@ -183,7 +183,7 @@ def test_shared_zero_fill_equals_one_lambda_at_a_time(docs, radius, data):
         ]
         for k in range(1, len(docs)):
             rankings = core.tops(q, lams, k)
-            assert rankings == [core.top(q, lam, k) for lam in lams]
+            assert rankings == [core.tops(q, (lam,), k)[0] for lam in lams]
             assert [[core.ids[j] for _, j in r] for r in rankings] == [
                 ids[:k] for ids in expected
             ]
@@ -208,7 +208,7 @@ def test_lambda_zero_candidate_sorts_by_id_between_non_candidates():
             assert [[core.ids[j] for _, j in r] for r in rankings] == [
                 named[lam][:k] for lam in lams
             ]
-    assert core.top(2, 0.0, 4) == [(1.0, 4), (0.0, 3), (0.0, 1), (0.0, 0)]
+    assert core.tops(2, (0.0,), 4)[0] == [(1.0, 4), (0.0, 3), (0.0, 1), (0.0, 0)]
 
 
 @settings(max_examples=200)
@@ -276,7 +276,7 @@ def test_ties_straddling_the_kth_place_break_by_id(case):
         for k in range(1, len(docs) + 1):
             assert core.tops(q, lams, k) == [ranked[:k] for ranked in full]
             for lam, ranked in zip(lams, full):
-                assert core.top(q, lam, k) == ranked[:k]
+                assert core.tops(q, (lam,), k)[0] == ranked[:k]
     assert straddled
     for lam in lams:
         for k in (1, 2, 3, len(docs)):
@@ -324,7 +324,7 @@ def test_related_concepts_on_the_first_and_last_concept_bits(entries):
                 if j != q:
                     assert gains.get(j, 0.0) == score(query.concepts, doc.concepts)
             expected = brute_ranking(query, docs, score)
-            top = core.top(q, lam, len(docs) - 1)
+            top = core.tops(q, (lam,), len(docs) - 1)[0]
             assert [core.ids[j] for _, j in top] == expected
             assert [s for s, _ in top] == [
                 score(by_id[i].concepts, query.concepts) for i in expected
@@ -424,6 +424,19 @@ def walked_corpora(draw):
     return [Document(i, frozenset(c)) for i, c in zip(ids, concept_sets)], index
 
 
+def _brute_tops(docs, index, q):
+    """Query ``q``'s full (score, position) ranking under each of SWITCH_LAMBDAS."""
+    position = {d.id: j for j, d in enumerate(docs)}
+    expected = []
+    for lam in SWITCH_LAMBDAS:
+        def score(a, b, lam=lam):
+            return nn_iou(a, b, lam, index) if index is not None else iou(a, b)
+
+        expected.append([(score(docs[position[i]].concepts, docs[q].concepts), position[i])
+                         for i in brute_ranking(docs[q], docs, score)])
+    return expected
+
+
 def _ranks_like_brute_force(docs, index):
     """Rank every query under SWITCH_LAMBDAS at every k from 1 to N + 2.
 
@@ -431,7 +444,6 @@ def _ranks_like_brute_force(docs, index):
     counts are also checked against the walk's.
     """
     core = ScoringCore(docs, index)
-    by_id = {d.id: d for d in docs}
     summed = []
     sums = ScoringCore._sums
 
@@ -442,15 +454,8 @@ def _ranks_like_brute_force(docs, index):
         return counted
 
     with mock.patch.object(ScoringCore, "_sums", recording):
-        for q, query in enumerate(docs):
-            expected = []
-            for lam in SWITCH_LAMBDAS:
-                def score(a, b, lam=lam):
-                    return nn_iou(a, b, lam, index) if index is not None else iou(a, b)
-
-                ranked = brute_ranking(query, docs, score)
-                expected.append([(score(by_id[i].concepts, query.concepts), core.ids.index(i))
-                                 for i in ranked])
+        for q in range(len(docs)):
+            expected = _brute_tops(docs, index, q)
             for k in range(1, len(docs) + 3):
                 assert core.tops(q, SWITCH_LAMBDAS, k) == [e[:k] for e in expected]
     return core, summed
@@ -472,7 +477,7 @@ def test_walked_queries_rank_like_brute_force_and_build_no_counters(case):
     docs, index = case
     core, summed = _ranks_like_brute_force(docs, index)
     assert summed == []
-    assert core._built == 0 and core._spread == [] and core._meets == []
+    assert core._spread == [] and core._meets == []
 
 
 @settings(max_examples=50)
@@ -483,7 +488,7 @@ def test_a_dense_corpus_with_a_document_of_130_concepts_is_walked(case, data):
     docs[j] = replace(docs[j], concepts=docs[j].concepts | set(WIDE))
     core, summed = _ranks_like_brute_force(docs, index)
     assert summed == []
-    assert core._built == 0 and core._spread == [] and core._meets == []
+    assert core._spread == [] and core._meets == []
 
 
 @pytest.mark.parametrize("size, summed", [(127, True), (128, False)])
@@ -491,29 +496,63 @@ def test_sums_need_every_count_in_one_byte(size, summed):
     big = Document("big", frozenset({"h"} | {f"w{i}" for i in range(size - 1)}))
     docs = [big] + [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(3)]
     core = ScoringCore(docs)
-    assert core.top(1, 0.5, 3) == [(1 / 3, 2), (1 / 3, 3), (1 / (size + 1), 0)]
-    assert bool(core._built) == summed
+    assert core.tops(1, (0.5,), 3)[0] == [(1 / 3, 2), (1 / 3, 3), (1 / (size + 1), 0)]
+    assert bool(core._spread) == summed
 
 
 def test_an_interrupted_counter_build_is_redone():
-    """A build cut short marks no concept as built, so the next query redoes it."""
+    """A build cut short leaves no counters, so the next summed query redoes it."""
     docs = [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(4)]
     index = NeighborIndex(radius=1, source_checksum="hand",
                           entries={"h": frozenset({"x0"}), "x1": frozenset({"x2"})})
     core = ScoringCore(docs, index)
     expected = ScoringCore(docs, index).tops(1, SWITCH_LAMBDAS, 3)
-    with mock.patch.object(NeighborIndex, "neighbors", side_effect=MemoryError):
+    with mock.patch("nniou.scoring._fields", side_effect=MemoryError):
         with pytest.raises(MemoryError):
             core.tops(1, SWITCH_LAMBDAS, 3)
-    assert core._built == 0
+    assert core._spread == []
     assert core.tops(1, SWITCH_LAMBDAS, 3) == expected
+
+
+@settings(max_examples=100)
+@given(summed_corpora())
+def test_a_built_core_never_reads_its_index_again(case):
+    """Every query ranks like brute force while the index cannot be read."""
+    docs, index = case
+    core = ScoringCore(docs, index)
+    expected = [_brute_tops(docs, index, q) for q in range(len(docs))]
+    unreadable = AssertionError("neighbor index read after construction")
+    with mock.patch.object(NeighborIndex, "neighbors", side_effect=unreadable):
+        for q, ranked in enumerate(expected):
+            assert core.tops(q, SWITCH_LAMBDAS, len(docs)) == ranked
+
+
+@settings(max_examples=100)
+@given(summed_corpora())
+def test_the_first_summed_query_builds_every_concepts_counters(case):
+    docs, index = case
+    core = ScoringCore(docs, index)
+    assert core._spread == [] and core._meets == []
+    # every query with concepts is summed
+    core.tops(next(q for q, d in enumerate(docs) if d.concepts), SWITCH_LAMBDAS, 1)
+    names = list(dict.fromkeys(c for d in docs for c in d.concepts))  # bit order
+
+    def fields(holds):
+        return sum(1 << 8 * j for j, d in enumerate(docs) if holds(d.concepts))
+
+    def listed(c):
+        return index.neighbors(c) if index is not None else frozenset()
+
+    assert core._spread == [fields(lambda a, c=c: c in a) for c in names]
+    assert core._meets == [fields(lambda a, c=c: c not in a and a & listed(c))
+                           for c in names]
 
 
 def test_score_tables_are_kept_for_the_latest_lambdas_only():
     docs = [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(4)]
     core = ScoringCore(docs)
     for step in range(100):
-        core.top(0, step / 100, 3)
+        core.tops(0, (step / 100,), 3)
     assert list(core._scores) == [0.99]
     core.tops(0, SWITCH_LAMBDAS, 3)
     assert list(core._scores) == list(SWITCH_LAMBDAS)
@@ -526,8 +565,8 @@ def test_both_counts_agree_on_a_query_with_no_concepts_in_a_dense_corpus():
     ]
     core = ScoringCore(docs)
     assert core._sums(0, 0) == core._walk(0, 0) == ([], [])
-    assert core.top(0, 0.5, 4) == [(0.0, 1), (0.0, 2), (0.0, 3), (0.0, 4)]
-    assert core.top(1, 0.5, 4) == [(1 / 3, 2), (1 / 3, 3), (1 / 3, 4), (0.0, 0)]
+    assert core.tops(0, (0.5,), 4)[0] == [(0.0, 1), (0.0, 2), (0.0, 3), (0.0, 4)]
+    assert core.tops(1, (0.5,), 4)[0] == [(1 / 3, 2), (1 / 3, 3), (1 / 3, 4), (0.0, 0)]
 
 
 @settings(max_examples=100)
@@ -760,7 +799,7 @@ class TestErrorPaths:
         docs = [Document("only", frozenset({"x"}))]
         core = ScoringCore(docs)
         message = "no candidate documents for query 'only' (corpus too small)"
-        for call in (lambda: core.top(0, 0.5, 1), lambda: core.gains(0, 0.5),
+        for call in (lambda: core.tops(0, (0.5,), 1), lambda: core.gains(0, 0.5),
                      lambda: nn_cui_at_k(docs, [RankingRun("only", [])],
                                          EvalConfig(k=1, measure="iou"))):
             with pytest.raises(EvaluationError) as raised:
