@@ -26,10 +26,10 @@ from __future__ import annotations
 import hashlib
 import re
 from array import array
-from itertools import accumulate, chain
-from operator import add
+from itertools import accumulate, chain, compress, islice
+from operator import add, eq, not_
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeFileError, UnknownConceptError
 
@@ -39,6 +39,8 @@ CUI_PATTERN = re.compile(r"C\d{7}")
 # unique while node ids stay below 2**32.
 _SHIFT = 32
 _MASK = (1 << _SHIFT) - 1
+# characters per slice that _lines splits in one call
+_CHUNK = 1 << 16
 
 
 def normalize_concept_id(raw: str, strict_cui: bool = False) -> str:
@@ -57,15 +59,21 @@ def normalize_concept_id(raw: str, strict_cui: bool = False) -> str:
     return concept
 
 
-def _lines(text: str) -> list[str]:
-    """``text`` split at ``\n``, ``\r\n`` and ``\r`` only.
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, split at ``\n``, ``\r\n`` and ``\r`` only.
 
     ``str.splitlines`` also splits at ``\v``, ``\f``, ``\x1c``-``\x1e``,
-    U+0085, U+2028 and U+2029, which may sit inside a record.
+    U+0085, U+2028 and U+2029, which may sit inside a record.  Lines are
+    split from slices of about ``_CHUNK`` characters, so a large file's
+    lines are never all alive at once.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+    start = 0
+    while (end := text.find("\n", start + _CHUNK)) >= 0:
+        yield from text[start:end].split("\n")
+        start = end + 1
+    yield from text[start:].split("\n")
 
 
 def _reject(fields: Sequence[str], strict_cui: bool, line: int | None) -> None:
@@ -117,10 +125,15 @@ def _intern(
                 f"expected 1 or 2 tab-separated fields, got {len(fields)}",
                 line=line,
             )
-    distinct = dict.fromkeys([c << _SHIFT | p for c, p in zip(children, parents)])
-    if len(distinct) < len(children):
-        children = [key >> _SHIFT for key in distinct]
-        parents = [key & _MASK for key in distinct]
+    # A repeated edge repeats its child.  Keying every edge takes several
+    # times the memory of the edge lists, so it is done only when some
+    # child is listed twice, which a tree never does.
+    ordered = sorted(children)
+    if any(map(eq, ordered, islice(ordered, 1, None))):
+        distinct = dict.fromkeys([c << _SHIFT | p for c, p in zip(children, parents)])
+        if len(distinct) < len(children):
+            children = [key >> _SHIFT for key in distinct]
+            parents = [key & _MASK for key in distinct]
     return index, children, parents
 
 
@@ -162,7 +175,8 @@ def _kahn(
     ``indegree`` is consumed: afterwards it is nonzero exactly on the
     nodes left unpeeled, which all lie on or above a directed cycle.
     """
-    order = [v for v in range(len(indegree)) if not indegree[v]]
+    # an array, not a list, so a large graph's ids are not all alive as ints
+    order = array("q", compress(range(len(indegree)), map(not_, indegree)))
     append = order.append
     for u in order:
         for p in targets[offsets[u]:split[u]]:
@@ -333,12 +347,15 @@ def parse_edge_file(path: str | Path, strict_cui: bool = False) -> KnowledgeGrap
     The file's SHA-256 is recorded as the graph's ``source_checksum``.
     """
     data = Path(path).read_bytes()
+    checksum = hashlib.sha256(data).hexdigest()
+    lines = _lines(data.decode("utf-8-sig"))
+    del data  # interning needs only the decoded text
     rows = (
         (lineno, line.split("\t"))
-        for lineno, line in enumerate(_lines(data.decode("utf-8-sig")), start=1)
+        for lineno, line in enumerate(lines, start=1)
         if (stripped := line.strip()) and stripped[0] != "#"
     )
-    return KnowledgeGraph(*_intern(rows, strict_cui), hashlib.sha256(data).hexdigest())
+    return KnowledgeGraph(*_intern(rows, strict_cui), checksum)
 
 
 def edge_file_checksum(path: str | Path) -> str:

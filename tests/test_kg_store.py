@@ -16,6 +16,7 @@ from nniou import (
     parse_edge_file,
 )
 
+from nniou import kg_store
 from oracles import kahn_acyclic, oracle_edge_file
 
 
@@ -73,6 +74,20 @@ class TestParseEdgeFile:
         assert graph.node_names == (f"C1{inner}C9", "C2", "C3", "C4", "C5")
         with pytest.raises(EdgeFileError, match="line 2"):
             parse_edge_file(_write(tmp_path, f"C1{inner}C9\tC2\nx\ty\tz\n"))
+
+    def test_records_span_the_split_slices(self, tmp_path):
+        """Lines are split a slice at a time; no record or line number may shift."""
+        ends = ["\n", "\r\n", "\r"]
+        names = [f"n{i}" + "x" * (i % 13) for i in range(3 * kg_store._CHUNK // 10)]
+        pairs = list(zip(names[1:], names))
+        text = "".join(f"{c}\t{p}{ends[i % 3]}" for i, (c, p) in enumerate(pairs))
+        assert len(text) > 2 * kg_store._CHUNK
+        graph = parse_edge_file(_write(tmp_path, text))
+        assert graph.node_names == (names[1], names[0], *names[2:])
+        assert graph.edges() == pairs
+        bad = len(pairs) + 1
+        with pytest.raises(EdgeFileError, match=f"line {bad}:"):
+            parse_edge_file(_write(tmp_path, text + "x\ty\tz\n"))
 
     def test_self_loop_reports_line_number(self, tmp_path):
         with pytest.raises(EdgeFileError, match="line 3.*self-loop"):
