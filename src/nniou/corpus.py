@@ -12,7 +12,8 @@ Class map (single JSON object)::
 
     {"modality": {"ct": ["C0000001", ...], "mri": [...]}, "organ": {...}}
 
-JSON Lines records end at ``\n``, ``\r\n`` or ``\r``.  Readers validate
+JSON Lines files are read with universal newlines, so a record ends at
+``\n``, ``\r\n`` or ``\r`` and at no other character.  Readers validate
 shape and identifiers and report the offending line number; writers emit
 deterministic, diff-friendly output.
 """
@@ -24,24 +25,23 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DataFileError, EvaluationError
-from .kg_store import _lines
 from .neighbor_index import _UNSTORABLE
 from .ranking_eval import Document, RankingRun
 
 
 def _jsonl_records(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8-sig")
-    for lineno, line in enumerate(_lines(text), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise DataFileError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        if not isinstance(record, dict):
-            raise DataFileError("record must be a JSON object", line=lineno)
-        yield lineno, record
+    with open(path, encoding="utf-8-sig") as stream:
+        for lineno, line in enumerate(stream, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                record = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                raise DataFileError(f"invalid JSON: {exc.msg}", line=lineno) from None
+            if not isinstance(record, dict):
+                raise DataFileError("record must be a JSON object", line=lineno)
+            yield lineno, record
 
 
 def _string_list(value, what: str, lineno: int) -> list[str]:

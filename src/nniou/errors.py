@@ -36,7 +36,7 @@ class DataFileError(_LineError):
     """Bad record in a corpus, runs, or class-map file."""
 
 
-class IndexFormatError(DataError):
+class IndexFormatError(_LineError):
     """Neighbor-index file cannot be parsed or has the wrong version."""
 
 

@@ -11,8 +11,9 @@ decided at load time by Kahn's in-degree peel, linear in nodes plus
 edges; the graph's ``acyclic`` and ``cycle`` attributes hold the verdict
 and, for a cyclic graph, a witness cycle.
 
-Edge file format (UTF-8 text, one record per line, lines ending at
-``\n``, ``\r\n`` or ``\r``; a leading byte-order mark is skipped):
+Edge file format (UTF-8 text read with universal newlines, so a record
+ends at ``\n``, ``\r\n`` or ``\r`` and at no other character; a leading
+byte-order mark is skipped):
   - ``#`` starts a comment line; blank lines are ignored
   - ``child<TAB>parent`` declares an is_a edge
   - a bare ``node`` registers an isolated concept
@@ -24,12 +25,13 @@ trimmed.  The graph is immutable after load and safe for concurrent reads.
 from __future__ import annotations
 
 import hashlib
+import io
 import re
 from array import array
 from itertools import accumulate, chain, compress, islice
 from operator import add, eq, not_
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import EdgeFileError, UnknownConceptError
 
@@ -39,8 +41,6 @@ CUI_PATTERN = re.compile(r"C\d{7}")
 # unique while node ids stay below 2**32.
 _SHIFT = 32
 _MASK = (1 << _SHIFT) - 1
-# characters per slice that _lines splits in one call
-_CHUNK = 1 << 16
 
 
 def normalize_concept_id(raw: str, strict_cui: bool = False) -> str:
@@ -57,23 +57,6 @@ def normalize_concept_id(raw: str, strict_cui: bool = False) -> str:
             f"invalid CUI {concept!r}: expected the letter 'C' followed by seven digits"
         )
     return concept
-
-
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text``, split at ``\n``, ``\r\n`` and ``\r`` only.
-
-    ``str.splitlines`` also splits at ``\v``, ``\f``, ``\x1c``-``\x1e``,
-    U+0085, U+2028 and U+2029, which may sit inside a record.  Lines are
-    split from slices of about ``_CHUNK`` characters, so a large file's
-    lines are never all alive at once.
-    """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    start = 0
-    while (end := text.find("\n", start + _CHUNK)) >= 0:
-        yield from text[start:end].split("\n")
-        start = end + 1
-    yield from text[start:].split("\n")
 
 
 def _reject(fields: Sequence[str], strict_cui: bool, line: int | None) -> None:
@@ -348,13 +331,15 @@ def parse_edge_file(path: str | Path, strict_cui: bool = False) -> KnowledgeGrap
     """
     data = Path(path).read_bytes()
     checksum = hashlib.sha256(data).hexdigest()
-    lines = _lines(data.decode("utf-8-sig"))
-    del data  # interning needs only the decoded text
+    # universal newlines end a line at \n, \r\n or \r and nowhere else
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
     rows = (
         (lineno, line.split("\t"))
         for lineno, line in enumerate(lines, start=1)
         if (stripped := line.strip()) and stripped[0] != "#"
     )
+    # only rows holds the bytes now, so they are freed after the last line
+    del data, lines
     return KnowledgeGraph(*_intern(rows, strict_cui), checksum)
 
 

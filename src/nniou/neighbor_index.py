@@ -6,14 +6,16 @@ per-pair shortest-path searches at evaluation time is expensive, so the
 within-radius neighbor sets of every corpus concept are precomputed once
 and persisted; evaluation then needs no graph at all.
 
-Index file format (UTF-8 text)::
+Index file format (UTF-8 text read with universal newlines, so a record
+ends at ``\n``, ``\r\n`` or ``\r`` and at no other character)::
 
     #nnidx v1 radius=<n> checksum=<hex>
     conceptId<TAB>neighbor1,neighbor2,...
 
 Concepts appear one per line, sorted; neighbor lists are sorted and
 comma-separated; a concept with no neighbors keeps the tab and an empty
-list.  The checksum is the SHA-256 of the edge file the index was built
+list.  A concept may hold any character but a comma, a tab, ``\n`` or
+``\r``.  The checksum is the SHA-256 of the edge file the index was built
 from, so stale indexes are detectable.  The neighbor relation is
 symmetric and closed (every listed neighbor has its own entry listing the
 concept back), and empty at radius 0; a file that breaks this is rejected
@@ -35,10 +37,10 @@ FORMAT_VERSION = 1
 
 _HEADER_RE = re.compile(r"#nnidx v\d+ radius=(\d+) checksum=([0-9a-f]+)")
 
-# The format's separators (``,`` between neighbors, tab before them, any
-# line boundary ``str.splitlines`` knows): a concept containing one could
-# not be read back.
-_UNSTORABLE = re.compile(r"[,\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# The format's separators: ``,`` between neighbors, a tab before them, and
+# the line ends that universal newlines read (``\n``, ``\r``).  A concept
+# holding one could not be read back; any other character round-trips.
+_UNSTORABLE = re.compile(r"[,\t\n\r]")
 
 _EMPTY: frozenset[str] = frozenset()
 
@@ -118,8 +120,8 @@ def load_index(path: str | Path) -> NeighborIndex:
     or a neighbor relation that is not symmetric (a neighbor without an
     entry of its own, or one that does not list the concept back).
     """
-    text = Path(path).read_text(encoding="utf-8-sig")
-    lines = text.splitlines()
+    with open(path, encoding="utf-8-sig") as stream:
+        lines = [line.rstrip("\n") for line in stream]
     if not lines:
         raise IndexFormatError("empty index file")
     versioned = re.match(r"#nnidx v(\d+)\b", lines[0])
@@ -143,21 +145,21 @@ def load_index(path: str | Path) -> NeighborIndex:
         parts = line.split("\t")
         if len(parts) != 2:
             raise IndexFormatError(
-                f"line {lineno}: expected 'concept<TAB>neighbors', got {line!r}"
+                f"expected 'concept<TAB>neighbors', got {line!r}", line=lineno
             )
         concept, neighbor_field = parts
         if not concept:
-            raise IndexFormatError(f"line {lineno}: empty concept identifier")
+            raise IndexFormatError("empty concept identifier", line=lineno)
         if concept in entries:
-            raise IndexFormatError(f"line {lineno}: duplicate entry for {concept!r}")
+            raise IndexFormatError(f"duplicate entry for {concept!r}", line=lineno)
         neighbors = frozenset(n for n in neighbor_field.split(",") if n)
         if concept in neighbors:
             raise IndexFormatError(
-                f"line {lineno}: {concept!r} lists itself as a neighbor"
+                f"{concept!r} lists itself as a neighbor", line=lineno
             )
         if neighbors and radius == 0:
             raise IndexFormatError(
-                f"line {lineno}: {concept!r} lists neighbors, but the index radius is 0"
+                f"{concept!r} lists neighbors, but the index radius is 0", line=lineno
             )
         entries[concept] = neighbors
     # every record line holds one entry, in file order
@@ -166,12 +168,14 @@ def load_index(path: str | Path) -> NeighborIndex:
             back = entries.get(neighbor)
             if back is None:
                 raise IndexFormatError(
-                    f"line {lineno}: {concept!r} lists neighbor "
-                    f"{neighbor!r}, which has no entry of its own"
+                    f"{concept!r} lists neighbor {neighbor!r}, which has no entry "
+                    "of its own",
+                    line=lineno,
                 )
             if concept not in back:
                 raise IndexFormatError(
-                    f"line {lineno}: {concept!r} lists neighbor "
-                    f"{neighbor!r}, but {neighbor!r} does not list {concept!r} back"
+                    f"{concept!r} lists neighbor {neighbor!r}, but {neighbor!r} "
+                    f"does not list {concept!r} back",
+                    line=lineno,
                 )
     return NeighborIndex(radius=radius, source_checksum=checksum, entries=entries)

@@ -278,6 +278,59 @@ class TestRetrieveAndEval:
                      "--measure", "iou", "--k", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["reports"][0]["aggregate"] == 1.0
 
+    def test_a_u2028_concept_goes_from_graph_to_eval(self, tmp_path, capsys):
+        """U+2028 ends no record in the edge file, corpus, index or runs."""
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("a\u2028x\tp\nb\tp\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "d1", "cuis": ["a\u2028x"]}\n'
+                          '{"id": "d2", "cuis": ["b"]}\n'
+                          '{"id": "d3", "cuis": ["p", "q"]}\n', encoding="utf-8")
+        index, runs = tmp_path / "kg.nnidx", tmp_path / "r.runs"
+        scoring = ["--index", str(index), "--measure", "nniou", "--lambda", "0.5",
+                   "--k", "2"]
+        assert main(["build-index", "--edges", str(edges), "--corpus", str(corpus),
+                     "--n", "2", "--out", str(index)]) == 0
+        assert "\na\u2028x\tb,p\n" in index.read_text(encoding="utf-8")
+        assert main(["retrieve", "--corpus", str(corpus), *scoring,
+                     "--out", str(runs)]) == 0
+        assert [r.ranked_ids for r in read_runs(runs)] == [
+            ["d2", "d3"], ["d1", "d3"], ["d1", "d2"]
+        ]
+        capsys.readouterr()
+        assert main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     *scoring]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"][0]["aggregate"] == 1.0
+
+    @pytest.mark.parametrize("bad", ["edges", "corpus", "runs", "index"])
+    def test_an_undecodable_byte_exits_two_writing_nothing(self, workspace, capsys, bad):
+        tmp_path, edges, corpus, cmap, index = self._build(workspace)
+        runs = tmp_path / "r.runs"
+        assert main(["retrieve", "--corpus", str(corpus), "--index", str(index),
+                     "--measure", "nniou", "--lambda", "0.5", "--k", "5",
+                     "--out", str(runs)]) == 0
+        damaged = {"edges": edges, "corpus": corpus, "runs": runs, "index": index}[bad]
+        damaged.write_bytes(damaged.read_bytes() + b"\xff\n")
+        out = tmp_path / "fresh.out"
+        command = {
+            "edges": ["build-index", "--edges", str(edges), "--corpus", str(corpus),
+                      "--n", "1", "--out", str(out)],
+            "corpus": ["retrieve", "--corpus", str(corpus), "--measure", "iou",
+                       "--k", "5", "--out", str(out)],
+            "runs": ["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--measure", "iou", "--k", "5"],
+            "index": ["retrieve", "--corpus", str(corpus), "--index", str(index),
+                      "--measure", "nniou", "--lambda", "0.5", "--k", "5",
+                      "--out", str(out)],
+        }[bad]
+        capsys.readouterr()
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "can't decode byte 0xff" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_retrieve_k_beyond_corpus_returns_all_candidates(self, workspace):
         tmp_path, edges, corpus, cmap, index = self._build(workspace)
         runs_path = tmp_path / "all.runs"
@@ -767,6 +820,7 @@ class TestUsage:
              "--n", "1", "--out", str(out)],
             capture_output=True,
             text=True,
+            encoding="utf-8",
         )
         assert result.returncode == 0
         assert "entries=2" in result.stdout

@@ -67,7 +67,7 @@ class TestReadCorpus:
         with pytest.raises(DataFileError, match="cuis"):
             read_corpus(path)
 
-    @pytest.mark.parametrize("concept", ["a,b", "a\tb", "a\rb", "a\nb", "a\u2028b"])
+    @pytest.mark.parametrize("concept", ["a,b", "a\tb", "a\rb", "a\nb"])
     def test_concept_an_index_cannot_store_rejected(self, tmp_path, concept):
         path = _write(
             tmp_path,
@@ -78,6 +78,17 @@ class TestReadCorpus:
         )
         with pytest.raises(DataFileError, match=r"line 2: concept .* cannot store"):
             read_corpus(path)
+
+    @pytest.mark.parametrize(
+        "inner", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_concept_holding_a_break_that_ends_no_record_accepted(self, tmp_path, inner):
+        """``str.splitlines`` breaks at these, but a record ends only at a newline."""
+        concept = f"a{inner}b"
+        record = json.dumps({"id": "b", "cuis": ["C2", concept]}, ensure_ascii=False)
+        text = '{"id": "a", "cuis": ["C1"]}\n' + record + "\n"
+        path = _write(tmp_path, "c.jsonl", text)
+        assert [doc.concepts for doc in read_corpus(path)] == [{"C1"}, {"C2", concept}]
 
     def test_vocabulary_union(self, tmp_path):
         path = _write(

@@ -16,7 +16,6 @@ from nniou import (
     parse_edge_file,
 )
 
-from nniou import kg_store
 from oracles import kahn_acyclic, oracle_edge_file
 
 
@@ -76,16 +75,21 @@ class TestParseEdgeFile:
             parse_edge_file(_write(tmp_path, f"C1{inner}C9\tC2\nx\ty\tz\n"))
 
     def test_records_span_the_split_slices(self, tmp_path):
-        """Lines are split a slice at a time; no record or line number may shift."""
+        """The file is decoded 8 KiB at a time; no record or line number may shift."""
         ends = ["\n", "\r\n", "\r"]
-        names = [f"n{i}" + "x" * (i % 13) for i in range(3 * kg_store._CHUNK // 10)]
+        names = [f"n{i}" + "x" * (i % 13) for i in range(20_000)]
         pairs = list(zip(names[1:], names))
-        text = "".join(f"{c}\t{p}{ends[i % 3]}" for i, (c, p) in enumerate(pairs))
-        assert len(text) > 2 * kg_store._CHUNK
+        body = "".join(f"{c}\t{p}{ends[i % 3]}" for i, (c, p) in enumerate(pairs))
+        # a comment line sized so that one \r\n straddles a read boundary
+        boundary = 5 * 8192
+        comment = "#" * (boundary - 2 - body.index("\r\n", 4 * 8192)) + "\n"
+        text = comment + body
+        assert text[boundary - 1:boundary + 1] == "\r\n"
+        assert len(text) > 30 * 8192
         graph = parse_edge_file(_write(tmp_path, text))
         assert graph.node_names == (names[1], names[0], *names[2:])
         assert graph.edges() == pairs
-        bad = len(pairs) + 1
+        bad = len(pairs) + 2
         with pytest.raises(EdgeFileError, match=f"line {bad}:"):
             parse_edge_file(_write(tmp_path, text + "x\ty\tz\n"))
 

@@ -134,7 +134,7 @@ class TestPersistence:
         marked.write_bytes(mark + saved.read_bytes())
         assert load_index(marked) == index
 
-    @pytest.mark.parametrize("concept", ["a,b", "a\tb", "a\nb", "a\u2028b"])
+    @pytest.mark.parametrize("concept", ["a,b", "a\tb", "a\nb"])
     def test_unstorable_concept_rejected_before_writing(self, tmp_path, concept):
         graph = KnowledgeGraph.from_edges([(concept, "p"), ("q,r", "p")])
         index = build_index(graph, {concept, "p", "q,r"}, 1)
@@ -145,6 +145,28 @@ class TestPersistence:
             f"cannot store concept {concept!r}: it contains a comma, tab or line break"
         )
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "inner", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_concept_holding_a_break_that_ends_no_record_round_trips(
+        self, tmp_path, inner
+    ):
+        concept = f"a{inner}b"
+        graph = KnowledgeGraph.from_edges([(concept, "p"), ("q", "p")])
+        index = build_index(graph, {concept, "p", "q"}, 2)
+        path = tmp_path / "odd.nnidx"
+        save_index(index, path)
+        assert f"{concept}\tp,q\n" in path.read_text(encoding="utf-8")
+        assert load_index(path) == index
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_ends_load_the_same_index(self, anatomy_graph, tmp_path, end):
+        index = build_index(anatomy_graph, set(anatomy_graph.node_names), 1)
+        path = tmp_path / "saved.nnidx"
+        save_index(index, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        assert load_index(path) == index
 
     def test_version_gate_names_both_versions(self, tmp_path):
         path = tmp_path / "vnext.nnidx"
@@ -165,8 +187,9 @@ class TestPersistence:
         path.write_text(
             "#nnidx v1 radius=1 checksum=ff\nno-tab-here\n", encoding="utf-8"
         )
-        with pytest.raises(IndexFormatError, match="line 2"):
+        with pytest.raises(IndexFormatError, match="line 2") as raised:
             load_index(path)
+        assert raised.value.line == 2
 
     def test_duplicate_entry_rejected(self, tmp_path):
         path = tmp_path / "dup.nnidx"
@@ -202,8 +225,9 @@ class TestPersistence:
         with pytest.raises(
             IndexFormatError,
             match="line 2: 'a' lists neighbor 'b', but 'b' does not list 'a' back",
-        ):
+        ) as raised:
             load_index(path)
+        assert raised.value.line == 2
 
     def test_radius_zero_file_listing_a_neighbor_rejected(self, tmp_path, capsys):
         # scoring reads the lists, not the radius, so they must agree
