@@ -31,17 +31,20 @@ from .ranking_eval import Document, RankingRun
 
 def _jsonl_records(path: str | Path):
     with open(path, encoding="utf-8-sig") as stream:
-        for lineno, line in enumerate(stream, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise DataFileError(f"invalid JSON: {exc.msg}", line=lineno) from None
-            if not isinstance(record, dict):
-                raise DataFileError("record must be a JSON object", line=lineno)
-            yield lineno, record
+        try:
+            for lineno, line in enumerate(stream, start=1):
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                try:
+                    record = json.loads(stripped)
+                except json.JSONDecodeError as exc:
+                    raise DataFileError(f"invalid JSON: {exc.msg}", line=lineno) from None
+                if not isinstance(record, dict):
+                    raise DataFileError("record must be a JSON object", line=lineno)
+                yield lineno, record
+        except UnicodeDecodeError as exc:
+            raise DataFileError.undecodable(path, exc) from None
 
 
 def _string_list(value, what: str, lineno: int) -> list[str]:

@@ -5,6 +5,10 @@ parameters, inconsistent flags) and data problems (malformed files,
 unresolvable identifiers).  The CLI maps them to distinct exit codes.
 """
 
+from __future__ import annotations
+
+from pathlib import Path
+
 
 class NnIouError(Exception):
     """Base class for all toolkit errors."""
@@ -26,6 +30,24 @@ class _LineError(DataError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+    @classmethod
+    def undecodable(cls, path: str | Path, exc: UnicodeDecodeError) -> _LineError:
+        """The error for a file that is not UTF-8, naming its first bad byte's line.
+
+        A reader's ``exc`` places the byte within its last read block, so the
+        file is read again to place it in the file: call this only once
+        decoding failed.  Lines end as universal newlines end them.
+        """
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            head = data[:whole.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            return cls(str(whole), line=line)
+        # the file changed after the reader failed on it
+        return cls(str(exc))
 
 
 class EdgeFileError(_LineError):

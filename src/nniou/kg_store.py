@@ -6,10 +6,21 @@ undirected view.  Edge files and in-memory pairs go through one loader:
 identifiers are interned to dense integers in first-seen order and the
 distinct edges are kept as two parallel int arrays (children, parents).
 The undirected view is one flat array of neighbor ids with per-node
-offsets, built once; it holds no per-node container.  Acyclicity is
-decided at load time by Kahn's in-degree peel, linear in nodes plus
-edges; the graph's ``acyclic`` and ``cycle`` attributes hold the verdict
-and, for a cyclic graph, a witness cycle.
+offsets; it holds no per-node container.  The graph's ``acyclic`` and
+``cycle`` attributes hold the acyclicity verdict and, for a cyclic graph,
+a witness cycle.
+
+A file is top-down when each ``child<TAB>parent`` record names a child
+that no earlier line named, as a file listing a taxonomy parents first
+does.  Such a file is acyclic by its record order alone: number each node
+by the record that made it a child, or -1 if none did.  A node can become
+a child only on the record that first names it, so a parent, named by its
+child's record at the latest, has a smaller number than the child, and
+the numbers fall strictly along every edge.  Nor can its edges repeat,
+since no child does.  Every other input is decided at load time by
+Kahn's in-degree peel (Kahn 1962), linear in nodes plus edges, which
+needs the undirected view; a top-down graph builds that view only on its
+first neighbor lookup, so a load that walks no edge never pays for it.
 
 Edge file format (UTF-8 text read with universal newlines, so a record
 ends at ``\n``, ``\r\n`` or ``\r`` and at no other character; a leading
@@ -70,15 +81,18 @@ def _reject(fields: Sequence[str], strict_cui: bool, line: int | None) -> None:
 
 def _intern(
     rows: Iterable[tuple[int | None, Sequence[str]]], strict_cui: bool
-) -> tuple[dict[str, int], list[int], list[int]]:
+) -> tuple[dict[str, int], list[int], list[int], bool]:
     """Intern ``(line, fields)`` records and deduplicate their edges.
 
     ``fields`` holds one raw identifier (a node) or two (child, parent).
-    Returns the identifier -> id map in first-seen order and the distinct
-    edges, in first-seen order, as parallel child and parent id lists.
-    Errors are :class:`EdgeFileError` naming ``line`` unless it is None.
+    Returns the identifier -> id map in first-seen order, the distinct
+    edges, in first-seen order, as parallel child and parent id lists, and
+    whether the records are top-down (each names a child no earlier record
+    or node line named).  Errors are :class:`EdgeFileError` naming ``line``
+    unless it is None.
     """
     index: dict[str, int] = {}
+    top_down = True
     intern = index.setdefault
     children: list[int] = []
     parents: list[int] = []
@@ -92,10 +106,13 @@ def _intern(
             parent = parent.strip()
             if not (child and parent) or (match and not (match(child) and match(parent))):
                 _reject(fields, strict_cui, line)
-            c = intern(child, len(index))
+            fresh = len(index)
+            c = intern(child, fresh)
             p = intern(parent, len(index))
             if c == p:
                 raise EdgeFileError(f"self-loop edge {child!r}", line=line)
+            if c != fresh:
+                top_down = False
             add_child(c)
             add_parent(p)
         elif len(fields) == 1:
@@ -108,6 +125,8 @@ def _intern(
                 f"expected 1 or 2 tab-separated fields, got {len(fields)}",
                 line=line,
             )
+    if top_down:
+        return index, children, parents, True
     # A repeated edge repeats its child.  Keying every edge takes several
     # times the memory of the edge lists, so it is done only when some
     # child is listed twice, which a tree never does.
@@ -117,11 +136,11 @@ def _intern(
         if len(distinct) < len(children):
             children = [key >> _SHIFT for key in distinct]
             parents = [key & _MASK for key in distinct]
-    return index, children, parents
+    return index, children, parents, False
 
 
 def _adjacency(
-    num_nodes: int, children: list[int], parents: list[int]
+    num_nodes: int, children: Sequence[int], parents: Sequence[int]
 ) -> tuple[array, array, array, list[int]]:
     """Flat undirected adjacency, plus what Kahn's peel needs.
 
@@ -214,6 +233,10 @@ class KnowledgeGraph:
     and ending on the same one; for a DAG it is None.  Cyclic input is
     usable (distances run on the undirected view) but callers may want to
     surface the warning.
+
+    Input listed top-down is acyclic by its record order; any other input
+    is checked by Kahn's peel while it loads, which builds the undirected
+    view.  A top-down graph builds that view on its first neighbor lookup.
     """
 
     __slots__ = (
@@ -221,8 +244,7 @@ class KnowledgeGraph:
         "_index",
         "_children",
         "_parents",
-        "_offsets",
-        "_targets",
+        "_undirected",
         "acyclic",
         "cycle",
         "source_checksum",
@@ -233,27 +255,32 @@ class KnowledgeGraph:
         index: dict[str, int],
         children: list[int],
         parents: list[int],
+        top_down: bool,
         source_checksum: str,
     ):
         # The arguments are what _intern returns: identifier -> id in
-        # first-seen order and distinct (child, parent) id pairs with no
-        # self-loops.  Use from_edges or parse_edge_file instead.
+        # first-seen order, distinct (child, parent) id pairs with no
+        # self-loops, and whether the records were top-down.  Use
+        # from_edges or parse_edge_file instead.
         self._names = tuple(index)
         self._index = index
-        offsets, targets, split, indegree = _adjacency(len(index), children, parents)
-        self.acyclic = _kahn(offsets, targets, split, indegree) == len(index)
+        self.acyclic = True
         self.cycle = None
-        if not self.acyclic:
-            self.cycle = [
-                self._names[i] for i in _witness(offsets, targets, split, indegree)
-            ]
-            offsets, targets = _drop_twins(offsets, targets)
+        # (offsets, targets), or None until a top-down graph's first lookup
+        self._undirected: tuple[array, array] | None = None
+        if not top_down:
+            offsets, targets, split, indegree = _adjacency(len(index), children, parents)
+            self.acyclic = _kahn(offsets, targets, split, indegree) == len(index)
+            if not self.acyclic:
+                self.cycle = [
+                    self._names[i] for i in _witness(offsets, targets, split, indegree)
+                ]
+                offsets, targets = _drop_twins(offsets, targets)
+            self._undirected = (offsets, targets)
         # Arrays, not lists: the garbage collector never scans an array,
         # while each full collection walks every element of a list.
         self._children = array("q", children)
         self._parents = array("q", parents)
-        self._offsets = offsets
-        self._targets = targets
         self.source_checksum = source_checksum
 
     @classmethod
@@ -268,14 +295,14 @@ class KnowledgeGraph:
             ((None, (child, parent)) for child, parent in edges),
         )
         try:
-            index, children, parents = _intern(rows, False)
+            index, children, parents, top_down = _intern(rows, False)
         except EdgeFileError as exc:
             raise ValueError(str(exc)) from None
         names = list(index)
         checksum = _canonical_checksum(
             names, [(names[c], names[p]) for c, p in zip(children, parents)]
         )
-        return cls(index, children, parents, checksum)
+        return cls(index, children, parents, top_down, checksum)
 
     @property
     def num_nodes(self) -> int:
@@ -308,7 +335,15 @@ class KnowledgeGraph:
 
     def neighbor_ids(self, node_id: int) -> Sequence[int]:
         """Undirected neighbors, each once: parents, then children, in edge order."""
-        return self._targets[self._offsets[node_id]:self._offsets[node_id + 1]]
+        view = self._undirected
+        if view is None:
+            # one assignment: a concurrent reader sees both arrays or none,
+            # and two threads that both build them build equal ones
+            view = self._undirected = _adjacency(
+                len(self._names), self._children, self._parents
+            )[:2]
+        offsets, targets = view
+        return targets[offsets[node_id]:offsets[node_id + 1]]
 
     def neighbors(self, concept: str) -> tuple[str, ...]:
         """Undirected neighbors, sorted by node id."""
@@ -325,8 +360,9 @@ class KnowledgeGraph:
 def parse_edge_file(path: str | Path, strict_cui: bool = False) -> KnowledgeGraph:
     """Parse an edge file into a :class:`KnowledgeGraph`.
 
-    Edges are deduplicated; every endpoint becomes a node; self-loops and
-    malformed records raise :class:`EdgeFileError` with the line number.
+    Edges are deduplicated; every endpoint becomes a node; self-loops,
+    malformed records and bytes that are not UTF-8 raise
+    :class:`EdgeFileError` with the line number.
     The file's SHA-256 is recorded as the graph's ``source_checksum``.
     """
     data = Path(path).read_bytes()
@@ -340,7 +376,11 @@ def parse_edge_file(path: str | Path, strict_cui: bool = False) -> KnowledgeGrap
     )
     # only rows holds the bytes now, so they are freed after the last line
     del data, lines
-    return KnowledgeGraph(*_intern(rows, strict_cui), checksum)
+    try:
+        parts = _intern(rows, strict_cui)
+    except UnicodeDecodeError as exc:
+        raise EdgeFileError.undecodable(path, exc) from None
+    return KnowledgeGraph(*parts, checksum)
 
 
 def edge_file_checksum(path: str | Path) -> str:

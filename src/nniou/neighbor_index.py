@@ -115,13 +115,17 @@ def save_index(index: NeighborIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> NeighborIndex:
     """Read an nnidx file back into a :class:`NeighborIndex`.
 
-    Raises :class:`IndexFormatError` on a missing/malformed header, an
-    unsupported version, a malformed record, a neighbor list at radius 0,
-    or a neighbor relation that is not symmetric (a neighbor without an
-    entry of its own, or one that does not list the concept back).
+    Raises :class:`IndexFormatError` on bytes that are not UTF-8, a
+    missing/malformed header, an unsupported version, a malformed record,
+    a neighbor list at radius 0, or a neighbor relation that is not
+    symmetric (a neighbor without an entry of its own, or one that does
+    not list the concept back).
     """
-    with open(path, encoding="utf-8-sig") as stream:
-        lines = [line.rstrip("\n") for line in stream]
+    try:
+        with open(path, encoding="utf-8-sig") as stream:
+            lines = [line.rstrip("\n") for line in stream]
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError.undecodable(path, exc) from None
     if not lines:
         raise IndexFormatError("empty index file")
     versioned = re.match(r"#nnidx v(\d+)\b", lines[0])

@@ -8,7 +8,10 @@ production paths is the whole point.
 
 The edge-file oracle re-reads the format line by line into a dict of sets,
 and the acyclicity oracle is Kahn's algorithm over plain (child, parent)
-pairs, rescanning the whole edge list for every emitted node.
+pairs, rescanning the whole edge list for every emitted node.  The witness
+oracle peels leaves from a set until none is left to peel and walks what
+remains; the record-order oracle replays a file's records against a set of
+the names seen so far.
 
 The ranking oracles take the pair score as a callable, so the pruned
 scoring core can be checked against the pairwise definition it replaces:
@@ -96,6 +99,44 @@ def kahn_acyclic(nodes, edges) -> bool:
                 if indegree[parent] == 0:
                     ready.append(parent)
     return emitted == len(nodes)
+
+
+def witness_cycle(nodes, edges):
+    """The directed cycle the loader reports, or None for a DAG.
+
+    Peel every node none of whose children is left until nothing changes.
+    From the first remaining node (in ``nodes`` order) step to its first
+    remaining child (in ``edges`` order) until a node repeats; the loop
+    closed is returned in edge direction, first node repeated at the end.
+    """
+    left = set(nodes)
+    peeled = True
+    while peeled:
+        leaves = {p for p in left if not any(c in left for c, q in edges if q == p)}
+        left -= leaves
+        peeled = bool(leaves)
+    if not left:
+        return None
+    node = next(name for name in nodes if name in left)
+    walk: list[str] = []
+    while node not in walk:
+        walk.append(node)
+        node = next(c for c, p in edges if p == node and c in left)
+    cycle = walk[walk.index(node):] + [node]
+    return cycle[::-1]
+
+
+def top_down(text: str) -> bool:
+    """True iff every ``child<TAB>parent`` record names a child no earlier line named."""
+    named: set[str] = set()
+    for line in re.split(r"\r\n|\r|\n", text):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        fields = [field.strip() for field in line.split("\t")]
+        if len(fields) == 2 and fields[0] in named:
+            return False
+        named.update(fields)
+    return True
 
 
 def literal_rel_set(a, b, threshold, dist) -> set[str]:

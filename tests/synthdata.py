@@ -95,3 +95,34 @@ def random_tree_corpus(seed: int = 7, num_nodes: int = 1200, num_docs: int = 100
         for i in range(num_docs)
     ]
     return graph, docs
+
+
+EDGE_ORDERS = ("parents-first", "shuffled", "multi-parent")
+
+
+def write_edge_file(path, seed: int, order: str, num_nodes: int = 40):
+    """Write a seeded random taxonomy as an edge file; return its (child, parent) records.
+
+    The taxonomy is a random recursive tree over ``num_nodes`` concepts.
+    ``parents-first`` lists each node's record after its parent was named,
+    so every record names a new child; ``shuffled`` lists the same records
+    in random order; ``multi-parent`` lists them parents first, then gives
+    a quarter of the nodes a second, earlier parent, so children repeat but
+    the edges stay acyclic.
+    """
+    rng = random.Random(seed)
+    names = [f"C{3000000 + i:07d}" for i in rng.sample(range(num_nodes), num_nodes)]
+    parent_of = [0] + [rng.randrange(i) for i in range(1, num_nodes)]
+    edges = [(names[i], names[parent_of[i]]) for i in range(1, num_nodes)]
+    if order == "shuffled":
+        rng.shuffle(edges)
+    elif order == "multi-parent":
+        for i in rng.sample(range(2, num_nodes), (num_nodes - 2) // 4):
+            second = rng.randrange(i - 1)
+            second += second >= parent_of[i]
+            edges.append((names[i], names[second]))
+    elif order != "parents-first":
+        raise ValueError(f"unknown order {order!r}; expected one of {EDGE_ORDERS}")
+    lines = ["# child\tparent"] + [f"{child}\t{parent}" for child, parent in edges]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return edges

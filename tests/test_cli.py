@@ -4,14 +4,15 @@ import json
 import re
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from nniou import ConfigError, RankingRun, load_index, read_runs, write_runs
+from nniou import ConfigError, RankingRun, kg_store, load_index, read_runs, write_runs
 from nniou.cli import AblationGrid, main
 from nniou.scoring import ScoringCore
 
-from synthdata import planted_cluster_corpus, write_fixture_files
+from synthdata import planted_cluster_corpus, write_edge_file, write_fixture_files
 
 INDEX_ERROR = (
     "configuration error: a neighbor index is required when lambda > 0 "
@@ -156,6 +157,50 @@ class TestBuildIndex:
         )
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+
+class TestGraphLoad:
+    """A top-down edge file builds its undirected view only when a walk needs it."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        edges = tmp_path / "kg.tsv"
+        records = write_edge_file(edges, seed=11, order="parents-first", num_nodes=60)
+        names = sorted({name for record in records for name in record})
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(
+                json.dumps({"id": f"d{i:02d}", "cuis": names[i:i + 3]}) + "\n"
+                for i in range(0, 57, 3)
+            ),
+            encoding="utf-8",
+        )
+        cmap = tmp_path / "classes.json"
+        cmap.write_text(json.dumps({"half": {"low": names[:30], "high": names[30:]}}),
+                        encoding="utf-8")
+        return tmp_path, edges, corpus, cmap
+
+    @staticmethod
+    def _counting(name):
+        return mock.patch.object(kg_store, name, wraps=getattr(kg_store, name))
+
+    def test_radius_zero_ablate_neither_peels_nor_builds_the_view(self, files, capsys):
+        tmp_path, edges, corpus, cmap = files
+        with self._counting("_adjacency") as adjacency, self._counting("_kahn") as kahn:
+            assert main(["ablate", "--corpus", str(corpus), "--edges", str(edges),
+                         "--class-map", str(cmap), "--lambdas", "0.5",
+                         "--radii", "0", "--ks", "5"]) == 0
+        assert (adjacency.call_count, kahn.call_count) == (0, 0)
+        assert capsys.readouterr().out.startswith("n,lambda,k,precision\n0,")
+
+    def test_build_index_builds_the_view_once(self, files):
+        tmp_path, edges, corpus, cmap = files
+        out = tmp_path / "kg.nnidx"
+        with self._counting("_adjacency") as adjacency, self._counting("_kahn") as kahn:
+            assert main(["build-index", "--edges", str(edges), "--corpus", str(corpus),
+                         "--n", "1", "--out", str(out)]) == 0
+        assert (adjacency.call_count, kahn.call_count) == (1, 0)
+        assert any(load_index(out).entries.values())
 
 
 class TestRelevance:
@@ -304,13 +349,20 @@ class TestRetrieveAndEval:
 
     @pytest.mark.parametrize("bad", ["edges", "corpus", "runs", "index"])
     def test_an_undecodable_byte_exits_two_writing_nothing(self, workspace, capsys, bad):
+        """The error names the byte's line and its offset in the file, past 8 KiB reads."""
         tmp_path, edges, corpus, cmap, index = self._build(workspace)
         runs = tmp_path / "r.runs"
         assert main(["retrieve", "--corpus", str(corpus), "--index", str(index),
                      "--measure", "nniou", "--lambda", "0.5", "--k", "5",
                      "--out", str(runs)]) == 0
         damaged = {"edges": edges, "corpus": corpus, "runs": runs, "index": index}[bad]
-        damaged.write_bytes(damaged.read_bytes() + b"\xff\n")
+        # blank lines every reader reads past, ending in each universal newline
+        blanks = b"".join(b" " * 60 + end for end in [b"\n", b"\r\n", b"\r"] * 100)
+        text = damaged.read_bytes()
+        head = text + blanks
+        assert len(head) > 2 * 8192
+        damaged.write_bytes(head + b"\xff\n")
+        line = text.count(b"\n") + 300 + 1
         out = tmp_path / "fresh.out"
         command = {
             "edges": ["build-index", "--edges", str(edges), "--corpus", str(corpus),
@@ -326,8 +378,10 @@ class TestRetrieveAndEval:
         capsys.readouterr()
         assert main(command) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert "can't decode byte 0xff" in captured.err
+        assert captured.err == (
+            f"error: line {line}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(head)}: invalid start byte\n"
+        )
         assert captured.out == ""
         assert not out.exists()
 

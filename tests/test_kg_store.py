@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nniou import (
@@ -12,11 +16,14 @@ from nniou import (
     UnknownConceptError,
     build_index,
     edge_file_checksum,
+    kg_store,
     normalize_concept_id,
     parse_edge_file,
 )
+from nniou.distance import bounded_neighborhood
 
-from oracles import kahn_acyclic, oracle_edge_file
+from oracles import kahn_acyclic, oracle_edge_file, top_down, witness_cycle
+from synthdata import EDGE_ORDERS, write_edge_file
 
 
 def _write(tmp_path, text: str):
@@ -237,12 +244,34 @@ def edge_file_texts(draw):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
+def _counting(name):
+    """Patch a kg_store function with a wrapper that counts its calls."""
+    return mock.patch.object(kg_store, name, wraps=getattr(kg_store, name))
+
+
 @settings(max_examples=300)
-@given(edge_file_texts())
-def test_loader_matches_dict_of_sets_oracle(tmp_path_factory, text):
+@given(
+    st.one_of(
+        edge_file_texts(),
+        # (seed, order, nodes) for the seeded writer
+        st.tuples(
+            st.integers(0, 2**16), st.sampled_from(EDGE_ORDERS), st.integers(2, 40)
+        ),
+    )
+)
+def test_loader_matches_dict_of_sets_oracle(tmp_path_factory, drawn):
+    """Kahn's peel runs exactly on the files that are not top-down; either way
+    the verdict is Kahn's and the witness follows the documented rule."""
     path = tmp_path_factory.mktemp("kg") / "edges.tsv"
-    path.write_bytes(text.encode("utf-8"))
-    graph = parse_edge_file(path)
+    if isinstance(drawn, str):
+        path.write_bytes(drawn.encode("utf-8"))
+    else:
+        write_edge_file(path, *drawn)
+    text = path.read_bytes().decode("utf-8")
+    with _counting("_kahn") as kahn:
+        graph = parse_edge_file(path)
+    event(f"Kahn's peel ran: {kahn.call_count == 1}")
+    assert kahn.call_count == (0 if top_down(text) else 1)
     nodes, edges, adjacency = oracle_edge_file(text)
 
     assert list(graph.node_names) == nodes
@@ -254,9 +283,8 @@ def test_loader_matches_dict_of_sets_oracle(tmp_path_factory, text):
             graph.node_id(other) for other in adjacency[name]
         )
     assert graph.acyclic == kahn_acyclic(nodes, edges)
-    if graph.acyclic:
-        assert graph.cycle is None
-    else:
+    assert graph.cycle == witness_cycle(nodes, edges)
+    if not graph.acyclic:
         cycle = graph.cycle
         assert len(cycle) >= 3 and cycle[0] == cycle[-1]
         assert all(pair in edges for pair in zip(cycle, cycle[1:]))
@@ -266,3 +294,87 @@ def test_loader_matches_dict_of_sets_oracle(tmp_path_factory, text):
     assert in_memory.edges() == graph.edges()
     assert all(in_memory.neighbors(name) == graph.neighbors(name) for name in nodes)
     assert (in_memory.acyclic, in_memory.cycle) == (graph.acyclic, graph.cycle)
+
+
+class TestAcyclicityPath:
+    @pytest.mark.parametrize(
+        "text, peeled, cycle",
+        [
+            ("b\ta\nc\ta\nc\tb\n", True, None),
+            ("c\tx\np\tc\nc\tp\n", True, ["c", "p", "c"]),
+            ("b\nb\ta\n", True, None),
+            ("lonely\nb\ta\nc\tb\n", False, None),
+        ],
+        ids=["second-parent", "cycle-after-fresh-records", "node-line-then-child",
+             "node-line-never-child"],
+    )
+    def test_fixed_files(self, tmp_path, text, peeled, cycle):
+        path = _write(tmp_path, text)
+        with _counting("_kahn") as kahn:
+            graph = parse_edge_file(path)
+        assert kahn.call_count == peeled
+        assert (graph.acyclic, graph.cycle) == (cycle is None, cycle)
+        nodes, edges, _ = oracle_edge_file(text)
+        assert graph.cycle == witness_cycle(nodes, edges)
+
+    @pytest.mark.parametrize("order", EDGE_ORDERS)
+    def test_written_orders(self, tmp_path, order):
+        path = tmp_path / "kg.tsv"
+        edges = write_edge_file(path, seed=3, order=order, num_nodes=300)
+        with _counting("_kahn") as kahn:
+            graph = parse_edge_file(path)
+        assert kahn.call_count == (order != "parents-first")
+        assert (graph.acyclic, graph.cycle) == (True, None)
+        assert graph.edges() == edges
+
+    @pytest.mark.parametrize("nodes, peeled", [(["a"], False), (["b"], True)])
+    def test_from_edges_with_nodes(self, nodes, peeled):
+        """Nodes come before the edges: one that is later a child sends the graph to Kahn."""
+        with _counting("_kahn") as kahn:
+            graph = KnowledgeGraph.from_edges([("b", "a")], nodes=nodes)
+        assert kahn.call_count == peeled
+        assert (graph.acyclic, graph.cycle) == (True, None)
+        assert graph.neighbors("a") == ("b",)
+
+
+class TestLazyAdjacency:
+    @pytest.mark.parametrize("order", EDGE_ORDERS)
+    def test_neighbors_match_the_documented_order(self, tmp_path, order):
+        path = tmp_path / "kg.tsv"
+        write_edge_file(path, seed=8, order=order, num_nodes=200)
+        with _counting("_adjacency") as adjacency:
+            graph = parse_edge_file(path)
+            built_at_load = adjacency.call_count
+            ids = [(graph.node_id(c), graph.node_id(p)) for c, p in graph.edges()]
+            for u in range(graph.num_nodes):
+                assert list(graph.neighbor_ids(u)) == (
+                    [p for c, p in ids if c == u] + [c for c, p in ids if p == u]
+                )
+        assert (built_at_load, adjacency.call_count) == (
+            (0, 1) if order == "parents-first" else (1, 1)
+        )
+        _, _, oracle = oracle_edge_file(path.read_text(encoding="utf-8"))
+        for name in graph.node_names:
+            assert graph.neighbors(name) == tuple(sorted(oracle[name], key=graph.node_id))
+
+    def test_threads_walking_a_fresh_graph_agree(self, tmp_path):
+        path = tmp_path / "kg.tsv"
+        write_edge_file(path, seed=5, order="parents-first", num_nodes=3000)
+        names = parse_edge_file(path).node_names[::25]
+        expected = [bounded_neighborhood(parse_edge_file(path), n, 2) for n in names]
+        graph = parse_edge_file(path)
+        start = threading.Barrier(4)
+
+        def walk(_):
+            start.wait(timeout=30)
+            return [bounded_neighborhood(graph, n, 2) for n in names]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(walk, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4
+        assert all(result == expected for result in results)
