@@ -131,9 +131,12 @@ def write_runs(runs: Sequence[RankingRun], path: str | Path) -> None:
 def read_class_map(path: str | Path) -> dict[str, dict[str, frozenset[str]]]:
     """Load a class map and validate that each category's value sets are disjoint."""
     try:
+        # read with universal newlines, so JSON's line count matches the file's
         raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        raise DataFileError.undecodable(path, exc) from None
     except json.JSONDecodeError as exc:
-        raise DataFileError(f"invalid JSON in class map: {exc.msg}") from None
+        raise DataFileError(f"invalid JSON in class map: {exc.msg}", line=exc.lineno) from None
     if not isinstance(raw, dict) or not raw:
         raise ConfigError("class map must be a non-empty JSON object")
     class_map: dict[str, dict[str, frozenset[str]]] = {}

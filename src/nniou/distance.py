@@ -5,14 +5,17 @@ undirected; a pair with no connecting path gets the distinguished
 ``UNREACHABLE`` value rather than a sentinel integer, so threshold
 comparisons against it fail loudly instead of silently matching.  Both
 questions are answered by one layered breadth-first walk, which yields
-the concepts first reached at each hop distance.
+the concepts first reached at each hop distance.  A walk bounded at ``n``
+hops first gathers every neighbor list it will read, one batched graph
+lookup per hop, so a top-down graph can answer from its edge arrays.
 
 Pure functions over an immutable graph; safe to call from many threads.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .errors import ConfigError
 from .kg_store import KnowledgeGraph
@@ -37,7 +40,7 @@ UNREACHABLE = Unreachable()
 Distance = int | Unreachable
 
 
-def _layers(graph: KnowledgeGraph, src: int) -> Iterator[list[int]]:
+def _layers(neighbors: Callable[[int], Sequence[int]], src: int) -> Iterator[list[int]]:
     """Yield the ids first reached at hop distance 1, 2, ... from ``src``.
 
     One list per distance, each non-empty; the walk stops when a layer
@@ -50,7 +53,7 @@ def _layers(graph: KnowledgeGraph, src: int) -> Iterator[list[int]]:
     while True:
         layer: list[int] = []
         for u in frontier:
-            for v in graph.neighbor_ids(u):
+            for v in neighbors(u):
                 if v not in seen:
                     seen.add(v)
                     layer.append(v)
@@ -71,7 +74,7 @@ def shortest_path_len(graph: KnowledgeGraph, x: str, y: str) -> Distance:
     dst = graph.node_id(y)
     if src == dst:
         return 0
-    for depth, layer in enumerate(_layers(graph, src), start=1):
+    for depth, layer in enumerate(_layers(graph.neighbor_ids, src), start=1):
         if dst in layer:
             return depth
     return UNREACHABLE
@@ -91,14 +94,28 @@ def bounded_neighborhood(graph: KnowledgeGraph, x: str, n: int) -> set[str]:
     without touching edges.
     """
     checked_radius(n)
-    src = graph.node_id(x)
-    if n == 0:
-        return set()
-    reached: list[int] = []
-    depth = 0
-    for layer in _layers(graph, src):
-        reached += layer
-        depth += 1
-        if depth == n:
+    (ball,) = bounded_neighborhood_ids(graph, [graph.node_id(x)], n)
+    return {graph.name_of(i) for i in ball}
+
+
+def bounded_neighborhood_ids(
+    graph: KnowledgeGraph, sources: Sequence[int], n: int
+) -> Iterator[list[int]]:
+    """For each source id in turn, the ids within ``n`` hops of it, excluding it.
+
+    Every neighbor list the walks read is gathered first, in at most ``n``
+    batched lookups: hop ``k`` looks up the nodes first reached at hop
+    ``k - 1`` from any source.  Then each source is walked alone, so only
+    one ball is alive at a time.
+    """
+    lists: dict[int, Sequence[int]] = {}
+    fresh = set(sources)
+    for hop in range(n):
+        if hop:
+            fresh = {v for vs in found.values() for v in vs if v not in lists}
+        if not fresh:
             break
-    return {graph.name_of(i) for i in reached}
+        found = graph.neighbor_lists(fresh)
+        lists.update(found)
+    for src in sources:
+        yield [v for layer in islice(_layers(lists.__getitem__, src), n) for v in layer]

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .distance import bounded_neighborhood, checked_radius
+# bounded_neighborhood is unused here but stays a module attribute:
+# benchmarks/tracer.py wraps it.
+from .distance import bounded_neighborhood, bounded_neighborhood_ids, checked_radius
 from .errors import IndexFormatError
 from .kg_store import KnowledgeGraph
 
@@ -77,18 +79,18 @@ def build_index(
     neighbors of each other; the rest of the graph is traversed but not
     recorded.  Concepts absent from the graph are registered with empty
     neighbor sets (isolated), matching how corpus concepts missing from
-    the hierarchy are treated everywhere else.
+    the hierarchy are treated everywhere else.  All the walks share one
+    batched neighbor lookup per hop, ``radius`` in all, so a top-down
+    graph seldom needs its undirected view.
     """
     checked_radius(radius)
     vocabulary = set(concepts)
-    entries: dict[str, frozenset[str]] = {}
-    for concept in sorted(vocabulary):
-        if graph.has_node(concept):
-            entries[concept] = frozenset(
-                bounded_neighborhood(graph, concept, radius) & vocabulary
-            )
-        else:
-            entries[concept] = _EMPTY
+    entries = dict.fromkeys(sorted(vocabulary), _EMPTY)
+    known = [c for c in entries if graph.has_node(c)]
+    names = graph.node_names
+    balls = bounded_neighborhood_ids(graph, [graph.node_id(c) for c in known], radius)
+    for concept, ball in zip(known, balls):
+        entries[concept] = frozenset([names[i] for i in ball]) & vocabulary
     return NeighborIndex(radius=radius, source_checksum=graph.source_checksum, entries=entries)
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import random
 
-from nniou import Document, KnowledgeGraph
+from nniou import Document, KnowledgeGraph, parse_edge_file
+
+from oracles import random_graph_parts
 
 
 def planted_cluster_corpus(seed: int = 20240810, docs_per_cluster: int = 50):
@@ -126,3 +128,27 @@ def write_edge_file(path, seed: int, order: str, num_nodes: int = 40):
     lines = ["# child\tparent"] + [f"{child}\t{parent}" for child, parent in edges]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return edges
+
+
+GRAPH_SOURCES = ("random", *EDGE_ORDERS, "from-edges")
+
+
+def drawn_graph(tmp_path, rng: random.Random, source: str, max_nodes: int):
+    """``(nodes, edges, load)`` for one random graph drawn from ``source``.
+
+    ``random`` is :func:`oracles.random_graph_parts`, loaded with its nodes
+    listed first, so it is never top-down.  Each of ``EDGE_ORDERS`` writes
+    an edge file in that order, and ``from-edges`` passes the parents-first
+    records to ``KnowledgeGraph.from_edges`` without nodes; ``parents-first``
+    and ``from-edges`` are top-down.  ``load()`` builds a fresh graph.
+    """
+    if source == "random":
+        nodes, edges = random_graph_parts(rng, max_nodes)
+        return nodes, edges, lambda: KnowledgeGraph.from_edges(edges, nodes=nodes)
+    order = "parents-first" if source == "from-edges" else source
+    path = tmp_path / f"{source}.tsv"
+    edges = write_edge_file(path, rng.randrange(2**16), order, rng.randint(2, max_nodes))
+    nodes = sorted({name for edge in edges for name in edge})
+    if source == "from-edges":
+        return nodes, edges, lambda: KnowledgeGraph.from_edges(edges)
+    return nodes, edges, lambda: parse_edge_file(path)

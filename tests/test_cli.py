@@ -160,12 +160,12 @@ class TestBuildIndex:
 
 
 class TestGraphLoad:
-    """A top-down edge file builds its undirected view only when a walk needs it."""
+    """A top-down edge file builds its undirected view only when scanning costs more."""
 
-    @pytest.fixture()
-    def files(self, tmp_path):
+    @staticmethod
+    def _write(tmp_path, order, num_nodes):
         edges = tmp_path / "kg.tsv"
-        records = write_edge_file(edges, seed=11, order="parents-first", num_nodes=60)
+        records = write_edge_file(edges, seed=11, order=order, num_nodes=num_nodes)
         names = sorted({name for record in records for name in record})
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(
@@ -180,6 +180,10 @@ class TestGraphLoad:
                         encoding="utf-8")
         return tmp_path, edges, corpus, cmap
 
+    @pytest.fixture()
+    def files(self, tmp_path):
+        return self._write(tmp_path, "parents-first", 60)
+
     @staticmethod
     def _counting(name):
         return mock.patch.object(kg_store, name, wraps=getattr(kg_store, name))
@@ -193,13 +197,15 @@ class TestGraphLoad:
         assert (adjacency.call_count, kahn.call_count) == (0, 0)
         assert capsys.readouterr().out.startswith("n,lambda,k,precision\n0,")
 
-    def test_build_index_builds_the_view_once(self, files):
-        tmp_path, edges, corpus, cmap = files
+    @pytest.mark.parametrize("order, calls", [("parents-first", (0, 0)), ("shuffled", (1, 1))])
+    def test_build_index_scans_a_top_down_file(self, tmp_path, order, calls):
+        """57 corpus concepts of 1,000 nodes: the top-down file is scanned, never viewed."""
+        tmp_path, edges, corpus, cmap = self._write(tmp_path, order, 1000)
         out = tmp_path / "kg.nnidx"
         with self._counting("_adjacency") as adjacency, self._counting("_kahn") as kahn:
             assert main(["build-index", "--edges", str(edges), "--corpus", str(corpus),
                          "--n", "1", "--out", str(out)]) == 0
-        assert (adjacency.call_count, kahn.call_count) == (1, 0)
+        assert (adjacency.call_count, kahn.call_count) == calls
         assert any(load_index(out).entries.values())
 
 
@@ -347,7 +353,7 @@ class TestRetrieveAndEval:
                      *scoring]) == 0
         assert json.loads(capsys.readouterr().out)["reports"][0]["aggregate"] == 1.0
 
-    @pytest.mark.parametrize("bad", ["edges", "corpus", "runs", "index"])
+    @pytest.mark.parametrize("bad", ["edges", "corpus", "runs", "index", "class-map"])
     def test_an_undecodable_byte_exits_two_writing_nothing(self, workspace, capsys, bad):
         """The error names the byte's line and its offset in the file, past 8 KiB reads."""
         tmp_path, edges, corpus, cmap, index = self._build(workspace)
@@ -355,7 +361,8 @@ class TestRetrieveAndEval:
         assert main(["retrieve", "--corpus", str(corpus), "--index", str(index),
                      "--measure", "nniou", "--lambda", "0.5", "--k", "5",
                      "--out", str(runs)]) == 0
-        damaged = {"edges": edges, "corpus": corpus, "runs": runs, "index": index}[bad]
+        damaged = {"edges": edges, "corpus": corpus, "runs": runs, "index": index,
+                   "class-map": cmap}[bad]
         # blank lines every reader reads past, ending in each universal newline
         blanks = b"".join(b" " * 60 + end for end in [b"\n", b"\r\n", b"\r"] * 100)
         text = damaged.read_bytes()
@@ -374,6 +381,8 @@ class TestRetrieveAndEval:
             "index": ["retrieve", "--corpus", str(corpus), "--index", str(index),
                       "--measure", "nniou", "--lambda", "0.5", "--k", "5",
                       "--out", str(out)],
+            "class-map": ["eval", "--corpus", str(corpus), "--runs", str(runs),
+                          "--measure", "iou", "--k", "5", "--class-map", str(cmap)],
         }[bad]
         capsys.readouterr()
         assert main(command) == 2

@@ -174,6 +174,14 @@ class TestClassMap:
         with pytest.raises(DataFileError):
             read_class_map(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_invalid_json_names_its_line(self, tmp_path, end):
+        path = tmp_path / "map.json"
+        path.write_bytes(f'{{"modality":{end}  {{"ct": [C1]}}}}{end}'.encode())
+        with pytest.raises(DataFileError, match=r"^line 2: invalid JSON in class map: ") as caught:
+            read_class_map(path)
+        assert caught.value.line == 2
+
     def test_byte_order_mark_gives_the_same_labels(self, tmp_path):
         payload = json.dumps({"modality": {"ct": ["C1"], "mri": ["C2", "C3"]}})
         plain = read_class_map(_write(tmp_path, "plain.json", payload))

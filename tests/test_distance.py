@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,10 +12,12 @@ from nniou import (
     KnowledgeGraph,
     UnknownConceptError,
     bounded_neighborhood,
+    kg_store,
     shortest_path_len,
 )
 
 from oracles import INF, DistanceOracle, random_graph_parts
+from synthdata import GRAPH_SOURCES, drawn_graph
 
 
 class TestShortestPathLen:
@@ -96,18 +99,26 @@ class TestBoundedNeighborhood:
         with pytest.raises(UnknownConceptError):
             bounded_neighborhood(chain_graph, "missing", 0)
 
-    def test_matches_threshold_filter_of_oracle(self):
+    @pytest.mark.parametrize("scan", [False, True], ids=["view", "scan"])
+    @pytest.mark.parametrize("source", GRAPH_SOURCES)
+    def test_matches_threshold_filter_of_oracle(self, tmp_path, source, scan):
+        """Top-down graphs either scan their edge arrays or build the view."""
         rng = random.Random(23)
-        for _ in range(15):
-            nodes, edges = random_graph_parts(rng, max_nodes=40)
-            graph = KnowledgeGraph.from_edges(edges, nodes=nodes)
-            oracle = DistanceOracle(nodes, edges)
-            for radius in (0, 1, 2, 3):
-                x = rng.choice(nodes)
-                expected = {
-                    y for y in nodes if 0 < oracle.dist(x, y) <= radius
-                }
-                assert bounded_neighborhood(graph, x, radius) == expected
+        with mock.patch.object(kg_store, "_keep_scanning", lambda *_: scan):
+            for _ in range(15):
+                nodes, edges, load = drawn_graph(tmp_path, rng, source, max_nodes=40)
+                graph = load()
+                oracle = DistanceOracle(nodes, edges)
+                for radius in (0, 1, 2, 3):
+                    x = rng.choice(nodes)
+                    expected = {
+                        y for y in nodes if 0 < oracle.dist(x, y) <= radius
+                    }
+                    assert bounded_neighborhood(graph, x, radius) == expected
+                ids = rng.sample(range(graph.num_nodes), graph.num_nodes)
+                assert [(u, list(v)) for u, v in load().neighbor_lists(ids).items()] == [
+                    (u, list(graph.neighbor_ids(u))) for u in ids
+                ]
 
 
 @st.composite

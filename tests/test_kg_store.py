@@ -357,6 +357,20 @@ class TestLazyAdjacency:
         for name in graph.node_names:
             assert graph.neighbors(name) == tuple(sorted(oracle[name], key=graph.node_id))
 
+    def test_a_loop_of_single_walks_builds_the_view_once(self, tmp_path):
+        """Past _SCANS scans a top-down graph stops scanning and builds its view."""
+        path = tmp_path / "kg.tsv"
+        write_edge_file(path, seed=4, order="parents-first", num_nodes=2000)
+        graph = parse_edge_file(path)
+        names = graph.node_names[:3 * kg_store._SCANS]
+        scan = mock.patch.object(
+            KnowledgeGraph, "_scan", autospec=True, side_effect=KnowledgeGraph._scan
+        )
+        with _counting("_adjacency") as adjacency, scan as scans:
+            walked = [bounded_neighborhood(graph, name, 1) for name in names]
+        assert (scans.call_count, adjacency.call_count) == (kg_store._SCANS, 1)
+        assert walked == [set(graph.neighbors(name)) for name in names]
+
     def test_threads_walking_a_fresh_graph_agree(self, tmp_path):
         path = tmp_path / "kg.tsv"
         write_edge_file(path, seed=5, order="parents-first", num_nodes=3000)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -10,12 +11,19 @@ from nniou import (
     KnowledgeGraph,
     NeighborIndex,
     build_index,
+    kg_store,
     load_index,
     save_index,
 )
 from nniou.cli import main
 
 from oracles import DistanceOracle, random_graph_parts
+from synthdata import GRAPH_SOURCES, drawn_graph
+
+
+def _counting(name):
+    """Patch a kg_store function with a wrapper that counts its calls."""
+    return mock.patch.object(kg_store, name, wraps=getattr(kg_store, name))
 
 
 class TestBuildIndex:
@@ -54,22 +62,34 @@ class TestBuildIndex:
         backward = build_index(chain_graph, list(reversed(concepts)), 2)
         assert forward == backward
 
-    def test_matches_brute_force_sets(self):
+    @pytest.mark.parametrize("scan", [False, True], ids=["view", "scan"])
+    @pytest.mark.parametrize("source", GRAPH_SOURCES)
+    def test_matches_brute_force_sets(self, tmp_path, source, scan):
+        """Top-down graphs either scan their edge arrays or build the view."""
         rng = random.Random(5)
-        for _ in range(20):
-            nodes, edges = random_graph_parts(rng, max_nodes=50)
-            graph = KnowledgeGraph.from_edges(edges, nodes=nodes)
-            oracle = DistanceOracle(nodes, edges)
-            vocabulary = set(rng.sample(nodes, rng.randint(1, len(nodes))))
-            for radius in (0, 1, 2, 3):
-                index = build_index(graph, vocabulary, radius)
-                for x in vocabulary:
-                    expected = {
-                        y
-                        for y in vocabulary
-                        if 0 < oracle.dist(x, y) <= radius
-                    }
-                    assert index.neighbors(x) == expected
+        top_down = source in ("parents-first", "from-edges")
+        with mock.patch.object(kg_store, "_keep_scanning", lambda *_: scan):
+            for _ in range(20):
+                nodes, edges, load = drawn_graph(tmp_path, rng, source, max_nodes=50)
+                graph = load()
+                oracle = DistanceOracle(nodes, edges)
+                vocabulary = set(rng.sample(nodes, rng.randint(1, len(nodes))))
+                with _counting("_adjacency") as adjacency:
+                    for radius in (0, 1, 2, 3):
+                        index = build_index(graph, vocabulary, radius)
+                        for x in vocabulary:
+                            expected = {
+                                y
+                                for y in vocabulary
+                                if 0 < oracle.dist(x, y) <= radius
+                            }
+                            assert index.neighbors(x) == expected
+                if top_down:
+                    assert adjacency.call_count == (not scan)
+                ids = rng.sample(range(graph.num_nodes), graph.num_nodes)
+                assert [(u, list(v)) for u, v in load().neighbor_lists(ids).items()] == [
+                    (u, list(graph.neighbor_ids(u))) for u in ids
+                ]
 
     def test_symmetric_closure(self, anatomy_graph):
         vocabulary = set(anatomy_graph.node_names)
