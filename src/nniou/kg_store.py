@@ -185,13 +185,13 @@ def _adjacency(
     targets = array("q", bytes(8 * offsets[-1]))
     up = offsets[:-1]
     down = array("q", map(add, up, outdegree))
-    split = down[:]
     for c, p in zip(children, parents):
         targets[up[c]] = p
         up[c] += 1
         targets[down[p]] = c
         down[p] += 1
-    return offsets, targets, split, indegree
+    # each up[u] has moved past u's parents, to where its children start
+    return offsets, targets, up, indegree
 
 
 def _kahn(

@@ -10,10 +10,10 @@ posting lists with top-k pruning follows AllPairs (Bayardo, Ma & Srikant,
 WWW 2007) and top-k set-similarity joins (Xiao et al., ICDE 2009).
 
 Concepts are interned to the bits ``0 .. w-1`` of a Python int, ``w``
-being the number of distinct concepts, and documents to bit positions of
-another space, so every set above is an int.  ``near(S)`` holds every
-concept whose neighbor list meets ``S``.  A query ``A`` needs, for each
-candidate ``B``, the weight-free counts::
+being the number of distinct concepts, and documents to the bits of
+another, numbered by ascending id, so every set above is an int.
+``near(S)`` holds every concept whose neighbor list meets ``S``.  A query
+``A`` needs, for each candidate ``B``, the weight-free counts::
 
     inter = |A & B|
     rel   = |B & (near(A) - A)| + |A & (near(B) - B)|
@@ -67,19 +67,21 @@ ablation sweep scores each pair once per radius instead of once per
 each candidate to its score, which is all nn-CUI@K needs, since an ideal
 DCG depends only on the k largest gains and a run's documents are looked
 up in it.
+Since documents are numbered by id, both ways list the candidates in id
+order, and one stable sort by descending score breaks every tie by id.
 Per lambda, the candidates' float scores come first and the k-th largest
-is a cut: only positive scores at or above it become (-score, id) sort
-keys, so a query builds about k keys instead of one per candidate, and
-every float tie at the cut is kept for the id tie-break.  A query lists
-its zero-score tail once for all lambdas, when the first one falls short
-of k.  Every ranking has a cutoff; a ``k`` of one less than the corpus
+is a cut: only positive scores at or above it are sorted, so a query
+sorts about k of them instead of one per candidate, and every float tie
+at the cut is kept.  Every other document scores 0 and follows in id
+order.  Every ranking has a cutoff; a ``k`` of one less than the corpus
 size ranks every other document.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import compress, count
+from itertools import compress, filterfalse, islice
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import EvaluationError
@@ -106,16 +108,20 @@ class ScoringCore:
 
     def __init__(self, docs: Sequence, index: NeighborIndex | None = None):
         self.ids = [doc.id for doc in docs]
-        self._id_order = sorted(range(len(docs)), key=self.ids.__getitem__)
+        # bit r of a document set is the r-th smallest id, so every scan
+        # lists documents in id order; _order maps r to a corpus position
+        self._order = order = sorted(range(len(docs)), key=self.ids.__getitem__)
+        self._rank = sorted(range(len(docs)), key=order.__getitem__)  # its inverse
+        docs = [docs[j] for j in order]
         self._sizes = [len(doc.concepts) for doc in docs]
         bit: dict[str, int] = {}
         postings: list[int] = []
-        for j, doc in enumerate(docs):
+        for r, doc in enumerate(docs):
             for c in doc.concepts:
                 if c not in bit:
                     bit[c] = len(postings)
                     postings.append(0)
-                postings[bit[c]] |= 1 << j
+                postings[bit[c]] |= 1 << r
         self._width = width = len(bit)
         self._held_bits = (1 << width) - 1  # the held half of a packed int
         # without an index no concept is near, so only the held half is set
@@ -162,45 +168,31 @@ class ScoringCore:
         One ranking per entry of ``lams``, in order.  Each is ordered by
         descending score, ties by ascending id.  Only reachable documents
         are scored, and each of them once: its weight-free (inter, rel,
-        union) counts are kept as one code and re-weighted per lambda.  Per
-        lambda, the k-th largest float score is the cut, and only positive
-        scores at or above it are sorted by (-score, id); float ties at the
-        cut all take part, so equal floats break by id.  The positive ones
-        come first and zero-score documents fill the rest in id order: the
-        unreachable ones, listed when the first lambda falls short of ``k``
-        (and again only for a later one that needs more), merged with the
-        reachable ones that score 0 at this lambda (at lambda 0, those
-        sharing no concept).
+        union) counts are kept as one code and re-weighted per lambda.
+        Candidates come in id order, so one stable sort by score breaks
+        ties by id.  Per lambda, the k-th largest float score is the cut,
+        and only positive scores at or above it are sorted; float ties at
+        the cut all take part.  The positive ones come first, and every
+        other document, reachable or not, scores 0 and fills the rest in id
+        order.
         """
-        ids = self.ids
-        reach, candidates, codes = self._count(q)
+        candidates, codes = self._count(q)
         tables = self._tables(lams)
-        fill: list[tuple[float, int]] = []  # unreached documents, (0.0, j) in id order
         rankings = []
         for lam in lams:
             scores = list(map(tables[lam].__getitem__, codes))
             cut = 0.0
             if len(scores) > k:
                 cut = sorted(scores)[-k]
-            best = sorted([
-                (-s, ids[j], j) for s, j in zip(scores, candidates) if s >= cut and s > 0
-            ])[:k]
-            ranked = [(-neg, j) for neg, _, j in best]
-            short = k - len(ranked)
-            if short > 0:
+            ranked = sorted([
+                (s, j) for s, j in zip(scores, candidates) if s >= cut and s > 0
+            ], key=itemgetter(0), reverse=True)[:k]
+            if len(ranked) < k:
                 # every positive document is ranked already; the rest score 0
-                if len(fill) < short and len(fill) < len(ids) - 1 - len(candidates):
-                    fill, outside = [], reach | 1 << q
-                    for j in self._id_order:
-                        if not outside >> j & 1:
-                            fill.append((0.0, j))
-                            if len(fill) == short:
-                                break
-                if len(candidates) > len(ranked):  # some candidates score 0: merge by id
-                    zeros = [(0.0, j) for s, j in zip(scores, candidates) if not s > 0]
-                    ranked += sorted(zeros + fill[:short], key=lambda z: ids[z[1]])[:short]
-                else:
-                    ranked += fill[:short]
+                skip = {j for _, j in ranked}
+                skip.add(q)
+                zeros = islice(filterfalse(skip.__contains__, self._order), k - len(ranked))
+                ranked += [(0.0, j) for j in zeros]
             rankings.append(ranked)
         return rankings
 
@@ -212,24 +204,23 @@ class ScoringCore:
         scores exactly 0 at every lambda (see :meth:`_walk`).  Nothing is
         ranked: an ideal DCG needs only the largest values.
         """
-        _, candidates, codes = self._count(q)
+        candidates, codes = self._count(q)
         return dict(zip(candidates, map(self._tables((lam,))[lam].__getitem__, codes)))
 
-    def _count(self, q: int) -> tuple[int, list[int], list[int]]:
-        """Query ``q``'s reach, then its candidates and their count codes."""
+    def _count(self, q: int) -> tuple[list[int], list[int]]:
+        """Query ``q``'s candidates, by position in id order, and their count codes."""
         ids = self.ids
         if len(ids) < 2:
             raise EvaluationError(
                 f"no candidate documents for query {ids[q]!r} (corpus too small)"
             )
-        reach = self._reach[q] & ~(1 << q)
+        r = self._rank[q]
+        reach = self._reach[r] & ~(1 << r)
         # the switch rule (module docstring): sum once the candidates are at
         # least half of the other documents
         if self._summable and 2 * reach.bit_count() >= len(ids) - 1:
-            candidates, codes = self._sums(q, reach)
-        else:
-            candidates, codes = self._walk(q, reach)
-        return reach, candidates, codes
+            return self._sums(r, reach)
+        return self._walk(r, reach)
 
     def _tables(self, lams: Sequence[float]) -> dict[float, _Scores]:
         """The score tables of ``lams``; only they are kept from now on, so a
@@ -241,7 +232,8 @@ class ScoringCore:
         return tables
 
     def _walk(self, q: int, reach: int) -> tuple[list[int], list[int]]:
-        """``q``'s candidates in position order, each with its count code.
+        """The candidates of query number ``q``, as corpus positions in id
+        order, each with its count code.
 
         Candidates are the reachable documents, ``reach``: each shares a
         concept with ``q`` or holds a neighbor of one, so its inter or rel
@@ -250,6 +242,7 @@ class ScoringCore:
         and two popcounts on its packed int.
         """
         packed, sizes, width = self._packed, self._sizes, self._width
+        order = self._order
         held = packed[q] & self._held_bits
         swapped = packed[q] >> width | held << width
         # inter << 2 * bits | rel << bits | union, where union = the two
@@ -260,11 +253,11 @@ class ScoringCore:
         while reach:
             low = reach & -reach
             reach ^= low
-            j = low.bit_length() - 1
-            p = packed[j]
-            candidates.append(j)
+            r = low.bit_length() - 1
+            p = packed[r]
+            candidates.append(order[r])
             codes.append((held & p).bit_count() * inter_weight
-                         + ((swapped & p).bit_count() << bits) + size_q + sizes[j])
+                         + ((swapped & p).bit_count() << bits) + size_q + sizes[r])
         return candidates, codes
 
     def _sums(self, q: int, reach: int) -> tuple[list[int], list[int]]:
@@ -298,7 +291,7 @@ class ScoringCore:
         data[2::4] = inter.to_bytes(n, "little")
         chosen = _digits(reach)
         codes = memoryview(data).cast("I")
-        return list(compress(count(), chosen)), list(compress(codes, chosen))
+        return list(compress(self._order, chosen)), list(compress(codes, chosen))
 
     def _build(self) -> None:
         """Fill in ``spread`` and ``meets`` for every concept."""

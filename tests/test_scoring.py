@@ -466,9 +466,10 @@ def _ranks_like_brute_force(docs, index):
 def test_summed_queries_rank_like_brute_force_and_count_like_the_walk(case):
     docs, index = case
     core, summed = _ranks_like_brute_force(docs, index)
-    # every query with concepts took the sums, at every k
+    # every query with concepts took the sums, at every k; the core numbers
+    # documents by id, and _order maps each number back to its position
     nonempty = [q for q, d in enumerate(docs) if d.concepts]
-    assert sorted(set(summed)) == nonempty
+    assert sorted({core._order[r] for r in summed}) == nonempty
 
 
 @settings(max_examples=100)
@@ -535,10 +536,12 @@ def test_the_first_summed_query_builds_every_concepts_counters(case):
     assert core._spread == [] and core._meets == []
     # every query with concepts is summed
     core.tops(next(q for q, d in enumerate(docs) if d.concepts), SWITCH_LAMBDAS, 1)
-    names = list(dict.fromkeys(c for d in docs for c in d.concepts))  # bit order
+    # the core numbers documents by id: field r is the document at _order[r]
+    by_id = [docs[j] for j in core._order]
+    names = list(dict.fromkeys(c for d in by_id for c in d.concepts))  # bit order
 
     def fields(holds):
-        return sum(1 << 8 * j for j, d in enumerate(docs) if holds(d.concepts))
+        return sum(1 << 8 * r for r, d in enumerate(by_id) if holds(d.concepts))
 
     def listed(c):
         return index.neighbors(c) if index is not None else frozenset()
@@ -564,7 +567,8 @@ def test_both_counts_agree_on_a_query_with_no_concepts_in_a_dense_corpus():
         Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(4)
     ]
     core = ScoringCore(docs)
-    assert core._sums(0, 0) == core._walk(0, 0) == ([], [])
+    e = core._rank[0]  # the core's number for "e"
+    assert core._sums(e, 0) == core._walk(e, 0) == ([], [])
     assert core.tops(0, (0.5,), 4)[0] == [(0.0, 1), (0.0, 2), (0.0, 3), (0.0, 4)]
     assert core.tops(1, (0.5,), 4)[0] == [(1 / 3, 2), (1 / 3, 3), (1 / 3, 4), (0.0, 0)]
 
@@ -602,7 +606,7 @@ def test_dense_rankings_and_nn_cui_equal_brute_force(case, lam, data):
 def _gains_equal_nn_iou(docs, index, lams):
     """Every pair q != j: the gain, 0.0 for a non-candidate, is nn_iou's float.
 
-    Returns the queries whose count was summed.
+    Returns the positions of the queries whose count was summed.
     """
     core = ScoringCore(docs, index)
     summed = []
@@ -630,7 +634,7 @@ def _gains_equal_nn_iou(docs, index, lams):
                                                             index)
                 assert core.gains(q, lam) == gains
     assert list(core._scores) == [lams[-1]]
-    return summed
+    return [core._order[r] for r in summed]
 
 
 @settings(max_examples=150)
