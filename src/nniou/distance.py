@@ -7,7 +7,7 @@ comparisons against it fail loudly instead of silently matching.  Both
 questions are answered by one layered breadth-first walk, which yields
 the concepts first reached at each hop distance.  A walk bounded at ``n``
 hops first gathers every neighbor list it will read, one batched graph
-lookup per hop, so a top-down graph can answer from its edge arrays.
+lookup per hop, so a top-down graph can answer from its edge lists.
 
 Pure functions over an immutable graph; safe to call from many threads.
 """

@@ -4,7 +4,7 @@ The graph holds hierarchical (is_a) relations between concepts.  Each edge
 is a directed child -> parent pair; distance computations traverse the
 undirected view.  Edge files and in-memory pairs go through one loader:
 identifiers are interned to dense integers in first-seen order and the
-distinct edges are kept as two parallel int arrays (children, parents).
+distinct edges are kept as two parallel lists of ids (children, parents).
 The undirected view is one flat array of neighbor ids with per-node
 offsets; it holds no per-node container.  The graph's ``acyclic`` and
 ``cycle`` attributes hold the acyclicity verdict and, for a cyclic graph,
@@ -20,7 +20,7 @@ the numbers fall strictly along every edge.  Nor can its edges repeat,
 since no child does.  Every other input is decided at load time by
 Kahn's in-degree peel (Kahn 1962), linear in nodes plus edges, which
 needs the undirected view.  A top-down graph defers the view: it answers
-a batch of neighbor lookups by scanning its two edge arrays, and builds
+a batch of neighbor lookups by scanning its two edge lists, and builds
 the view only once further scans would cost more than building it, or on
 a single-node lookup.  So a load that walks no edge never pays for it,
 nor does a walk of a few hops from a small vocabulary.
@@ -43,7 +43,7 @@ import io
 import re
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, eq, not_
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
@@ -58,13 +58,14 @@ _SHIFT = 32
 _MASK = (1 << _SHIFT) - 1
 
 # A top-down graph answers a batch of neighbor lookups by scanning its two
-# edge arrays until scans would cost more than building the undirected
+# edge lists until scans would cost more than building the undirected
 # view: ski rental (Karlin et al. 1988), which rents until the rent paid
 # would have bought.  On the 200,000-node sparse benchmark file, under
 # CPython 3.11 on a shared 2-vCPU Xeon VM, one scan for its 1,664 corpus
-# concepts took a median 21 ms over 9 repeats and building the view
-# 209 ms, a ratio of 10.  A scan's cost also grows by about 2.5 us per id
-# it asks for, so the ids asked for in all are capped as well.
+# concepts took 27 ms and building the view 276 ms, medians of eight runs
+# of 9 repeats: a ratio of 10 (8.0-10.7 by run).  A scan's cost also
+# grows by about 2.5 us per id it asks for, so the ids asked for in all
+# are capped as well.
 _SCANS = 10
 
 
@@ -95,26 +96,17 @@ def normalize_concept_id(raw: str, strict_cui: bool = False) -> str:
     return concept
 
 
-def _reject(fields: Sequence[str], strict_cui: bool, line: int | None) -> None:
-    """Raise the error of the first invalid identifier among ``fields``."""
-    for raw in fields:
-        try:
-            normalize_concept_id(raw, strict_cui)
-        except ValueError as exc:
-            raise EdgeFileError(str(exc), line=line) from None
-
-
 def _intern(
-    rows: Iterable[tuple[int | None, Sequence[str]]], strict_cui: bool
+    records: Iterable[tuple[str, str | bool | None, str]], strict_cui: bool
 ) -> tuple[dict[str, int], list[int], list[int], bool]:
-    """Intern ``(line, fields)`` records and deduplicate their edges.
+    """Intern ``(child, tab, parent)`` records and deduplicate their edges.
 
-    ``fields`` holds one raw identifier (a node) or two (child, parent).
-    Returns the identifier -> id map in first-seen order, the distinct
-    edges, in first-seen order, as parallel child and parent id lists, and
-    whether the records are top-down (each names a child no earlier record
-    or node line named).  Errors are :class:`EdgeFileError` naming ``line``
-    unless it is None.
+    A file line comes split by ``str.partition("\t")`` (``tab`` ``"\t"`` or
+    ``""``); its errors name its line, one past the edges and edgeless lines
+    before it.  An in-memory edge has ``tab`` None, a node ``tab`` False and
+    ``parent`` empty; neither is ever a comment.  Returns the identifier ->
+    id map and the distinct edges as parallel child and parent id lists, all
+    in first-seen order, and whether every record names a new child (top-down).
     """
     index: dict[str, int] = {}
     top_down = True
@@ -124,32 +116,49 @@ def _intern(
     add_child = children.append
     add_parent = parents.append
     match = CUI_PATTERN.fullmatch if strict_cui else None
-    for line, fields in rows:
-        if len(fields) == 2:
-            child, parent = fields
-            child = child.strip()
-            parent = parent.strip()
-            if not (child and parent) or (match and not (match(child) and match(parent))):
-                _reject(fields, strict_cui, line)
-            fresh = len(index)
-            c = intern(child, fresh)
-            p = intern(parent, len(index))
-            if c == p:
-                raise EdgeFileError(f"self-loop edge {child!r}", line=line)
-            if c != fresh:
-                top_down = False
-            add_child(c)
-            add_parent(p)
-        elif len(fields) == 1:
-            node = fields[0].strip()
-            if not node or (match and not match(node)):
-                _reject(fields, strict_cui, line)
-            intern(node, len(index))
-        else:
-            raise EdgeFileError(
-                f"expected 1 or 2 tab-separated fields, got {len(fields)}",
-                line=line,
-            )
+    edgeless = 0
+
+    def irregular(head: str, tab: str | bool | None, rest: str) -> bool:
+        """Consume a comment, blank or node record (True), hand back a
+        valid edge for the loop to intern (False), or raise its error."""
+        nonlocal edgeless
+        fields, line = [head] if tab is False else [head, rest], None
+        if isinstance(tab, str):
+            text = head + tab + rest
+            if text.strip()[:1] in ("", "#"):
+                edgeless += 1
+                return True
+            fields, line = text.split("\t"), len(children) + edgeless + 1
+            if len(fields) > 2:
+                raise EdgeFileError(
+                    f"expected 1 or 2 tab-separated fields, got {len(fields)}", line=line
+                )
+        try:
+            names = [normalize_concept_id(raw, strict_cui) for raw in fields]
+        except ValueError as exc:
+            raise EdgeFileError(str(exc), line=line) from None
+        if len(names) == 2:
+            if names[0] == names[1]:
+                raise EdgeFileError(f"self-loop edge {names[0]!r}", line=line)
+            return False
+        intern(names[0], len(index))
+        edgeless += 1
+        return True
+
+    for head, tab, rest in records:
+        child = head.strip()
+        parent = rest.strip()
+        if (
+            not (child and parent) or child[0] == "#" or "\t" in rest or child == parent
+            or (match and not (match(child) and match(parent)))
+        ) and irregular(head, tab, rest):
+            continue
+        fresh = len(index)
+        c = intern(child, fresh)
+        if c != fresh:
+            top_down = False
+        add_child(c)
+        add_parent(intern(parent, len(index)))
     if top_down:
         return index, children, parents, True
     # A repeated edge repeats its child.  Keying every edge takes several
@@ -159,8 +168,9 @@ def _intern(
     if any(map(eq, ordered, islice(ordered, 1, None))):
         distinct = dict.fromkeys([c << _SHIFT | p for c, p in zip(children, parents)])
         if len(distinct) < len(children):
-            children = [key >> _SHIFT for key in distinct]
-            parents = [key & _MASK for key in distinct]
+            ids = list(index.values())  # the index's own ints, as the loop keeps
+            children = [ids[key >> _SHIFT] for key in distinct]
+            parents = [ids[key & _MASK] for key in distinct]
     return index, children, parents, False
 
 
@@ -262,20 +272,13 @@ class KnowledgeGraph:
     Input listed top-down is acyclic by its record order; any other input
     is checked by Kahn's peel while it loads, which builds the undirected
     view.  A top-down graph answers :meth:`neighbor_lists` batches by
-    scanning its edge arrays while that stays cheaper, and builds the view
+    scanning its edge lists while that stays cheaper, and builds the view
     once it no longer does, or on the first :meth:`neighbor_ids` call.
     """
 
     __slots__ = (
-        "_names",
-        "_index",
-        "_children",
-        "_parents",
-        "_undirected",
-        "_scans",
-        "acyclic",
-        "cycle",
-        "source_checksum",
+        "_names", "_index", "_children", "_parents", "_undirected", "_scans",
+        "acyclic", "cycle", "source_checksum",
     )
 
     def __init__(
@@ -307,10 +310,10 @@ class KnowledgeGraph:
                 ]
                 offsets, targets = _drop_twins(offsets, targets)
             self._undirected = (offsets, targets)
-        # Arrays, not lists: the garbage collector never scans an array,
-        # while each full collection walks every element of a list.
-        self._children = array("q", children)
-        self._parents = array("q", parents)
+        # _intern's lists hold the index's own ints: they take no more memory
+        # than arrays would, and reading them creates no int.
+        self._children = children
+        self._parents = parents
         self.source_checksum = source_checksum
 
     @classmethod
@@ -320,12 +323,12 @@ class KnowledgeGraph:
         nodes: Iterable[str] = (),
     ) -> "KnowledgeGraph":
         """Build a graph from (child, parent) pairs plus optional isolated nodes."""
-        rows = chain(
-            ((None, (node,)) for node in nodes),
-            ((None, (child, parent)) for child, parent in edges),
+        records = chain(
+            zip(nodes, repeat(False), repeat("")),
+            ((child, None, parent) for child, parent in edges),
         )
         try:
-            index, children, parents, top_down = _intern(rows, False)
+            index, children, parents, top_down = _intern(records, False)
         except EdgeFileError as exc:
             raise ValueError(str(exc)) from None
         names = list(index)
@@ -372,7 +375,7 @@ class KnowledgeGraph:
         """Each id's :meth:`neighbor_ids`, for a whole batch of ids at once.
 
         A graph that has its undirected view slices it.  A top-down graph
-        scans its edge arrays instead until scans would cost more than
+        scans its edge lists instead until scans would cost more than
         building the view (see :func:`_keep_scanning`), and then builds it.
         """
         view = self._undirected
@@ -389,7 +392,7 @@ class KnowledgeGraph:
         return {u: targets[offsets[u]:offsets[u + 1]] for u in ids}
 
     def _scan(self, ids: Collection[int]) -> dict[int, list[int]]:
-        """:meth:`neighbor_lists` of a top-down graph, from its edge arrays.
+        """:meth:`neighbor_lists` of a top-down graph, from its edge lists.
 
         Each record's child is the next fresh id, so the children strictly
         increase: a node's one parent edge is found by bisection, and the
@@ -440,15 +443,12 @@ def parse_edge_file(path: str | Path, strict_cui: bool = False) -> KnowledgeGrap
     checksum = hashlib.sha256(data).hexdigest()
     # universal newlines end a line at \n, \r\n or \r and nowhere else
     lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
-    rows = (
-        (lineno, line.split("\t"))
-        for lineno, line in enumerate(lines, start=1)
-        if (stripped := line.strip()) and stripped[0] != "#"
-    )
-    # only rows holds the bytes now, so they are freed after the last line
-    del data, lines
+    # only lines holds the bytes now, so closing it frees them before the
+    # graph is built
+    del data
     try:
-        parts = _intern(rows, strict_cui)
+        with lines:
+            parts = _intern(map(str.partition, lines, repeat("\t")), strict_cui)
     except UnicodeDecodeError as exc:
         raise EdgeFileError.undecodable(path, exc) from None
     return KnowledgeGraph(*parts, checksum)

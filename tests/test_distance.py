@@ -102,7 +102,7 @@ class TestBoundedNeighborhood:
     @pytest.mark.parametrize("scan", [False, True], ids=["view", "scan"])
     @pytest.mark.parametrize("source", GRAPH_SOURCES)
     def test_matches_threshold_filter_of_oracle(self, tmp_path, source, scan):
-        """Top-down graphs either scan their edge arrays or build the view."""
+        """Top-down graphs either scan their edge lists or build the view."""
         rng = random.Random(23)
         with mock.patch.object(kg_store, "_keep_scanning", lambda *_: scan):
             for _ in range(15):

@@ -100,6 +100,36 @@ class TestParseEdgeFile:
         with pytest.raises(EdgeFileError, match=f"line {bad}:"):
             parse_edge_file(_write(tmp_path, text + "x\ty\tz\n"))
 
+    @pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "skipped", ["# c", "\t# note", "", "   ", "C0000009"],
+        ids=["comment", "tab-comment", "blank", "whitespace", "bare-node"],
+    )
+    @pytest.mark.parametrize(
+        "bad, strict, message",
+        [
+            ("C0000003\tC0000001\tC0000002", False,
+             "expected 1 or 2 tab-separated fields, got 3"),
+            ("C0000003\tC0000003", False, "self-loop edge 'C0000003'"),
+            ("C0000003\t", False, "empty concept identifier"),
+            ("C0000003\tX1", True,
+             "invalid CUI 'X1': expected the letter 'C' followed by seven digits"),
+        ],
+        ids=["three-fields", "self-loop", "empty-parent", "strict-cui"],
+    )
+    def test_bad_records_after_skipped_lines_name_their_line(
+        self, tmp_path, mark, end, skipped, bad, strict, message
+    ):
+        """Lines that hold no edge still count, whatever ends them."""
+        lines = [skipped, "C0000002\tC0000001", skipped, skipped, bad, "C0000004\tC0000001"]
+        path = tmp_path / "edges.tsv"
+        path.write_bytes((mark + end.join(lines) + end).encode("utf-8"))
+        with pytest.raises(EdgeFileError) as caught:
+            parse_edge_file(path, strict_cui=strict)
+        assert caught.value.line == 5
+        assert str(caught.value) == f"line 5: {message}"
+
     def test_self_loop_reports_line_number(self, tmp_path):
         with pytest.raises(EdgeFileError, match="line 3.*self-loop"):
             parse_edge_file(_write(tmp_path, "a\tb\nb\tc\nq\tq\n"))
@@ -218,6 +248,42 @@ class TestConceptIds:
     def test_from_edges_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             KnowledgeGraph.from_edges([("a", "a")])
+
+
+class TestFromEdges:
+    """In-memory records follow the identifier rules, not the file syntax."""
+
+    def test_hash_led_children_and_nodes_are_concepts(self):
+        graph = KnowledgeGraph.from_edges([("#a", "b"), ("  #c ", "#a")], nodes=["#n", " # m"])
+        assert graph.node_names == ("#n", "# m", "#a", "b", "#c")
+        assert graph.edges() == [("#a", "b"), ("#c", "#a")]
+
+    def test_tab_holding_identifiers_are_concepts(self):
+        graph = KnowledgeGraph.from_edges(
+            [("a\tb", "c\td"), ("e", "a\tb\t")], nodes=["x\ty", "\tz"]
+        )
+        assert graph.node_names == ("x\ty", "z", "a\tb", "c\td", "e")
+        assert graph.edges() == [("a\tb", "c\td"), ("e", "a\tb")]
+
+    @pytest.mark.parametrize(
+        "edges, nodes, message",
+        [
+            ([("", "b")], (), "empty concept identifier"),
+            ([("a", "")], (), "empty concept identifier"),
+            ([("a", " \t ")], (), "empty concept identifier"),
+            ([("\t", "b")], (), "empty concept identifier"),
+            ([("a", "b")], [""], "empty concept identifier"),
+            ([("a", "b")], ["  "], "empty concept identifier"),
+            ([("a", "b"), ("c", "c")], (), "self-loop edge 'c'"),
+            ([(" c", "c\t")], ["c"], "self-loop edge 'c'"),
+            ([("#c", "#c")], (), "self-loop edge '#c'"),
+        ],
+    )
+    def test_empty_identifiers_and_self_loops_raise_without_a_line(self, edges, nodes, message):
+        with pytest.raises(ValueError) as caught:
+            KnowledgeGraph.from_edges(edges, nodes=nodes)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message
 
 
 # "x\u2028y": str.splitlines would end a line inside it, the loader must not

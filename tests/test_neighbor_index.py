@@ -65,7 +65,7 @@ class TestBuildIndex:
     @pytest.mark.parametrize("scan", [False, True], ids=["view", "scan"])
     @pytest.mark.parametrize("source", GRAPH_SOURCES)
     def test_matches_brute_force_sets(self, tmp_path, source, scan):
-        """Top-down graphs either scan their edge arrays or build the view."""
+        """Top-down graphs either scan their edge lists or build the view."""
         rng = random.Random(5)
         top_down = source in ("parents-first", "from-edges")
         with mock.patch.object(kg_store, "_keep_scanning", lambda *_: scan):
