@@ -1,9 +1,9 @@
 """The (radius, lambda, k) Precision@K sweep behind ``nniou ablate``.
 
 :func:`ablation_rows` ranks each graded query once per radius under every
-lambda (:meth:`nniou.scoring.ScoringCore.tops`) and grades the rankings by
-corpus position, against one label key per document, so a cell builds no
-runs or reports.  Its rows equal :func:`nniou.precision_at_k` over the
+lambda (:meth:`nniou.scoring.ScoringCore.tops`) and grades each ranking
+against the set of ids that share the query's label key, so a cell builds
+no runs or reports.  Its rows equal :func:`nniou.precision_at_k` over the
 ground-truth runs, float for float: queries are summed in sorted-id order.
 """
 
@@ -63,13 +63,12 @@ def ablation_rows(
     ranked.  Ids must be unique.  At radius 0 approximate matching is
     inert, so a precision that varies with lambda there is an internal error.
     """
-    ids = list(_docs_by_id(docs))
-    labeled = derive_labels(docs, class_map)
-    keys = _label_keys(labeled, categories)
-    graded = [
-        q for q in sorted(range(len(docs)), key=ids.__getitem__)
-        if all(c in labeled[q].labels for c in categories)
-    ]
+    labeled = _docs_by_id(derive_labels(docs, class_map))
+    keys = dict(zip(labeled, _label_keys(labeled.values(), categories)))
+    sharing: dict[tuple, set[str]] = {}  # the ids that share each label key
+    for doc_id, key in keys.items():
+        sharing.setdefault(key, set()).add(doc_id)
+    graded = sorted(q for q, doc in labeled.items() if all(c in doc.labels for c in categories))
     max_k = max(grid.ks)
     rows: list[tuple[int, float, int, float]] = []
     for radius in grid.radii:
@@ -77,9 +76,9 @@ def ablation_rows(
         # per lambda and k, each graded query's matching fraction in id order
         fractions = [[[] for _ in grid.ks] for _ in grid.lambdas]
         for q in graded:
-            key = keys[q]
+            matches = sharing[keys[q]]
             for cells, ranked in zip(fractions, core.tops(q, grid.lambdas, max_k)):
-                found = [keys[j] == key for _, j in ranked]
+                found = [j in matches for _, j in ranked]
                 for cell, k in zip(cells, grid.ks):
                     top = found[:k]
                     cell.append(top.count(True) / len(top))

@@ -19,6 +19,8 @@ map and ``--categories`` before reading the graph, corpus, runs or index.
 A chosen category that labels no document is reported once the corpus is
 read and before any query is ranked; ``eval`` reports it before reading
 the runs or the index.
+``eval`` adds a joint ``Precision@K[a&b]`` report to the per-category ones
+when it grades two or more categories.
 The sweep that ``ablate`` runs is :func:`nniou.ablation.ablation_rows`.
 """
 

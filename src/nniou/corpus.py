@@ -54,7 +54,10 @@ def _string_list(value, what: str, lineno: int) -> list[str]:
 
 
 def read_corpus(path: str | Path) -> list[Document]:
-    """Load a JSONL corpus; duplicate or malformed documents are rejected."""
+    """Load a JSONL corpus; duplicate or malformed documents are rejected.
+
+    Each ``cuis`` string is stripped, and a blank one is dropped.
+    """
     docs: list[Document] = []
     seen: dict[str, int] = {}
     for lineno, record in _jsonl_records(path):

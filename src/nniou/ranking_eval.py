@@ -190,8 +190,8 @@ def ground_truth_ranking(
     """
     pool = [doc for doc in _docs_by_id(corpus).values() if doc.id != query.id] + [query]
     core, lam = scoring_core(pool, cfg, index)
-    ranked = core.tops(len(pool) - 1, (lam,), len(pool) - 1)[0]
-    return RankingRun(query.id, [core.ids[j] for _, j in ranked])
+    ranked = core.tops(query.id, (lam,), len(pool) - 1)[0]
+    return RankingRun(query.id, [doc_id for _, doc_id in ranked])
 
 
 def ground_truth_rankings(
@@ -204,10 +204,11 @@ def ground_truth_rankings(
     Each run equals :func:`ground_truth_ranking` of that document cut at
     ``cfg.k``, but one scoring core ranks them all.  Ids must be unique.
     """
-    core, lam = scoring_core(list(_docs_by_id(corpus).values()), cfg, index)
+    docs = _docs_by_id(corpus)
+    core, lam = scoring_core(list(docs.values()), cfg, index)
     return [
-        RankingRun(query_id, [core.ids[j] for _, j in core.tops(q, (lam,), cfg.k)[0]])
-        for q, query_id in enumerate(core.ids)
+        RankingRun(query_id, [doc_id for _, doc_id in core.tops(query_id, (lam,), cfg.k)[0]])
+        for query_id in docs
     ]
 
 
@@ -265,7 +266,6 @@ def nn_cui_at_k(
     docs = _docs_by_id(corpus)
     core, lam = scoring_core(list(docs.values()), cfg, index)
     by_query = _runs_by_query(docs, runs)
-    position = {doc_id: j for j, doc_id in enumerate(docs)}
 
     per_query: dict[str, float] = {}
     exclusions: list[dict[str, str]] = []
@@ -275,7 +275,6 @@ def nn_cui_at_k(
         if run is None:
             exclusions.append({"query_id": query_id, "reason": "no run provided"})
             continue
-        q = position[query_id]
         top = run.ranked_ids[: cfg.k]
         if len(top) < cfg.k:
             notes.append(
@@ -283,9 +282,9 @@ def nn_cui_at_k(
                 "missing positions padded with zero relevance"
             )
         # non-candidates score exactly 0, so they are not listed
-        gains = core.gains(q, lam)
+        gains = core.gains(query_id, lam)
         gain = gains.get
-        per_query[query_id] = ndcg_at_k([gain(position[r], 0.0) for r in top],
+        per_query[query_id] = ndcg_at_k([gain(r, 0.0) for r in top],
                                         heapq.nlargest(cfg.k, gains.values()), cfg.k)
 
     metric = f"nn-CUI@{cfg.k}" if cfg.measure == "nniou" else f"CUI@{cfg.k}"

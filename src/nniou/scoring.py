@@ -67,8 +67,9 @@ ablation sweep scores each pair once per radius instead of once per
 each candidate to its score, which is all nn-CUI@K needs, since an ideal
 DCG depends only on the k largest gains and a run's documents are looked
 up in it.
-Since documents are numbered by id, both ways list the candidates in id
-order, and one stable sort by descending score breaks every tie by id.
+Queries and results are document ids.  The core sorts its documents by id
+once and numbers them in that order, so both ways list the candidates in
+id order, and one stable sort by descending score breaks every tie by id.
 Per lambda, the candidates' float scores come first and the k-th largest
 is a cut: only positive scores at or above it are sorted, so a query
 sorts about k of them instead of one per candidate, and every float tie
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 import sys
 from itertools import compress, filterfalse, islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .errors import EvaluationError
@@ -95,24 +96,23 @@ class ScoringCore:
 
     Built once per (corpus, index) from documents with ``id`` and
     ``concepts``; without an index, approximate matching is off and scores
-    reduce to IoU.  Queries are corpus positions and never retrieve
-    themselves; document ids are expected to be unique.  :meth:`tops`
+    reduce to IoU.  Queries and results are document ids, which are
+    expected to be unique; a query never retrieves itself.  :meth:`tops`
     ranks a query (retrieval, the ablation sweep); :meth:`gains` lists its
     scores unranked (nn-CUI@K).  Both count through one step, so they
     agree float for float.  Results are fixed at construction, and the
     index is read only there.  The first summed query builds every
     concept's byte-field counters; the score of each count code is cached
-    as queries first need it, only for the lambdas of the latest
-    :meth:`tops` or :meth:`gains` call.
+    as queries first need it, in one table per lambda asked for, kept for
+    the life of the core.
     """
 
     def __init__(self, docs: Sequence, index: NeighborIndex | None = None):
-        self.ids = [doc.id for doc in docs]
         # bit r of a document set is the r-th smallest id, so every scan
-        # lists documents in id order; _order maps r to a corpus position
-        self._order = order = sorted(range(len(docs)), key=self.ids.__getitem__)
-        self._rank = sorted(range(len(docs)), key=order.__getitem__)  # its inverse
-        docs = [docs[j] for j in order]
+        # lists documents in id order
+        docs = sorted(docs, key=attrgetter("id"))
+        self.ids = [doc.id for doc in docs]
+        self._number = {doc_id: r for r, doc_id in enumerate(self.ids)}
         self._sizes = [len(doc.concepts) for doc in docs]
         bit: dict[str, int] = {}
         postings: list[int] = []
@@ -161,9 +161,9 @@ class ScoringCore:
         self._scores: dict[float, _Scores] = {}
 
     def tops(
-        self, q: int, lams: Sequence[float], k: int
-    ) -> list[list[tuple[float, int]]]:
-        """Query ``q``'s first ``k`` (score, document) pairs under each weight.
+        self, q: str, lams: Sequence[float], k: int
+    ) -> list[list[tuple[float, str]]]:
+        """Query ``q``'s first ``k`` (score, document id) pairs under each weight.
 
         One ranking per entry of ``lams``, in order.  Each is ordered by
         descending score, ties by ascending id.  Only reachable documents
@@ -177,10 +177,9 @@ class ScoringCore:
         order.
         """
         candidates, codes = self._count(q)
-        tables = self._tables(lams)
         rankings = []
         for lam in lams:
-            scores = list(map(tables[lam].__getitem__, codes))
+            scores = list(map(self._table(lam).__getitem__, codes))
             cut = 0.0
             if len(scores) > k:
                 cut = sorted(scores)[-k]
@@ -191,13 +190,13 @@ class ScoringCore:
                 # every positive document is ranked already; the rest score 0
                 skip = {j for _, j in ranked}
                 skip.add(q)
-                zeros = islice(filterfalse(skip.__contains__, self._order), k - len(ranked))
+                zeros = islice(filterfalse(skip.__contains__, self.ids), k - len(ranked))
                 ranked += [(0.0, j) for j in zeros]
             rankings.append(ranked)
         return rankings
 
-    def gains(self, q: int, lam: float) -> dict[int, float]:
-        """Every candidate of query ``q`` with its score at ``lam``, by position.
+    def gains(self, q: str, lam: float) -> dict[str, float]:
+        """Every candidate of query ``q`` with its score at ``lam``, by id.
 
         The candidates are the documents :meth:`tops` scores, each score
         the float it ranks by; every other document, ``q`` itself aside,
@@ -205,16 +204,16 @@ class ScoringCore:
         ranked: an ideal DCG needs only the largest values.
         """
         candidates, codes = self._count(q)
-        return dict(zip(candidates, map(self._tables((lam,))[lam].__getitem__, codes)))
+        return dict(zip(candidates, map(self._table(lam).__getitem__, codes)))
 
-    def _count(self, q: int) -> tuple[list[int], list[int]]:
-        """Query ``q``'s candidates, by position in id order, and their count codes."""
+    def _count(self, q: str) -> tuple[list[str], list[int]]:
+        """Query ``q``'s candidates, in id order, and their count codes."""
         ids = self.ids
         if len(ids) < 2:
             raise EvaluationError(
-                f"no candidate documents for query {ids[q]!r} (corpus too small)"
+                f"no candidate documents for query {q!r} (corpus too small)"
             )
-        r = self._rank[q]
+        r = self._number[q]
         reach = self._reach[r] & ~(1 << r)
         # the switch rule (module docstring): sum once the candidates are at
         # least half of the other documents
@@ -222,18 +221,15 @@ class ScoringCore:
             return self._sums(r, reach)
         return self._walk(r, reach)
 
-    def _tables(self, lams: Sequence[float]) -> dict[float, _Scores]:
-        """The score tables of ``lams``; only they are kept from now on, so a
-        core swept over many lambdas holds no more tables than one call asks for."""
-        kept = self._scores
-        self._scores = tables = {
-            lam: kept[lam] if lam in kept else _Scores(lam, self._bits) for lam in lams
-        }
-        return tables
+    def _table(self, lam: float) -> _Scores:
+        """The score table of ``lam``, made on first use and kept."""
+        if lam not in self._scores:
+            self._scores[lam] = _Scores(lam, self._bits)
+        return self._scores[lam]
 
-    def _walk(self, q: int, reach: int) -> tuple[list[int], list[int]]:
-        """The candidates of query number ``q``, as corpus positions in id
-        order, each with its count code.
+    def _walk(self, q: int, reach: int) -> tuple[list[str], list[int]]:
+        """The candidates of query number ``q``, as ids in id order, each
+        with its count code.
 
         Candidates are the reachable documents, ``reach``: each shares a
         concept with ``q`` or holds a neighbor of one, so its inter or rel
@@ -241,26 +237,25 @@ class ScoringCore:
         included, scores 0 at every lambda.  Each candidate costs two ANDs
         and two popcounts on its packed int.
         """
-        packed, sizes, width = self._packed, self._sizes, self._width
-        order = self._order
+        packed, sizes, width, ids = self._packed, self._sizes, self._width, self.ids
         held = packed[q] & self._held_bits
         swapped = packed[q] >> width | held << width
         # inter << 2 * bits | rel << bits | union, where union = the two
         # sizes - inter
         bits, inter_weight, size_q = self._bits, self._inter_weight, sizes[q]
-        candidates: list[int] = []
+        candidates: list[str] = []
         codes: list[int] = []
         while reach:
             low = reach & -reach
             reach ^= low
             r = low.bit_length() - 1
             p = packed[r]
-            candidates.append(order[r])
+            candidates.append(ids[r])
             codes.append((held & p).bit_count() * inter_weight
                          + ((swapped & p).bit_count() << bits) + size_q + sizes[r])
         return candidates, codes
 
-    def _sums(self, q: int, reach: int) -> tuple[list[int], list[int]]:
+    def _sums(self, q: int, reach: int) -> tuple[list[str], list[int]]:
         """What :meth:`_walk` returns, from byte-field sums over the corpus.
 
         ``spread[c]`` holds a 1 in the field of every document holding
@@ -291,7 +286,7 @@ class ScoringCore:
         data[2::4] = inter.to_bytes(n, "little")
         chosen = _digits(reach)
         codes = memoryview(data).cast("I")
-        return list(compress(self._order, chosen)), list(compress(codes, chosen))
+        return list(compress(self.ids, chosen)), list(compress(codes, chosen))
 
     def _build(self) -> None:
         """Fill in ``spread`` and ``meets`` for every concept."""

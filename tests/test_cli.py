@@ -8,7 +8,18 @@ from unittest import mock
 
 import pytest
 
-from nniou import ConfigError, RankingRun, kg_store, load_index, read_runs, write_runs
+from nniou import (
+    ConfigError,
+    RankingRun,
+    derive_labels,
+    kg_store,
+    load_index,
+    precision_at_k,
+    read_class_map,
+    read_corpus,
+    read_runs,
+    write_runs,
+)
 from nniou.cli import AblationGrid, main
 from nniou.scoring import ScoringCore
 
@@ -25,6 +36,19 @@ def workspace(tmp_path):
     _, docs, class_map, edge_lines = planted_cluster_corpus(docs_per_cluster=8)
     edges, corpus, cmap = write_fixture_files(tmp_path, docs, class_map, edge_lines)
     return tmp_path, edges, corpus, cmap
+
+
+def _with_site_category(cmap):
+    """The class map plus a second category, ``site``, over the noise concepts.
+
+    A document holding noise concepts from both groups gets no site label.
+    """
+    payload = json.loads(cmap.read_text(encoding="utf-8"))
+    payload["site"] = {"upper": [f"C00001{i:02d}" for i in range(1, 5)],
+                       "lower": [f"C00001{i:02d}" for i in range(5, 9)]}
+    path = cmap.with_name("two-categories.json")
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
 
 
 def _with_unused_category(cmap):
@@ -536,6 +560,47 @@ class TestRetrieveAndEval:
         assert "must name at least one category" in captured.err
         assert captured.out == ""
 
+    def _eval_report(self, workspace, capsys, *flags):
+        """Exit code, stderr and report of ``eval`` over retrieved runs, plus the runs."""
+        tmp_path, edges, corpus, cmap, index = self._build(workspace)
+        runs = tmp_path / "r.runs"
+        assert main(["retrieve", "--corpus", str(corpus), "--index", str(index),
+                     "--k", "5", "--out", str(runs)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        code = main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--index", str(index), "--k", "5", "--out", str(report), *flags])
+        captured = capsys.readouterr()
+        assert captured.out == f"report written to {report}\n"
+        return code, captured.err, json.loads(report.read_text(encoding="utf-8")), runs
+
+    def test_eval_categories_grades_only_the_named_category(self, workspace, capsys):
+        cmap = _with_site_category(workspace[3])
+        code, err, payload, _ = self._eval_report(
+            workspace, capsys, "--class-map", str(cmap), "--categories", "site")
+        assert (code, err) == (0, "")
+        assert [r["metric"] for r in payload["reports"]] == ["nn-CUI@5", "Precision@5[site]"]
+        assert payload["reports"][1]["config"] == {"k": 5, "categories": ["site"]}
+
+    @pytest.mark.parametrize("categories", [["--categories", "modality,site"], []],
+                             ids=["named", "whole-class-map"])
+    def test_eval_adds_a_joint_report_for_two_categories(self, workspace, capsys,
+                                                         categories):
+        cmap = _with_site_category(workspace[3])
+        code, err, payload, runs = self._eval_report(
+            workspace, capsys, "--class-map", str(cmap), *categories)
+        assert (code, err) == (0, "")
+        assert [r["metric"] for r in payload["reports"]] == [
+            "nn-CUI@5", "Precision@5[modality]", "Precision@5[site]",
+            "Precision@5[modality&site]",
+        ]
+        joint = payload["reports"][3]
+        labeled = derive_labels(read_corpus(workspace[2]), read_class_map(cmap))
+        expected = precision_at_k(labeled, read_runs(runs), 5, ["modality", "site"])
+        assert joint["per_query"] == expected.per_query
+        # a document with noise from both site groups is left out
+        assert joint["exclusions"] == expected.exclusions != []
+
     def test_class_map_category_labelling_no_document_is_usage_error(self, workspace,
                                                                      capsys):
         tmp_path, edges, corpus, cmap = workspace
@@ -857,6 +922,20 @@ class TestFlagsCheckedBeforeFiles:
         assert captured.err == INDEX_ERROR
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, token", [
+        ("--lambdas", "0.5,half", "half"),
+        ("--radii", "1,one", "one"),
+        ("--ks", "5,5.0", "5.0"),
+    ])
+    def test_unparseable_grid_token(self, tmp_path, capsys, flag, value, token):
+        missing = str(tmp_path / "missing")
+        grid = {"--lambdas": "0.5", "--radii": "1", "--ks": "5", flag: value}
+        argv = ["ablate", "--corpus", missing, "--edges", missing, "--class-map", missing]
+        assert main([*argv, *(x for item in grid.items() for x in item)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {flag}: cannot parse {token!r}\n"
+        assert captured.out == ""
 
     def test_missing_index_is_reported_before_a_bad_run(self, workspace, capsys):
         tmp_path, edges, corpus, cmap = workspace

@@ -90,6 +90,34 @@ class TestReadCorpus:
         path = _write(tmp_path, "c.jsonl", text)
         assert [doc.concepts for doc in read_corpus(path)] == [{"C1"}, {"C2", concept}]
 
+    @pytest.mark.parametrize("record", ['["a"]', "42", "null", '"a"'])
+    def test_non_object_line_names_its_line(self, tmp_path, record):
+        path = _write(tmp_path, "c.jsonl", '{"id": "a", "cuis": []}\n\n' + record + "\n")
+        with pytest.raises(DataFileError) as raised:
+            read_corpus(path)
+        assert str(raised.value) == "line 3: record must be a JSON object"
+        assert raised.value.line == 3
+
+    def test_blank_concepts_are_dropped(self, tmp_path):
+        path = _write(tmp_path, "c.jsonl",
+                      '{"id": "a", "cuis": ["C1", "", " \\t "]}\n{"id": "b", "cuis": [" "]}\n')
+        assert [doc.concepts for doc in read_corpus(path)] == [{"C1"}, frozenset()]
+
+    def test_null_labels_read_as_no_labels(self, tmp_path):
+        path = _write(tmp_path, "c.jsonl", '{"id": "a", "cuis": ["C1"], "labels": null}\n')
+        assert read_corpus(path) == [Document("a", frozenset({"C1"}), {})]
+
+    @pytest.mark.parametrize("labels", ['["ct"]', '"ct"', '{"modality": 1}', '{"modality": null}'])
+    def test_non_object_labels_name_their_line(self, tmp_path, labels):
+        record = '{"id": "b", "cuis": [], "labels": ' + labels + "}\n"
+        path = _write(tmp_path, "c.jsonl", '{"id": "a", "cuis": []}\n' + record)
+        with pytest.raises(DataFileError) as raised:
+            read_corpus(path)
+        assert str(raised.value) == (
+            "line 2: 'labels' must be an object mapping category to value"
+        )
+        assert raised.value.line == 2
+
     def test_vocabulary_union(self, tmp_path):
         path = _write(
             tmp_path,
@@ -134,6 +162,16 @@ class TestRuns:
         with pytest.raises(DataFileError, match="ranked"):
             read_runs(path)
 
+    @pytest.mark.parametrize("query", ["", ', "query": ""', ', "query": " "', ', "query": 5'],
+                             ids=["missing", "empty", "blank", "number"])
+    def test_record_without_query_names_its_line(self, tmp_path, query):
+        path = _write(tmp_path, "runs.jsonl",
+                      '{"query": "a", "ranked": []}\n{"ranked": ["a"]' + query + "}\n")
+        with pytest.raises(DataFileError) as raised:
+            read_runs(path)
+        assert str(raised.value) == "line 2: missing or empty 'query' field"
+        assert raised.value.line == 2
+
 
 class TestClassMap:
     def test_valid_map(self, tmp_path):
@@ -152,6 +190,14 @@ class TestClassMap:
         path = _write(tmp_path, "map.json", "{}")
         with pytest.raises(ConfigError):
             read_class_map(path)
+
+    @pytest.mark.parametrize("value_map", ['["C1"]', '"ct"', "null", "{}"])
+    def test_category_that_maps_no_values_rejected(self, tmp_path, value_map):
+        path = _write(tmp_path, "map.json",
+                      '{"organ": {"liver": ["C2"]}, "modality": ' + value_map + "}")
+        with pytest.raises(ConfigError) as raised:
+            read_class_map(path)
+        assert str(raised.value) == "category 'modality' must map values to concept lists"
 
     def test_empty_value_list_rejected(self, tmp_path):
         path = _write(tmp_path, "map.json", '{"modality": {"ct": []}}')

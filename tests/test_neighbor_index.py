@@ -219,6 +219,14 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="line 3.*duplicate"):
             load_index(path)
 
+    def test_empty_concept_names_its_line(self, tmp_path):
+        path = tmp_path / "empty.nnidx"
+        path.write_text("#nnidx v1 radius=1 checksum=ff\na\t\n\tb\n", encoding="utf-8")
+        with pytest.raises(IndexFormatError) as raised:
+            load_index(path)
+        assert str(raised.value) == "line 3: empty concept identifier"
+        assert raised.value.line == 3
+
     def test_self_neighbor_rejected(self, tmp_path):
         path = tmp_path / "self.nnidx"
         path.write_text(

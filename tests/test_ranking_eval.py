@@ -94,6 +94,13 @@ class TestNdcg:
         )
 
 
+def test_document_id_must_be_non_empty():
+    with pytest.raises(ValueError) as raised:
+        Document("", frozenset({"x"}))
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "document id must be non-empty"
+
+
 class TestGroundTruthRanking:
     def test_full_overlap_ranks_first(self, small_corpus):
         run = ground_truth_ranking(small_corpus[0], small_corpus, _iou_cfg(3))
@@ -261,6 +268,11 @@ class TestPrecisionAtK:
         report = precision_at_k(corpus, runs, 1, ["modality"])
         assert "e" not in report.per_query
         assert any(e["query_id"] == "e" for e in report.exclusions)
+
+    def test_empty_category_list_rejected(self, labeled_corpus):
+        with pytest.raises(ConfigError) as raised:
+            precision_at_k(labeled_corpus, [RankingRun("q", ["a"])], 1, [])
+        assert str(raised.value) == "at least one label category is required"
 
     def test_unknown_category_rejected(self, labeled_corpus):
         with pytest.raises(ConfigError, match="stain"):

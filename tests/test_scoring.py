@@ -9,6 +9,7 @@ every other document by (-nn_iou, id) and to nn_iou itself.
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import attrgetter
 from unittest import mock
 
 import pytest
@@ -107,10 +108,10 @@ def test_core_rankings_equal_brute_force(case):
     score = _pair_score(cfg, index)
     core, lam = scoring_core(docs, cfg, index)
     by_id = {d.id: d for d in docs}
-    for q, query in enumerate(docs):
+    for query in docs:
         expected = brute_ranking(query, docs, score)
-        top = core.tops(q, (lam,), cfg.k)[0]
-        assert [core.ids[j] for _, j in top] == expected[: cfg.k]
+        top = core.tops(query.id, (lam,), cfg.k)[0]
+        assert [j for _, j in top] == expected[: cfg.k]
         assert [s for s, _ in top] == [
             score(by_id[i].concepts, query.concepts) for i in expected[: cfg.k]
         ]
@@ -150,19 +151,19 @@ def test_tops_equal_brute_force_for_every_lambda(docs, radius, data):
         index = build_index(data.draw(graphs()), vocabulary, radius)
     core = ScoringCore(docs, index)
     by_id = {d.id: d for d in docs}
-    for q, query in enumerate(docs):
-        rankings = core.tops(q, lams, k)
+    for query in docs:
+        rankings = core.tops(query.id, lams, k)
         assert len(rankings) == len(lams)
         for lam, ranked in zip(lams, rankings):
             def score(a, b, lam=lam):
                 return nn_iou(a, b, lam, index)
 
             expected = brute_ranking(query, docs, score)[:k]
-            assert [core.ids[j] for _, j in ranked] == expected
+            assert [j for _, j in ranked] == expected
             assert [s for s, _ in ranked] == [
                 score(by_id[i].concepts, query.concepts) for i in expected
             ]
-        assert core.tops(q, (lams[0],), k)[0] == rankings[0]
+        assert core.tops(query.id, (lams[0],), k)[0] == rankings[0]
 
 
 @settings(max_examples=200)
@@ -176,15 +177,15 @@ def test_shared_zero_fill_equals_one_lambda_at_a_time(docs, radius, data):
         index = build_index(data.draw(graphs()), vocabulary, radius)
     core = ScoringCore(docs, index)
     lams = (0.0, 0.1, 0.5, 1.0)
-    for q, query in enumerate(docs):
+    for query in docs:
         expected = [
             brute_ranking(query, docs, lambda a, b, lam=lam: nn_iou(a, b, lam, index))
             for lam in lams
         ]
         for k in range(1, len(docs)):
-            rankings = core.tops(q, lams, k)
-            assert rankings == [core.tops(q, (lam,), k)[0] for lam in lams]
-            assert [[core.ids[j] for _, j in r] for r in rankings] == [
+            rankings = core.tops(query.id, lams, k)
+            assert rankings == [core.tops(query.id, (lam,), k)[0] for lam in lams]
+            assert [[j for _, j in r] for r in rankings] == [
                 ids[:k] for ids in expected
             ]
 
@@ -204,11 +205,11 @@ def test_lambda_zero_candidate_sorts_by_id_between_non_candidates():
     named = {0.0: ["p", "c", "m", "x"], 0.5: ["p", "m", "c", "x"]}
     for lams in ((0.0, 0.5), (0.5, 0.0)):  # the fill first listed for 0 or for 0.5
         for k in range(1, 5):
-            rankings = core.tops(2, lams, k)
-            assert [[core.ids[j] for _, j in r] for r in rankings] == [
+            rankings = core.tops("q", lams, k)
+            assert [[j for _, j in r] for r in rankings] == [
                 named[lam][:k] for lam in lams
             ]
-    assert core.tops(2, (0.0,), 4)[0] == [(1.0, 4), (0.0, 3), (0.0, 1), (0.0, 0)]
+    assert core.tops("q", (0.0,), 4)[0] == [(1.0, "p"), (0.0, "c"), (0.0, "m"), (0.0, "x")]
 
 
 @settings(max_examples=200)
@@ -262,21 +263,21 @@ def test_ties_straddling_the_kth_place_break_by_id(case):
     by_id = {d.id: d for d in docs}
     lams = (0.0, 0.5, 1.0)
     straddled = 0
-    for q, query in enumerate(docs):
-        full = core.tops(q, lams, len(docs) - 1)
+    for query in docs:
+        full = core.tops(query.id, lams, len(docs) - 1)
         for lam, ranked in zip(lams, full):
             def score(a, b, lam=lam):
                 return nn_iou(a, b, lam, index)
 
             expected = brute_ranking(query, docs, score)
             scores = [score(by_id[i].concepts, query.concepts) for i in expected]
-            assert [core.ids[j] for _, j in ranked] == expected
+            assert [j for _, j in ranked] == expected
             assert [s for s, _ in ranked] == scores
             straddled += sum(a == b for a, b in zip(scores, scores[1:]))
         for k in range(1, len(docs) + 1):
-            assert core.tops(q, lams, k) == [ranked[:k] for ranked in full]
+            assert core.tops(query.id, lams, k) == [ranked[:k] for ranked in full]
             for lam, ranked in zip(lams, full):
-                assert core.tops(q, (lam,), k)[0] == ranked[:k]
+                assert core.tops(query.id, (lam,), k)[0] == ranked[:k]
     assert straddled
     for lam in lams:
         for k in (1, 2, 3, len(docs)):
@@ -317,15 +318,15 @@ def test_related_concepts_on_the_first_and_last_concept_bits(entries):
         def score(a, b, lam=lam):
             return nn_iou(a, b, lam, index)
 
-        for q, query in enumerate(docs):
-            gains = core.gains(q, lam)
-            for j, doc in enumerate(docs):
+        for query in docs:
+            gains = core.gains(query.id, lam)
+            for doc in docs:
                 related |= rel_set(query.concepts, doc.concepts, index)
-                if j != q:
-                    assert gains.get(j, 0.0) == score(query.concepts, doc.concepts)
+                if doc is not query:
+                    assert gains.get(doc.id, 0.0) == score(query.concepts, doc.concepts)
             expected = brute_ranking(query, docs, score)
-            top = core.tops(q, (lam,), len(docs) - 1)[0]
-            assert [core.ids[j] for _, j in top] == expected
+            top = core.tops(query.id, (lam,), len(docs) - 1)[0]
+            assert [j for _, j in top] == expected
             assert [s for s, _ in top] == [
                 score(by_id[i].concepts, query.concepts) for i in expected
             ]
@@ -424,24 +425,24 @@ def walked_corpora(draw):
     return [Document(i, frozenset(c)) for i, c in zip(ids, concept_sets)], index
 
 
-def _brute_tops(docs, index, q):
-    """Query ``q``'s full (score, position) ranking under each of SWITCH_LAMBDAS."""
-    position = {d.id: j for j, d in enumerate(docs)}
+def _brute_tops(docs, index, query):
+    """``query``'s full (score, id) ranking under each of SWITCH_LAMBDAS."""
+    by_id = {d.id: d for d in docs}
     expected = []
     for lam in SWITCH_LAMBDAS:
         def score(a, b, lam=lam):
             return nn_iou(a, b, lam, index) if index is not None else iou(a, b)
 
-        expected.append([(score(docs[position[i]].concepts, docs[q].concepts), position[i])
-                         for i in brute_ranking(docs[q], docs, score)])
+        expected.append([(score(by_id[i].concepts, query.concepts), i)
+                         for i in brute_ranking(query, docs, score)])
     return expected
 
 
 def _ranks_like_brute_force(docs, index):
     """Rank every query under SWITCH_LAMBDAS at every k from 1 to N + 2.
 
-    Returns the core and the queries that were summed; each summed query's
-    counts are also checked against the walk's.
+    Returns the core and the numbers of the queries that were summed; each
+    summed query's counts are also checked against the walk's.
     """
     core = ScoringCore(docs, index)
     summed = []
@@ -454,10 +455,10 @@ def _ranks_like_brute_force(docs, index):
         return counted
 
     with mock.patch.object(ScoringCore, "_sums", recording):
-        for q in range(len(docs)):
-            expected = _brute_tops(docs, index, q)
+        for query in docs:
+            expected = _brute_tops(docs, index, query)
             for k in range(1, len(docs) + 3):
-                assert core.tops(q, SWITCH_LAMBDAS, k) == [e[:k] for e in expected]
+                assert core.tops(query.id, SWITCH_LAMBDAS, k) == [e[:k] for e in expected]
     return core, summed
 
 
@@ -467,9 +468,9 @@ def test_summed_queries_rank_like_brute_force_and_count_like_the_walk(case):
     docs, index = case
     core, summed = _ranks_like_brute_force(docs, index)
     # every query with concepts took the sums, at every k; the core numbers
-    # documents by id, and _order maps each number back to its position
-    nonempty = [q for q, d in enumerate(docs) if d.concepts]
-    assert sorted({core._order[r] for r in summed}) == nonempty
+    # documents by id, and ids[r] names number r
+    nonempty = sorted(d.id for d in docs if d.concepts)
+    assert sorted({core.ids[r] for r in summed}) == nonempty
 
 
 @settings(max_examples=100)
@@ -497,7 +498,8 @@ def test_sums_need_every_count_in_one_byte(size, summed):
     big = Document("big", frozenset({"h"} | {f"w{i}" for i in range(size - 1)}))
     docs = [big] + [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(3)]
     core = ScoringCore(docs)
-    assert core.tops(1, (0.5,), 3)[0] == [(1 / 3, 2), (1 / 3, 3), (1 / (size + 1), 0)]
+    assert core.tops("d0", (0.5,), 3)[0] == [(1 / 3, "d1"), (1 / 3, "d2"),
+                                             (1 / (size + 1), "big")]
     assert bool(core._spread) == summed
 
 
@@ -507,12 +509,12 @@ def test_an_interrupted_counter_build_is_redone():
     index = NeighborIndex(radius=1, source_checksum="hand",
                           entries={"h": frozenset({"x0"}), "x1": frozenset({"x2"})})
     core = ScoringCore(docs, index)
-    expected = ScoringCore(docs, index).tops(1, SWITCH_LAMBDAS, 3)
+    expected = ScoringCore(docs, index).tops("d1", SWITCH_LAMBDAS, 3)
     with mock.patch("nniou.scoring._fields", side_effect=MemoryError):
         with pytest.raises(MemoryError):
-            core.tops(1, SWITCH_LAMBDAS, 3)
+            core.tops("d1", SWITCH_LAMBDAS, 3)
     assert core._spread == []
-    assert core.tops(1, SWITCH_LAMBDAS, 3) == expected
+    assert core.tops("d1", SWITCH_LAMBDAS, 3) == expected
 
 
 @settings(max_examples=100)
@@ -521,11 +523,11 @@ def test_a_built_core_never_reads_its_index_again(case):
     """Every query ranks like brute force while the index cannot be read."""
     docs, index = case
     core = ScoringCore(docs, index)
-    expected = [_brute_tops(docs, index, q) for q in range(len(docs))]
+    expected = [_brute_tops(docs, index, query) for query in docs]
     unreadable = AssertionError("neighbor index read after construction")
     with mock.patch.object(NeighborIndex, "neighbors", side_effect=unreadable):
-        for q, ranked in enumerate(expected):
-            assert core.tops(q, SWITCH_LAMBDAS, len(docs)) == ranked
+        for query, ranked in zip(docs, expected):
+            assert core.tops(query.id, SWITCH_LAMBDAS, len(docs)) == ranked
 
 
 @settings(max_examples=100)
@@ -535,9 +537,9 @@ def test_the_first_summed_query_builds_every_concepts_counters(case):
     core = ScoringCore(docs, index)
     assert core._spread == [] and core._meets == []
     # every query with concepts is summed
-    core.tops(next(q for q, d in enumerate(docs) if d.concepts), SWITCH_LAMBDAS, 1)
-    # the core numbers documents by id: field r is the document at _order[r]
-    by_id = [docs[j] for j in core._order]
+    core.tops(next(d.id for d in docs if d.concepts), SWITCH_LAMBDAS, 1)
+    # the core numbers documents by id: field r is the r-th smallest id's
+    by_id = sorted(docs, key=attrgetter("id"))
     names = list(dict.fromkeys(c for d in by_id for c in d.concepts))  # bit order
 
     def fields(holds):
@@ -551,14 +553,19 @@ def test_the_first_summed_query_builds_every_concepts_counters(case):
                            for c in names]
 
 
-def test_score_tables_are_kept_for_the_latest_lambdas_only():
+def test_score_tables_are_kept_one_per_lambda_asked():
     docs = [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(4)]
     core = ScoringCore(docs)
-    for step in range(100):
-        core.tops(0, (step / 100,), 3)
-    assert list(core._scores) == [0.99]
-    core.tops(0, SWITCH_LAMBDAS, 3)
-    assert list(core._scores) == list(SWITCH_LAMBDAS)
+    asked = [step / 100 for step in range(100)]
+    for lam in asked:
+        core.tops("d0", (lam,), 3)
+    assert list(core._scores) == asked
+    kept = list(core._scores.values())
+    # 1.0 and 0.125 are new; the other switch lambdas reuse their tables
+    core.tops("d0", SWITCH_LAMBDAS, 3)
+    core.gains("d1", 0.125)
+    assert list(core._scores) == asked + [1.0, 0.125]
+    assert all(core._scores[table.lam] is table for table in kept)
 
 
 def test_both_counts_agree_on_a_query_with_no_concepts_in_a_dense_corpus():
@@ -567,10 +574,11 @@ def test_both_counts_agree_on_a_query_with_no_concepts_in_a_dense_corpus():
         Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(4)
     ]
     core = ScoringCore(docs)
-    e = core._rank[0]  # the core's number for "e"
+    e = core._number["e"]
     assert core._sums(e, 0) == core._walk(e, 0) == ([], [])
-    assert core.tops(0, (0.5,), 4)[0] == [(0.0, 1), (0.0, 2), (0.0, 3), (0.0, 4)]
-    assert core.tops(1, (0.5,), 4)[0] == [(1 / 3, 2), (1 / 3, 3), (1 / 3, 4), (0.0, 0)]
+    assert core.tops("e", (0.5,), 4)[0] == [(0.0, "d0"), (0.0, "d1"), (0.0, "d2"), (0.0, "d3")]
+    assert core.tops("d0", (0.5,), 4)[0] == [(1 / 3, "d1"), (1 / 3, "d2"), (1 / 3, "d3"),
+                                             (0.0, "e")]
 
 
 @settings(max_examples=100)
@@ -606,7 +614,7 @@ def test_dense_rankings_and_nn_cui_equal_brute_force(case, lam, data):
 def _gains_equal_nn_iou(docs, index, lams):
     """Every pair q != j: the gain, 0.0 for a non-candidate, is nn_iou's float.
 
-    Returns the positions of the queries whose count was summed.
+    Returns the ids of the queries whose count was summed.
     """
     core = ScoringCore(docs, index)
     summed = []
@@ -618,23 +626,23 @@ def _gains_equal_nn_iou(docs, index, lams):
 
     with mock.patch.object(ScoringCore, "_sums", recording):
         for lam in lams:
-            for q, query in enumerate(docs):
-                gains = core.gains(q, lam)
-                assert q not in gains and set(gains) <= set(range(len(docs)))
-                for j, doc in enumerate(docs):
-                    if j == q:
+            for query in docs:
+                gains = core.gains(query.id, lam)
+                assert query.id not in gains and set(gains) <= {d.id for d in docs}
+                for doc in docs:
+                    if doc is query:
                         continue
                     expected = (nn_iou(query.concepts, doc.concepts, lam, index)
                                 if index is not None else iou(query.concepts, doc.concepts))
-                    got = gains.get(j, 0.0)
+                    got = gains.get(doc.id, 0.0)
                     assert got == expected and type(got) is float
-                    if j not in gains:  # a non-candidate: no shared or related concept
+                    if doc.id not in gains:  # a non-candidate: no shared or related concept
                         assert not query.concepts & doc.concepts
                         assert index is None or not rel_set(query.concepts, doc.concepts,
                                                             index)
-                assert core.gains(q, lam) == gains
-    assert list(core._scores) == [lams[-1]]
-    return [core._order[r] for r in summed]
+                assert core.gains(query.id, lam) == gains
+    assert list(core._scores) == list(lams)  # one table per lambda, all kept
+    return [core.ids[r] for r in summed]
 
 
 @settings(max_examples=150)
@@ -642,7 +650,7 @@ def _gains_equal_nn_iou(docs, index, lams):
 def test_gains_of_summed_queries_equal_nn_iou(case):
     docs, index = case
     summed = _gains_equal_nn_iou(docs, index, SWITCH_LAMBDAS)
-    nonempty = [q for q, d in enumerate(docs) if d.concepts]
+    nonempty = sorted(d.id for d in docs if d.concepts)
     assert summed and sorted(set(summed)) == nonempty
 
 
@@ -748,7 +756,7 @@ def test_ablation_rows_rank_only_labelled_queries(monkeypatch):
     tops = ScoringCore.tops
 
     def counting(core, q, lams, k):
-        ranked.append(core.ids[q])
+        ranked.append(q)
         return tops(core, q, lams, k)
 
     monkeypatch.setattr(ScoringCore, "tops", counting)
@@ -803,7 +811,7 @@ class TestErrorPaths:
         docs = [Document("only", frozenset({"x"}))]
         core = ScoringCore(docs)
         message = "no candidate documents for query 'only' (corpus too small)"
-        for call in (lambda: core.tops(0, (0.5,), 1), lambda: core.gains(0, 0.5),
+        for call in (lambda: core.tops("only", (0.5,), 1), lambda: core.gains("only", 0.5),
                      lambda: nn_cui_at_k(docs, [RankingRun("only", [])],
                                          EvalConfig(k=1, measure="iou"))):
             with pytest.raises(EvaluationError) as raised:
