@@ -5,9 +5,10 @@ undirected; a pair with no connecting path gets the distinguished
 ``UNREACHABLE`` value rather than a sentinel integer, so threshold
 comparisons against it fail loudly instead of silently matching.  Both
 questions are answered by one layered breadth-first walk, which yields
-the concepts first reached at each hop distance.  A walk bounded at ``n``
-hops first gathers every neighbor list it will read, one batched graph
-lookup per hop, so a top-down graph can answer from its edge lists.
+the concepts first reached at each hop distance.  Every walk makes one
+batched graph lookup per hop, so a top-down graph can answer from its
+edge lists.  A walk bounded at ``n`` hops gathers every neighbor list it
+will read first, for all its sources at once.
 
 Pure functions over an immutable graph; safe to call from many threads.
 """
@@ -15,7 +16,7 @@ Pure functions over an immutable graph; safe to call from many threads.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError
 from .kg_store import KnowledgeGraph
@@ -40,20 +41,25 @@ UNREACHABLE = Unreachable()
 Distance = int | Unreachable
 
 
-def _layers(neighbors: Callable[[int], Sequence[int]], src: int) -> Iterator[list[int]]:
+def _layers(
+    lookup: Callable[[list[int]], Mapping[int, Sequence[int]]], src: int
+) -> Iterator[list[int]]:
     """Yield the ids first reached at hop distance 1, 2, ... from ``src``.
 
-    One list per distance, each non-empty; the walk stops when a layer
-    reaches no new node, and a caller that stops iterating stops the walk.
+    One list per distance, each non-empty.  Each hop makes one ``lookup``
+    of the whole frontier, which maps each of its ids to its neighbors.
+    The walk stops when a layer reaches no new node, and a caller that
+    stops iterating stops the walk.
     """
     # a set, not a bytearray per node: a search touches few of a large
     # graph's nodes, and allocating the whole table cost more than the walk
     seen = {src}
     frontier = [src]
     while True:
+        lists = lookup(frontier)
         layer: list[int] = []
         for u in frontier:
-            for v in neighbors(u):
+            for v in lists[u]:
                 if v not in seen:
                     seen.add(v)
                     layer.append(v)
@@ -74,7 +80,7 @@ def shortest_path_len(graph: KnowledgeGraph, x: str, y: str) -> Distance:
     dst = graph.node_id(y)
     if src == dst:
         return 0
-    for depth, layer in enumerate(_layers(graph.neighbor_ids, src), start=1):
+    for depth, layer in enumerate(_layers(graph.neighbor_lists, src), start=1):
         if dst in layer:
             return depth
     return UNREACHABLE
@@ -118,4 +124,4 @@ def bounded_neighborhood_ids(
         found = graph.neighbor_lists(fresh)
         lists.update(found)
     for src in sources:
-        yield [v for layer in islice(_layers(lists.__getitem__, src), n) for v in layer]
+        yield [v for layer in islice(_layers(lambda _: lists, src), n) for v in layer]

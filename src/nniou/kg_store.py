@@ -21,9 +21,9 @@ since no child does.  Every other input is decided at load time by
 Kahn's in-degree peel (Kahn 1962), linear in nodes plus edges, which
 needs the undirected view.  A top-down graph defers the view: it answers
 a batch of neighbor lookups by scanning its two edge lists, and builds
-the view only once further scans would cost more than building it, or on
-a single-node lookup.  So a load that walks no edge never pays for it,
-nor does a walk of a few hops from a small vocabulary.
+the view only once further scans would cost more than building it.  So a
+load that walks no edge never pays for it, nor does a walk of a few hops
+from a small vocabulary.
 
 Edge file format (UTF-8 text read with universal newlines, so a record
 ends at ``\n``, ``\r\n`` or ``\r`` and at no other character; a leading
@@ -273,7 +273,7 @@ class KnowledgeGraph:
     is checked by Kahn's peel while it loads, which builds the undirected
     view.  A top-down graph answers :meth:`neighbor_lists` batches by
     scanning its edge lists while that stays cheaper, and builds the view
-    once it no longer does, or on the first :meth:`neighbor_ids` call.
+    once it no longer does.
     """
 
     __slots__ = (
@@ -366,17 +366,14 @@ class KnowledgeGraph:
     def name_of(self, node_id: int) -> str:
         return self._names[node_id]
 
-    def neighbor_ids(self, node_id: int) -> Sequence[int]:
-        """Undirected neighbors, each once: parents, then children, in edge order."""
-        offsets, targets = self._undirected or self._view()
-        return targets[offsets[node_id]:offsets[node_id + 1]]
-
     def neighbor_lists(self, ids: Collection[int]) -> dict[int, Sequence[int]]:
-        """Each id's :meth:`neighbor_ids`, for a whole batch of ids at once.
+        """Each id's undirected neighbors, for a whole batch of ids at once.
 
-        A graph that has its undirected view slices it.  A top-down graph
-        scans its edge lists instead until scans would cost more than
-        building the view (see :func:`_keep_scanning`), and then builds it.
+        An id maps to its neighbors, each once: its parents, then its
+        children, both in edge order.  A graph that has its undirected view
+        slices it.  A top-down graph scans its edge lists instead until
+        scans would cost more than building the view (see
+        :func:`_keep_scanning`), and then builds it.
         """
         view = self._undirected
         if view is None:
@@ -387,7 +384,11 @@ class KnowledgeGraph:
                 # more scan, never a different answer
                 self._scans = (scans + 1, scanned)
                 return self._scan(ids)
-            view = self._view()
+            # one assignment: a concurrent reader sees both arrays or none,
+            # and two threads that both build them build equal ones
+            view = self._undirected = _adjacency(
+                len(self._names), self._children, self._parents
+            )[:2]
         offsets, targets = view
         return {u: targets[offsets[u]:offsets[u + 1]] for u in ids}
 
@@ -408,20 +409,10 @@ class KnowledgeGraph:
             lists[parents[e]].append(children[e])
         return lists
 
-    def _view(self) -> tuple[array, array]:
-        """The undirected view ``(offsets, targets)``, built on first use."""
-        view = self._undirected
-        if view is None:
-            # one assignment: a concurrent reader sees both arrays or none,
-            # and two threads that both build them build equal ones
-            view = self._undirected = _adjacency(
-                len(self._names), self._children, self._parents
-            )[:2]
-        return view
-
     def neighbors(self, concept: str) -> tuple[str, ...]:
         """Undirected neighbors, sorted by node id."""
-        ids = sorted(self.neighbor_ids(self.node_id(concept)))
+        u = self.node_id(concept)
+        ids = sorted(self.neighbor_lists([u])[u])
         return tuple(self._names[i] for i in ids)
 
     def __repr__(self) -> str:

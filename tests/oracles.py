@@ -7,8 +7,9 @@ arithmetic on those.  Keeping these separate from the BFS/index-based
 production paths is the whole point.
 
 The edge-file oracle re-reads the format line by line into a dict of sets,
-and the acyclicity oracle is Kahn's algorithm over plain (child, parent)
-pairs, rescanning the whole edge list for every emitted node.  The witness
+which a second oracle sorts into the documented neighbour order.  The
+acyclicity oracle is Kahn's algorithm over plain (child, parent) pairs,
+rescanning the whole edge list for every emitted node.  The witness
 oracle peels leaves from a set until none is left to peel and walks what
 remains; the record-order oracle replays a file's records against a set of
 the names seen so far.
@@ -81,6 +82,24 @@ def oracle_edge_file(text: str):
         adjacency[child].add(parent)
         adjacency[parent].add(child)
     return nodes, edges, adjacency
+
+
+def documented_adjacency(text: str) -> dict[str, list[str]]:
+    """:func:`oracle_edge_file`'s adjacency, each node's neighbours listed in
+    the documented order: its parents, then its children, each in edge order.
+
+    A pair listed both ways is listed once, among the parents.
+    """
+    _, edges, adjacency = oracle_edge_file(text)
+
+    def ordered(name):
+        def rank(other):
+            if (name, other) in edges:
+                return 0, edges.index((name, other))
+            return 1, edges.index((other, name))
+        return sorted(adjacency[name], key=rank)
+
+    return {name: ordered(name) for name in adjacency}
 
 
 def kahn_acyclic(nodes, edges) -> bool:

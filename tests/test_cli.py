@@ -773,6 +773,15 @@ class TestAblate:
         )
         assert outputs["listed"].err == ""
 
+    def test_an_internal_error_exits_two(self, workspace, capsys):
+        tmp_path, edges, corpus, cmap = workspace
+        with mock.patch("nniou.cli.ablation_rows", side_effect=RuntimeError("broken sweep")):
+            code = main(["ablate", "--corpus", str(corpus), "--edges", str(edges),
+                         "--class-map", str(cmap), "--lambdas", "0,0.5",
+                         "--radii", "0", "--ks", "5"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "internal error: broken sweep\n")
+
     def test_negative_radius_rejected_before_the_graph_is_read(self, workspace, capsys):
         tmp_path, _, corpus, cmap = workspace
         code = main(["ablate", "--corpus", str(corpus),

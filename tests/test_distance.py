@@ -16,7 +16,7 @@ from nniou import (
     shortest_path_len,
 )
 
-from oracles import INF, DistanceOracle, random_graph_parts
+from oracles import INF, DistanceOracle, documented_adjacency, random_graph_parts
 from synthdata import GRAPH_SOURCES, drawn_graph
 
 
@@ -67,6 +67,22 @@ class TestShortestPathLen:
                 else:
                     assert got == int(expected)
 
+    @pytest.mark.parametrize("scan", [False, True], ids=["view", "scan"])
+    @pytest.mark.parametrize("source", GRAPH_SOURCES)
+    def test_matches_oracle_scanning_or_not(self, tmp_path, source, scan):
+        """Top-down graphs either scan their edge lists or build the view."""
+        rng = random.Random(29)
+        with mock.patch.object(kg_store, "_keep_scanning", lambda *_: scan):
+            for _ in range(15):
+                nodes, edges, load = drawn_graph(tmp_path, rng, source, max_nodes=40)
+                graph = load()
+                oracle = DistanceOracle(nodes, edges)
+                for _ in range(20):
+                    x, y = rng.choice(nodes), rng.choice(nodes)
+                    expected = oracle.dist(x, y)
+                    got = shortest_path_len(graph, x, y)
+                    assert got == (UNREACHABLE if expected == INF else int(expected))
+
 
 class TestBoundedNeighborhood:
     def test_radius_zero_is_empty(self, anatomy_graph):
@@ -115,9 +131,10 @@ class TestBoundedNeighborhood:
                         y for y in nodes if 0 < oracle.dist(x, y) <= radius
                     }
                     assert bounded_neighborhood(graph, x, radius) == expected
+                listed = documented_adjacency("\n".join([*nodes, *map("\t".join, edges)]))
                 ids = rng.sample(range(graph.num_nodes), graph.num_nodes)
                 assert [(u, list(v)) for u, v in load().neighbor_lists(ids).items()] == [
-                    (u, list(graph.neighbor_ids(u))) for u in ids
+                    (u, [graph.node_id(v) for v in listed[graph.name_of(u)]]) for u in ids
                 ]
 
 

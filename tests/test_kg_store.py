@@ -20,9 +20,16 @@ from nniou import (
     normalize_concept_id,
     parse_edge_file,
 )
-from nniou.distance import bounded_neighborhood
+from nniou.distance import bounded_neighborhood, shortest_path_len
 
-from oracles import kahn_acyclic, oracle_edge_file, top_down, witness_cycle
+from oracles import (
+    DistanceOracle,
+    documented_adjacency,
+    kahn_acyclic,
+    oracle_edge_file,
+    top_down,
+    witness_cycle,
+)
 from synthdata import EDGE_ORDERS, write_edge_file
 
 
@@ -207,6 +214,17 @@ class TestParseEdgeFile:
         assert checksum == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_an_undecodable_file_that_decodes_when_read_again_keeps_the_readers_error(tmp_path):
+    """The file changed after its reader failed: the reader's message, and no line."""
+    path = _write(tmp_path, "b\ta\n")
+    failed = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+    error = EdgeFileError.undecodable(path, failed)
+    assert str(error) == str(failed) == (
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    )
+    assert error.line is None
+
+
 class TestValidateDag:
     def test_chain_is_acyclic(self):
         graph = KnowledgeGraph.from_edges([("b", "a"), ("c", "b")])
@@ -285,6 +303,16 @@ class TestFromEdges:
         assert type(caught.value) is ValueError
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "edges, shown",
+        [
+            ([("b", "a")], "KnowledgeGraph(nodes=2, edges=1, acyclic=True)"),
+            ([("a", "b"), ("b", "a")], "KnowledgeGraph(nodes=2, edges=2, acyclic=False)"),
+        ],
+    )
+    def test_repr(self, edges, shown):
+        assert repr(KnowledgeGraph.from_edges(edges, nodes=["a"])) == shown
+
 
 # "x\u2028y": str.splitlines would end a line inside it, the loader must not
 NAMES = ["a", "b", "c", "d", "e", "x y", "x\u2028y", "C0000001"]
@@ -315,6 +343,13 @@ def _counting(name):
     return mock.patch.object(kg_store, name, wraps=getattr(kg_store, name))
 
 
+def _counting_scans():
+    """Patch KnowledgeGraph._scan with a wrapper that counts its calls."""
+    return mock.patch.object(
+        KnowledgeGraph, "_scan", autospec=True, side_effect=KnowledgeGraph._scan
+    )
+
+
 @settings(max_examples=300)
 @given(
     st.one_of(
@@ -339,15 +374,15 @@ def test_loader_matches_dict_of_sets_oracle(tmp_path_factory, drawn):
     event(f"Kahn's peel ran: {kahn.call_count == 1}")
     assert kahn.call_count == (0 if top_down(text) else 1)
     nodes, edges, adjacency = oracle_edge_file(text)
+    listed = documented_adjacency(text)
 
     assert list(graph.node_names) == nodes
     assert graph.edges() == edges
     assert (graph.num_nodes, graph.num_edges) == (len(nodes), len(edges))
     for name in nodes:
         assert graph.neighbors(name) == tuple(sorted(adjacency[name], key=nodes.index))
-        assert sorted(graph.neighbor_ids(graph.node_id(name))) == sorted(
-            graph.node_id(other) for other in adjacency[name]
-        )
+        u = graph.node_id(name)
+        assert list(graph.neighbor_lists([u])[u]) == [graph.node_id(v) for v in listed[name]]
     assert graph.acyclic == kahn_acyclic(nodes, edges)
     assert graph.cycle == witness_cycle(nodes, edges)
     if not graph.acyclic:
@@ -408,20 +443,20 @@ class TestLazyAdjacency:
     def test_neighbors_match_the_documented_order(self, tmp_path, order):
         path = tmp_path / "kg.tsv"
         write_edge_file(path, seed=8, order=order, num_nodes=200)
+        listed = documented_adjacency(path.read_text(encoding="utf-8"))
         with _counting("_adjacency") as adjacency:
             graph = parse_edge_file(path)
             built_at_load = adjacency.call_count
-            ids = [(graph.node_id(c), graph.node_id(p)) for c, p in graph.edges()]
-            for u in range(graph.num_nodes):
-                assert list(graph.neighbor_ids(u)) == (
-                    [p for c, p in ids if c == u] + [c for c, p in ids if p == u]
+            for name in graph.node_names:
+                u = graph.node_id(name)
+                assert list(graph.neighbor_lists([u])[u]) == (
+                    [graph.node_id(v) for v in listed[name]]
                 )
         assert (built_at_load, adjacency.call_count) == (
             (0, 1) if order == "parents-first" else (1, 1)
         )
-        _, _, oracle = oracle_edge_file(path.read_text(encoding="utf-8"))
         for name in graph.node_names:
-            assert graph.neighbors(name) == tuple(sorted(oracle[name], key=graph.node_id))
+            assert graph.neighbors(name) == tuple(sorted(listed[name], key=graph.node_id))
 
     def test_a_loop_of_single_walks_builds_the_view_once(self, tmp_path):
         """Past _SCANS scans a top-down graph stops scanning and builds its view."""
@@ -429,25 +464,71 @@ class TestLazyAdjacency:
         write_edge_file(path, seed=4, order="parents-first", num_nodes=2000)
         graph = parse_edge_file(path)
         names = graph.node_names[:3 * kg_store._SCANS]
-        scan = mock.patch.object(
-            KnowledgeGraph, "_scan", autospec=True, side_effect=KnowledgeGraph._scan
-        )
-        with _counting("_adjacency") as adjacency, scan as scans:
+        with _counting("_adjacency") as adjacency, _counting_scans() as scans:
             walked = [bounded_neighborhood(graph, name, 1) for name in names]
         assert (scans.call_count, adjacency.call_count) == (kg_store._SCANS, 1)
         assert walked == [set(graph.neighbors(name)) for name in names]
 
+    @pytest.mark.parametrize("walk", ["shortest_path_len", "bounded_neighborhood"])
+    def test_one_walk_builds_the_view_partway_through(self, tmp_path, walk):
+        """A walk along a chain outlasts the _SCANS scans well before their id
+        cap, so it builds the view on its next hop and walks on through it."""
+        names = [f"C{i:07d}" for i in range(500)]
+        edges = list(zip(names[1:], names))  # each record names a fresh child
+        path = _write(tmp_path, "".join(f"{c}\t{p}\n" for c, p in edges))
+        oracle = DistanceOracle(names, edges)
+        end, radius = names[-1], 3 * kg_store._SCANS
+        with _counting("_adjacency") as adjacency, _counting_scans() as scans:
+            graph = parse_edge_file(path)
+            if walk == "shortest_path_len":
+                assert shortest_path_len(graph, end, names[0]) == oracle.dist(end, names[0])
+            else:
+                assert bounded_neighborhood(graph, end, radius) == {
+                    y for y in names if 0 < oracle.dist(end, y) <= radius
+                }
+        assert (scans.call_count, adjacency.call_count) == (kg_store._SCANS, 1)
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_a_short_walk_scans_once_per_hop(self, tmp_path, hops):
+        path = tmp_path / "kg.tsv"
+        edges = write_edge_file(path, seed=4, order="parents-first", num_nodes=2000)
+        parent = dict(edges)
+        up = [edges[-1][0]]
+        while len(up) <= hops:
+            up.append(parent[up[-1]])
+        with _counting("_adjacency") as adjacency, _counting_scans() as scans:
+            assert shortest_path_len(parse_edge_file(path), up[0], up[-1]) == hops
+        assert (scans.call_count, adjacency.call_count) == (hops, 0)
+        with _counting("_adjacency") as adjacency, _counting_scans() as scans:
+            graph = parse_edge_file(path)
+            assert set(graph.neighbors(up[0])) == (
+                {parent[up[0]]} | {c for c, p in edges if p == up[0]}
+            )
+        assert (scans.call_count, adjacency.call_count) == (1, 0)
+
     def test_threads_walking_a_fresh_graph_agree(self, tmp_path):
+        """Bounded walks, distances and neighbor lookups share one graph's scan
+        counts and its lazily built view."""
         path = tmp_path / "kg.tsv"
         write_edge_file(path, seed=5, order="parents-first", num_nodes=3000)
         names = parse_edge_file(path).node_names[::25]
-        expected = [bounded_neighborhood(parse_edge_file(path), n, 2) for n in names]
+        pairs = list(zip(names[::2], names[1::2]))
+        reference = parse_edge_file(path)
+        expected = (
+            [bounded_neighborhood(parse_edge_file(path), n, 2) for n in names],
+            [shortest_path_len(reference, x, y) for x, y in pairs],
+            [reference.neighbors(n) for n in names],
+        )
         graph = parse_edge_file(path)
         start = threading.Barrier(4)
 
         def walk(_):
             start.wait(timeout=30)
-            return [bounded_neighborhood(graph, n, 2) for n in names]
+            return (
+                [bounded_neighborhood(graph, n, 2) for n in names],
+                [shortest_path_len(graph, x, y) for x, y in pairs],
+                [graph.neighbors(n) for n in names],
+            )
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

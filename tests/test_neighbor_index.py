@@ -17,7 +17,7 @@ from nniou import (
 )
 from nniou.cli import main
 
-from oracles import DistanceOracle, random_graph_parts
+from oracles import DistanceOracle, documented_adjacency, random_graph_parts
 from synthdata import GRAPH_SOURCES, drawn_graph
 
 
@@ -86,9 +86,10 @@ class TestBuildIndex:
                             assert index.neighbors(x) == expected
                 if top_down:
                     assert adjacency.call_count == (not scan)
+                listed = documented_adjacency("\n".join([*nodes, *map("\t".join, edges)]))
                 ids = rng.sample(range(graph.num_nodes), graph.num_nodes)
                 assert [(u, list(v)) for u, v in load().neighbor_lists(ids).items()] == [
-                    (u, list(graph.neighbor_ids(u))) for u in ids
+                    (u, [graph.node_id(v) for v in listed[graph.name_of(u)]]) for u in ids
                 ]
 
     def test_symmetric_closure(self, anatomy_graph):

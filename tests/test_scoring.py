@@ -742,6 +742,29 @@ def test_ablation_rows_with_every_k_beyond_a_two_document_corpus():
     assert [precision for *_, precision in rows] == [1.0] * 27
 
 
+def test_ablation_rows_reject_a_radius_zero_precision_that_varies_with_lambda():
+    """Approximate matching is inert at radius 0, so a core whose radius-0
+    rankings differ by lambda is an internal error."""
+
+    class Skewed(ScoringCore):
+        def tops(self, q, lams, k):
+            # every lambda after the first ranks the first one's order reversed
+            first, *rest = super().tops(q, lams, len(self.ids))
+            return [first[:k], *(ranked[::-1][:k] for ranked in rest)]
+
+    graph = KnowledgeGraph.from_edges([], nodes=GRAPH_CONCEPTS)
+    docs = [Document("a", frozenset({"c0"})), Document("b", frozenset({"c1"})),
+            Document("h", frozenset({"c4"}))]
+    grid = AblationGrid(lambdas=(0.0, 0.5), radii=(0,), ks=(1,))
+    # at lambda 0, "a" and "b" each rank the other first; reversed, "h" first
+    with mock.patch("nniou.ablation.ScoringCore", Skewed):
+        with pytest.raises(RuntimeError) as caught:
+            ablation_rows(graph, docs, grid, GROUPS, ["group"])
+    assert str(caught.value) == (
+        f"precision varies with lambda at radius 0 (k=1: {2 / 3!r} != 0.0)"
+    )
+
+
 def test_ablation_rows_rank_only_labelled_queries(monkeypatch):
     """A query Precision@K excludes is never ranked, yet still ranks as a result."""
     graph = KnowledgeGraph.from_edges([("c0", "c2"), ("c2", "c4")], nodes=GRAPH_CONCEPTS)
