@@ -1,10 +1,9 @@
 """The (radius, lambda, k) Precision@K sweep behind ``nniou ablate``.
 
 :func:`ablation_rows` ranks each graded query once per radius under every
-lambda (:meth:`nniou.scoring.ScoringCore.tops`) and grades each ranking
-against the set of ids that share the query's label key, so a cell builds
-no runs or reports.  Its rows equal :func:`nniou.precision_at_k` over the
-ground-truth runs, float for float: queries are summed in sorted-id order.
+lambda (:meth:`nniou.scoring.ScoringCore.tops`) and grades the rankings with
+:func:`nniou.precision_at_k`'s own helpers, so a cell builds no runs or
+reports, and its rows equal ``precision_at_k`` over ground truth, float for float.
 """
 
 from __future__ import annotations
@@ -16,7 +15,15 @@ from .corpus import corpus_vocabulary
 from .distance import checked_radius
 from .errors import ConfigError
 from .neighbor_index import build_index
-from .ranking_eval import Document, EvalConfig, _docs_by_id, _label_keys, derive_labels
+from .ranking_eval import (
+    Document,
+    EvalConfig,
+    _docs_by_id,
+    _label_matches,
+    _mean,
+    _precisions,
+    derive_labels,
+)
 from .relevance import checked_lambda
 from .scoring import ScoringCore
 
@@ -63,28 +70,18 @@ def ablation_rows(
     ranked.  Ids must be unique.  At radius 0 approximate matching is
     inert, so a precision that varies with lambda there is an internal error.
     """
-    labeled = _docs_by_id(derive_labels(docs, class_map))
-    keys = dict(zip(labeled, _label_keys(labeled.values(), categories)))
-    sharing: dict[tuple, set[str]] = {}  # the ids that share each label key
-    for doc_id, key in keys.items():
-        sharing.setdefault(key, set()).add(doc_id)
-    graded = sorted(q for q, doc in labeled.items() if all(c in doc.labels for c in categories))
-    max_k = max(grid.ks)
+    matches = _label_matches(_docs_by_id(derive_labels(docs, class_map)).values(), categories)
     rows: list[tuple[int, float, int, float]] = []
     for radius in grid.radii:
         core = ScoringCore(docs, build_index(graph, corpus_vocabulary(docs), radius))
-        # per lambda and k, each graded query's matching fraction in id order
-        fractions = [[[] for _ in grid.ks] for _ in grid.lambdas]
-        for q in graded:
-            matches = sharing[keys[q]]
-            for cells, ranked in zip(fractions, core.tops(q, grid.lambdas, max_k)):
-                found = [j in matches for _, j in ranked]
-                for cell, k in zip(cells, grid.ks):
-                    top = found[:k]
-                    cell.append(top.count(True) / len(top))
-        for lam, cells in zip(grid.lambdas, fractions):
-            for k, cell in zip(grid.ks, cells):
-                rows.append((radius, lam, k, sum(cell) / len(cell) if cell else 0.0))
+        # per lambda and k, each graded query's precision in id order
+        cells = [[[] for _ in grid.ks] for _ in grid.lambdas]
+        for q in sorted(matches):
+            for columns, ranked in zip(cells, core.tops(q, grid.lambdas, max(grid.ks))):
+                for column, precision in zip(columns, _precisions(ranked, matches[q], grid.ks)):
+                    column.append(precision)
+        for lam, columns in zip(grid.lambdas, cells):
+            rows += [(radius, lam, k, _mean(column)) for k, column in zip(grid.ks, columns)]
     flat: dict[int, float] = {}
     for radius, lam, k, precision in rows:
         if radius == 0 and flat.setdefault(k, precision) != precision:

@@ -53,7 +53,7 @@ from .ranking_eval import (
     Document,
     EvalConfig,
     MetricReport,
-    _label_keys,
+    _label_matches,
     derive_labels,
     ground_truth_ranking,
     ground_truth_rankings,
@@ -311,7 +311,7 @@ def _cmd_eval(args) -> int:
     docs = read_corpus(args.corpus)
     if categories:
         labeled = derive_labels(docs, class_map)
-        _label_keys(labeled, categories)  # fails on a category no document carries
+        _label_matches(labeled, categories)  # fails on a category no document carries
     runs = read_runs(args.runs)
     reports = [nn_cui_at_k(docs, runs, cfg, _ranking_index(args, docs))]
     if categories:

@@ -15,7 +15,9 @@ Class map (single JSON object)::
 JSON Lines files are read with universal newlines, so a record ends at
 ``\n``, ``\r\n`` or ``\r`` and at no other character.  Readers validate
 shape and identifiers and report the offending line number; writers emit
-deterministic, diff-friendly output.
+deterministic, diff-friendly output.  A ``\\u`` escape that leaves a lone
+surrogate (``\\ud800`` unpaired) is rejected where it is read, since no
+output file could encode it in UTF-8; a paired one is one character.
 """
 
 from __future__ import annotations
@@ -42,9 +44,24 @@ def _jsonl_records(path: str | Path):
                     raise DataFileError(f"invalid JSON: {exc.msg}", line=lineno) from None
                 if not isinstance(record, dict):
                     raise DataFileError("record must be a JSON object", line=lineno)
+                if "\\u" in stripped:
+                    _no_lone_surrogate(record, line=lineno)
                 yield lineno, record
         except UnicodeDecodeError as exc:
             raise DataFileError.undecodable(path, exc) from None
+
+
+def _no_lone_surrogate(value, line: int | None = None, where: str = "") -> None:
+    """Reject a decoded JSON value holding a lone surrogate in any key or string.
+
+    Only a ``\\u`` escape writes one (JSON decodes a paired escape to one
+    character), and no output file could encode it in UTF-8.
+    """
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataFileError(f"{where}a \\u escape leaves a lone surrogate, which UTF-8 "
+                            "cannot encode", line=line) from None
 
 
 def _string_list(value, what: str, lineno: int) -> list[str]:
@@ -135,7 +152,8 @@ def read_class_map(path: str | Path) -> dict[str, dict[str, frozenset[str]]]:
     """Load a class map and validate that each category's value sets are disjoint."""
     try:
         # read with universal newlines, so JSON's line count matches the file's
-        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        text = Path(path).read_text(encoding="utf-8-sig")
+        raw = json.loads(text)
     except UnicodeDecodeError as exc:
         raise DataFileError.undecodable(path, exc) from None
     except json.JSONDecodeError as exc:
@@ -151,6 +169,9 @@ def read_class_map(path: str | Path) -> dict[str, dict[str, frozenset[str]]]:
         claimed: dict[str, str] = {}
         values: dict[str, frozenset[str]] = {}
         for value, concept_list in value_map.items():
+            if "\\u" in text:
+                _no_lone_surrogate([category, value, concept_list],
+                                   where=f"class map category {category!r} value {value!r}: ")
             if not isinstance(concept_list, list) or not all(
                 isinstance(c, str) for c in concept_list
             ):

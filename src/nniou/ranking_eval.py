@@ -113,8 +113,8 @@ class MetricReport:
         notes: Iterable[str] = (),
     ) -> "MetricReport":
         scores = dict(per_query)
-        aggregate = sum(scores.values()) / len(scores) if scores else 0.0
-        return cls(metric, dict(config), scores, aggregate, list(exclusions), list(notes))
+        return cls(metric, dict(config), scores, _mean(scores.values()), list(exclusions),
+                   list(notes))
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -190,8 +190,7 @@ def ground_truth_ranking(
     """
     pool = [doc for doc in _docs_by_id(corpus).values() if doc.id != query.id] + [query]
     core, lam = scoring_core(pool, cfg, index)
-    ranked = core.tops(query.id, (lam,), len(pool) - 1)[0]
-    return RankingRun(query.id, [doc_id for _, doc_id in ranked])
+    return RankingRun(query.id, core.tops(query.id, (lam,), len(pool) - 1)[0])
 
 
 def ground_truth_rankings(
@@ -206,10 +205,7 @@ def ground_truth_rankings(
     """
     docs = _docs_by_id(corpus)
     core, lam = scoring_core(list(docs.values()), cfg, index)
-    return [
-        RankingRun(query_id, [doc_id for _, doc_id in core.tops(query_id, (lam,), cfg.k)[0]])
-        for query_id in docs
-    ]
+    return [RankingRun(query_id, core.tops(query_id, (lam,), cfg.k)[0]) for query_id in docs]
 
 
 # log2(rank + 1) for ranks 1, 2, ...; replaced by a longer table when a list
@@ -310,11 +306,10 @@ def precision_at_k(
     over the results actually considered (at most k), so exhaustive
     retrieval on a small corpus is not penalized.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    EvalConfig(k=k)  # rejects a k below 1
     categories = list(label_categories)
     docs = _docs_by_id(corpus)
-    keys = dict(zip(docs, _label_keys(docs.values(), categories)))
+    matches = _label_matches(docs.values(), categories)
     by_query = _runs_by_query(docs, runs)
 
     per_query: dict[str, float] = {}
@@ -325,29 +320,43 @@ def precision_at_k(
         if run is None:
             exclusions.append({"query_id": query_id, "reason": "no run provided"})
             continue
-        missing = [c for c in categories if c not in docs[query_id].labels]
-        if missing:
-            reason = f"missing label(s): {', '.join(missing)}"
-            exclusions.append({"query_id": query_id, "reason": reason})
+        if query_id not in matches:
+            missing = ", ".join(c for c in categories if c not in docs[query_id].labels)
+            exclusions.append({"query_id": query_id, "reason": f"missing label(s): {missing}"})
             continue
-        top = [keys[ranked_id] for ranked_id in run.ranked_ids[:k]]
-        if not top:
+        if not run.ranked_ids:
             notes.append(f"query {query_id}: empty result list")
-        per_query[query_id] = top.count(keys[query_id]) / len(top) if top else 0.0
+        per_query[query_id] = _precisions(run.ranked_ids, matches[query_id], (k,))[0]
 
     metric = f"Precision@{k}[{'&'.join(categories)}]"
     config = {"k": k, "categories": categories}
     return MetricReport.from_scores(metric, config, per_query, exclusions, notes)
 
 
-def _label_keys(corpus: Collection[Document], categories: Sequence[str]) -> list[tuple]:
-    """Each document's label key, None where it lacks a label; equal keys match."""
+def _label_matches(corpus: Collection[Document], categories: Sequence[str]) -> dict[str, set[str]]:
+    """Each document carrying every category, mapped to the ids sharing all its labels."""
     if not categories:
         raise ConfigError("at least one label category is required")
     for category in categories:
         if not any(category in doc.labels for doc in corpus):
             raise ConfigError(f"no document carries label category {category!r}")
-    return [tuple(doc.labels.get(c) for c in categories) for doc in corpus]
+    sharing: dict[tuple, set[str]] = {}  # the ids that share each label key
+    matches: dict[str, set[str]] = {}
+    for doc in corpus:
+        if doc.labels.keys() >= set(categories):
+            matches[doc.id] = sharing.setdefault(tuple(map(doc.labels.get, categories)), set())
+            matches[doc.id].add(doc.id)
+    return matches
+
+
+def _precisions(ranked: Sequence[str], matches: Collection[str], ks: Sequence[int]) -> list[float]:
+    """Per k in ``ks``, the share of ``ranked``'s first k ids (or all) in ``matches``."""
+    found = [j in matches for j in ranked[:max(ks)]]
+    return [found[:k].count(True) / min(k, len(found)) if found else 0.0 for k in ks]
+
+
+def _mean(values: Collection[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
 def label_from_concepts(

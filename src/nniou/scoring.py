@@ -160,10 +160,8 @@ class ScoringCore:
         self._one_fields = 0  # 1 in every field
         self._scores: dict[float, _Scores] = {}
 
-    def tops(
-        self, q: str, lams: Sequence[float], k: int
-    ) -> list[list[tuple[float, str]]]:
-        """Query ``q``'s first ``k`` (score, document id) pairs under each weight.
+    def tops(self, q: str, lams: Sequence[float], k: int) -> list[list[str]]:
+        """Query ``q``'s first ``k`` document ids under each weight.
 
         One ranking per entry of ``lams``, in order.  Each is ordered by
         descending score, ties by ascending id.  Only reachable documents
@@ -174,24 +172,20 @@ class ScoringCore:
         and only positive scores at or above it are sorted; float ties at
         the cut all take part.  The positive ones come first, and every
         other document, reachable or not, scores 0 and fills the rest in id
-        order.
+        order.  :meth:`gains` gives the scores.
         """
         candidates, codes = self._count(q)
         rankings = []
         for lam in lams:
             scores = list(map(self._table(lam).__getitem__, codes))
-            cut = 0.0
-            if len(scores) > k:
-                cut = sorted(scores)[-k]
-            ranked = sorted([
-                (s, j) for s, j in zip(scores, candidates) if s >= cut and s > 0
-            ], key=itemgetter(0), reverse=True)[:k]
+            cut = sorted(scores)[-k] if len(scores) > k else 0.0
+            kept = [(s, j) for s, j in zip(scores, candidates) if s >= cut and s > 0]
+            kept.sort(key=itemgetter(0), reverse=True)
+            ranked = [j for _, j in kept[:k]]
             if len(ranked) < k:
                 # every positive document is ranked already; the rest score 0
-                skip = {j for _, j in ranked}
-                skip.add(q)
-                zeros = islice(filterfalse(skip.__contains__, self.ids), k - len(ranked))
-                ranked += [(0.0, j) for j in zeros]
+                skip = {q, *ranked}
+                ranked += islice(filterfalse(skip.__contains__, self.ids), k - len(ranked))
             rankings.append(ranked)
         return rankings
 

@@ -377,6 +377,62 @@ class TestRetrieveAndEval:
                      *scoring]) == 0
         assert json.loads(capsys.readouterr().out)["reports"][0]["aggregate"] == 1.0
 
+    @pytest.mark.parametrize("bad", ["corpus-id", "corpus-cuis", "runs", "class-map"])
+    def test_a_lone_surrogate_escape_exits_two_keeping_the_out_file(self, tmp_path, capsys,
+                                                                   bad):
+        """No UTF-8 output could hold it, so it is rejected before any output is opened."""
+        lone = {bad: "\\ud800"}.get
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("x\tp\ny\tp\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(f'{{"id": "a{lone("corpus-id", "")}", '
+                          f'"cuis": ["x{lone("corpus-cuis", "")}"]}}\n'
+                          '{"id": "b", "cuis": ["x", "y"]}\n', encoding="utf-8")
+        runs = tmp_path / "r.runs"
+        runs.write_text('{"query": "a", "ranked": ["b"]}\n'
+                        f'{{"query": "b", "ranked": ["a{lone("runs", "")}"]}}\n',
+                        encoding="utf-8")
+        cmap = tmp_path / "map.json"
+        cmap.write_text(f'{{"group{lone("class-map", "")}": {{"one": ["x"]}}}}',
+                        encoding="utf-8")
+        out = tmp_path / "kept.out"
+        out.write_bytes(b"kept\n")
+        evaluate = ["eval", "--corpus", str(corpus), "--runs", str(runs), "--measure", "iou",
+                    "--k", "1", "--out", str(out)]
+        command, where = {
+            "corpus-id": (["retrieve", "--corpus", str(corpus), "--measure", "iou", "--k", "1",
+                           "--out", str(out)], "line 1: "),
+            "corpus-cuis": (["build-index", "--edges", str(edges), "--corpus", str(corpus),
+                             "--n", "1", "--out", str(out)], "line 1: "),
+            "runs": (evaluate, "line 2: "),
+            "class-map": ([*evaluate, "--class-map", str(cmap)],
+                          "class map category 'group\\ud800' value 'one': "),
+        }[bad]
+        assert main(command) == 2
+        assert capsys.readouterr().err == (
+            f"error: {where}a \\u escape leaves a lone surrogate, which UTF-8 cannot encode\n"
+        )
+        assert out.read_bytes() == b"kept\n"
+
+    def test_a_paired_surrogate_escape_round_trips_retrieve_then_eval(self, tmp_path, capsys):
+        """``\\ud83d\\ude00`` is one character, written raw to the runs and the report."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a\\ud83d\\ude00", "cuis": ["x"]}\n'
+                          '{"id": "c", "cuis": ["x", "y"]}\n', encoding="utf-8")
+        cmap = tmp_path / "map.json"
+        cmap.write_text('{"smile\\ud83d\\ude00": {"one": ["x"]}}', encoding="utf-8")
+        runs, report = tmp_path / "r.runs", tmp_path / "report.json"
+        assert main(["retrieve", "--corpus", str(corpus), "--measure", "iou",
+                     "--k", "1", "--out", str(runs)]) == 0
+        assert runs.read_text(encoding="utf-8") == (
+            '{"query":"a\U0001f600","ranked":["c"]}\n{"query":"c","ranked":["a\U0001f600"]}\n'
+        )
+        assert main(["eval", "--corpus", str(corpus), "--runs", str(runs), "--measure", "iou",
+                     "--k", "1", "--class-map", str(cmap), "--out", str(report)]) == 0
+        reports = json.loads(report.read_text(encoding="utf-8"))["reports"]
+        assert [r["metric"] for r in reports] == ["CUI@1", "Precision@1[smile\U0001f600]"]
+        assert [r["per_query"] for r in reports] == [{"a\U0001f600": 1.0, "c": 1.0}] * 2
+
     @pytest.mark.parametrize("bad", ["edges", "corpus", "runs", "index", "class-map"])
     def test_an_undecodable_byte_exits_two_writing_nothing(self, workspace, capsys, bad):
         """The error names the byte's line and its offset in the file, past 8 KiB reads."""

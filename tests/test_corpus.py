@@ -18,6 +18,9 @@ from nniou import (
 )
 
 
+LONE_SURROGATE = "a \\u escape leaves a lone surrogate, which UTF-8 cannot encode"
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -118,6 +121,24 @@ class TestReadCorpus:
         )
         assert raised.value.line == 2
 
+    @pytest.mark.parametrize("record", [
+        '{"id": "b\\ud800", "cuis": []}',
+        '{"id": "b", "cuis": ["C2", "\\udfff"]}',
+        '{"id": "b", "cuis": [], "labels": {"modality": "\\ud83dct"}}',
+        '{"id": "b", "cuis": [], "labels": {"\\ude00": "ct"}}',
+    ], ids=["id", "cuis", "label-value", "label-category"])
+    def test_lone_surrogate_escape_names_its_line(self, tmp_path, record):
+        path = _write(tmp_path, "c.jsonl", '{"id": "a", "cuis": ["C1"]}\n' + record + "\n")
+        with pytest.raises(DataFileError) as raised:
+            read_corpus(path)
+        assert str(raised.value) == f"line 2: {LONE_SURROGATE}"
+        assert raised.value.line == 2
+
+    def test_paired_or_escaped_backslash_u_is_read(self, tmp_path):
+        """A surrogate pair decodes to one character; ``\\\\ud800`` is no escape."""
+        path = _write(tmp_path, "c.jsonl", '{"id": "a\\ud83d\\ude00", "cuis": ["\\\\ud800"]}\n')
+        assert read_corpus(path) == [Document("a\U0001f600", frozenset({"\\ud800"}))]
+
     def test_vocabulary_union(self, tmp_path):
         path = _write(
             tmp_path,
@@ -170,6 +191,16 @@ class TestRuns:
         with pytest.raises(DataFileError) as raised:
             read_runs(path)
         assert str(raised.value) == "line 2: missing or empty 'query' field"
+        assert raised.value.line == 2
+
+    @pytest.mark.parametrize("record", ['{"query": "b\\udbff", "ranked": ["a"]}',
+                                        '{"query": "b", "ranked": ["a", "\\udc00"]}'],
+                             ids=["query", "ranked"])
+    def test_lone_surrogate_escape_names_its_line(self, tmp_path, record):
+        path = _write(tmp_path, "runs.jsonl", '{"query": "a", "ranked": []}\n' + record + "\n")
+        with pytest.raises(DataFileError) as raised:
+            read_runs(path)
+        assert str(raised.value) == f"line 2: {LONE_SURROGATE}"
         assert raised.value.line == 2
 
 
@@ -227,6 +258,22 @@ class TestClassMap:
         with pytest.raises(DataFileError, match=r"^line 2: invalid JSON in class map: ") as caught:
             read_class_map(path)
         assert caught.value.line == 2
+
+    @pytest.mark.parametrize("payload, named", [
+        ('{"modality\\ud800": {"ct": ["C1"]}}', "'modality\\ud800' value 'ct'"),
+        ('{"modality": {"ct": ["C1"], "\\udfffmri": ["C2"]}}', "'modality' value '\\udfffmri'"),
+        ('{"modality": {"ct": ["C1\\ud800"]}}', "'modality' value 'ct'"),
+    ], ids=["category", "value", "concept"])
+    def test_lone_surrogate_escape_names_its_category_and_value(self, tmp_path, payload,
+                                                                named):
+        path = _write(tmp_path, "map.json", payload)
+        with pytest.raises(DataFileError) as raised:
+            read_class_map(path)
+        assert str(raised.value) == f"class map category {named}: {LONE_SURROGATE}"
+
+    def test_paired_surrogate_escape_is_one_character(self, tmp_path):
+        path = _write(tmp_path, "map.json", '{"modality\\ud83d\\ude00": {"ct": ["C1"]}}')
+        assert read_class_map(path) == {"modality\U0001f600": {"ct": frozenset({"C1"})}}
 
     def test_byte_order_mark_gives_the_same_labels(self, tmp_path):
         payload = json.dumps({"modality": {"ct": ["C1"], "mri": ["C2", "C3"]}})

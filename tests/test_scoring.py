@@ -101,6 +101,13 @@ def _pair_score(cfg, index):
     return lambda a, b: nn_iou(a, b, cfg.lam, index)
 
 
+def _gains_of(core, q, lam, ranked):
+    """Each ranked id's score against ``q`` at ``lam``: its ``core.gains`` entry, or
+    0.0 for a document that is no candidate."""
+    gain = core.gains(q, lam).get
+    return [gain(j, 0.0) for j in ranked]
+
+
 @settings(max_examples=300)
 @given(settings_cases())
 def test_core_rankings_equal_brute_force(case):
@@ -111,8 +118,8 @@ def test_core_rankings_equal_brute_force(case):
     for query in docs:
         expected = brute_ranking(query, docs, score)
         top = core.tops(query.id, (lam,), cfg.k)[0]
-        assert [j for _, j in top] == expected[: cfg.k]
-        assert [s for s, _ in top] == [
+        assert top == expected[: cfg.k]
+        assert _gains_of(core, query.id, lam, top) == [
             score(by_id[i].concepts, query.concepts) for i in expected[: cfg.k]
         ]
         assert ground_truth_ranking(query, docs, cfg, index).ranked_ids == expected
@@ -159,8 +166,8 @@ def test_tops_equal_brute_force_for_every_lambda(docs, radius, data):
                 return nn_iou(a, b, lam, index)
 
             expected = brute_ranking(query, docs, score)[:k]
-            assert [j for _, j in ranked] == expected
-            assert [s for s, _ in ranked] == [
+            assert ranked == expected
+            assert _gains_of(core, query.id, lam, ranked) == [
                 score(by_id[i].concepts, query.concepts) for i in expected
             ]
         assert core.tops(query.id, (lams[0],), k)[0] == rankings[0]
@@ -176,6 +183,7 @@ def test_shared_zero_fill_equals_one_lambda_at_a_time(docs, radius, data):
         vocabulary = set().union(*(d.concepts for d in docs)) - {"yy"}
         index = build_index(data.draw(graphs()), vocabulary, radius)
     core = ScoringCore(docs, index)
+    by_id = {d.id: d for d in docs}
     lams = (0.0, 0.1, 0.5, 1.0)
     for query in docs:
         expected = [
@@ -185,8 +193,10 @@ def test_shared_zero_fill_equals_one_lambda_at_a_time(docs, radius, data):
         for k in range(1, len(docs)):
             rankings = core.tops(query.id, lams, k)
             assert rankings == [core.tops(query.id, (lam,), k)[0] for lam in lams]
-            assert [[j for _, j in r] for r in rankings] == [
-                ids[:k] for ids in expected
+            assert rankings == [ids[:k] for ids in expected]
+        for lam, ids in zip(lams, expected):
+            assert _gains_of(core, query.id, lam, ids) == [
+                nn_iou(by_id[i].concepts, query.concepts, lam, index) for i in ids
             ]
 
 
@@ -206,10 +216,11 @@ def test_lambda_zero_candidate_sorts_by_id_between_non_candidates():
     for lams in ((0.0, 0.5), (0.5, 0.0)):  # the fill first listed for 0 or for 0.5
         for k in range(1, 5):
             rankings = core.tops("q", lams, k)
-            assert [[j for _, j in r] for r in rankings] == [
-                named[lam][:k] for lam in lams
-            ]
-    assert core.tops("q", (0.0,), 4)[0] == [(1.0, "p"), (0.0, "c"), (0.0, "m"), (0.0, "x")]
+            assert rankings == [named[lam][:k] for lam in lams]
+    ranked = core.tops("q", (0.0,), 4)[0]
+    assert ranked == ["p", "c", "m", "x"]
+    assert _gains_of(core, "q", 0.0, ranked) == [1.0, 0.0, 0.0, 0.0]
+    assert "m" in core.gains("q", 0.0) and "c" not in core.gains("q", 0.0)
 
 
 @settings(max_examples=200)
@@ -271,8 +282,8 @@ def test_ties_straddling_the_kth_place_break_by_id(case):
 
             expected = brute_ranking(query, docs, score)
             scores = [score(by_id[i].concepts, query.concepts) for i in expected]
-            assert [j for _, j in ranked] == expected
-            assert [s for s, _ in ranked] == scores
+            assert ranked == expected
+            assert _gains_of(core, query.id, lam, ranked) == scores
             straddled += sum(a == b for a, b in zip(scores, scores[1:]))
         for k in range(1, len(docs) + 1):
             assert core.tops(query.id, lams, k) == [ranked[:k] for ranked in full]
@@ -326,8 +337,8 @@ def test_related_concepts_on_the_first_and_last_concept_bits(entries):
                     assert gains.get(doc.id, 0.0) == score(query.concepts, doc.concepts)
             expected = brute_ranking(query, docs, score)
             top = core.tops(query.id, (lam,), len(docs) - 1)[0]
-            assert [j for _, j in top] == expected
-            assert [s for s, _ in top] == [
+            assert top == expected
+            assert _gains_of(core, query.id, lam, top) == [
                 score(by_id[i].concepts, query.concepts) for i in expected
             ]
     assert {"p0", "p3"} <= related
@@ -426,16 +437,25 @@ def walked_corpora(draw):
 
 
 def _brute_tops(docs, index, query):
-    """``query``'s full (score, id) ranking under each of SWITCH_LAMBDAS."""
+    """``query``'s full ranking under each of SWITCH_LAMBDAS, and each ranked id's score."""
     by_id = {d.id: d for d in docs}
     expected = []
     for lam in SWITCH_LAMBDAS:
         def score(a, b, lam=lam):
             return nn_iou(a, b, lam, index) if index is not None else iou(a, b)
 
-        expected.append([(score(by_id[i].concepts, query.concepts), i)
-                         for i in brute_ranking(query, docs, score)])
+        ranked = brute_ranking(query, docs, score)
+        expected.append((ranked, [score(by_id[i].concepts, query.concepts) for i in ranked]))
     return expected
+
+
+def _ranks_as_expected(core, query, expected, k):
+    """``core`` ranks ``query`` at cutoff ``k`` as ``_brute_tops`` gave, each id
+    with the score its ranking was built from."""
+    rankings = core.tops(query.id, SWITCH_LAMBDAS, k)
+    assert rankings == [ranked[:k] for ranked, _ in expected]
+    for lam, top, (_, scores) in zip(SWITCH_LAMBDAS, rankings, expected):
+        assert _gains_of(core, query.id, lam, top) == scores[:k]
 
 
 def _ranks_like_brute_force(docs, index):
@@ -458,7 +478,7 @@ def _ranks_like_brute_force(docs, index):
         for query in docs:
             expected = _brute_tops(docs, index, query)
             for k in range(1, len(docs) + 3):
-                assert core.tops(query.id, SWITCH_LAMBDAS, k) == [e[:k] for e in expected]
+                _ranks_as_expected(core, query, expected, k)
     return core, summed
 
 
@@ -498,8 +518,9 @@ def test_sums_need_every_count_in_one_byte(size, summed):
     big = Document("big", frozenset({"h"} | {f"w{i}" for i in range(size - 1)}))
     docs = [big] + [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(3)]
     core = ScoringCore(docs)
-    assert core.tops("d0", (0.5,), 3)[0] == [(1 / 3, "d1"), (1 / 3, "d2"),
-                                             (1 / (size + 1), "big")]
+    ranked = core.tops("d0", (0.5,), 3)[0]
+    assert ranked == ["d1", "d2", "big"]
+    assert _gains_of(core, "d0", 0.5, ranked) == [1 / 3, 1 / 3, 1 / (size + 1)]
     assert bool(core._spread) == summed
 
 
@@ -526,8 +547,8 @@ def test_a_built_core_never_reads_its_index_again(case):
     expected = [_brute_tops(docs, index, query) for query in docs]
     unreadable = AssertionError("neighbor index read after construction")
     with mock.patch.object(NeighborIndex, "neighbors", side_effect=unreadable):
-        for query, ranked in zip(docs, expected):
-            assert core.tops(query.id, SWITCH_LAMBDAS, len(docs)) == ranked
+        for query, brute in zip(docs, expected):
+            _ranks_as_expected(core, query, brute, len(docs))
 
 
 @settings(max_examples=100)
@@ -576,9 +597,11 @@ def test_both_counts_agree_on_a_query_with_no_concepts_in_a_dense_corpus():
     core = ScoringCore(docs)
     e = core._number["e"]
     assert core._sums(e, 0) == core._walk(e, 0) == ([], [])
-    assert core.tops("e", (0.5,), 4)[0] == [(0.0, "d0"), (0.0, "d1"), (0.0, "d2"), (0.0, "d3")]
-    assert core.tops("d0", (0.5,), 4)[0] == [(1 / 3, "d1"), (1 / 3, "d2"), (1 / 3, "d3"),
-                                             (0.0, "e")]
+    assert core.tops("e", (0.5,), 4)[0] == ["d0", "d1", "d2", "d3"]
+    assert core.gains("e", 0.5) == {}
+    ranked = core.tops("d0", (0.5,), 4)[0]
+    assert ranked == ["d1", "d2", "d3", "e"]
+    assert _gains_of(core, "d0", 0.5, ranked) == [1 / 3, 1 / 3, 1 / 3, 0.0]
 
 
 @settings(max_examples=100)
@@ -693,10 +716,14 @@ def test_nn_cui_ranks_no_query(monkeypatch):
 
 GROUPS = {"group": {"low": frozenset({"c0", "c1", "zz"}),
                     "high": frozenset({"c4", "c5", "c6"})}}
+# "tier" cuts across "group": a document of c1 or c6 alone carries no tier,
+# and one of c2 alone no group
+TIERS = {**GROUPS, "tier": {"top": frozenset({"c0", "c2", "c4"}),
+                            "bottom": frozenset({"c5", "zz"})}}
 
 
-def _brute_ablation_rows(graph, docs, grid):
-    labeled = derive_labels(docs, GROUPS)
+def _brute_ablation_rows(graph, docs, grid, class_map=GROUPS, categories=("group",)):
+    labeled = derive_labels(docs, class_map)
     vocabulary = set().union(*(d.concepts for d in docs))
     expected = []
     for radius in grid.radii:
@@ -709,7 +736,7 @@ def _brute_ablation_rows(graph, docs, grid):
             ]
             for k in grid.ks:
                 expected.append(
-                    (radius, lam, k, precision_at_k(labeled, runs, k, ["group"]).aggregate)
+                    (radius, lam, k, precision_at_k(labeled, runs, k, categories).aggregate)
                 )
     return expected
 
@@ -721,14 +748,45 @@ def _brute_ablation_rows(graph, docs, grid):
     st.lists(st.sampled_from(LAMBDAS), min_size=1, max_size=5, unique=True),
     st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
     st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True),
+    st.sampled_from([["group", "tier"], ["group"]]),
 )
-def test_ablation_rows_equal_brute_force(docs, graph, lambdas, radii, ks):
-    if not any("group" in d.labels for d in derive_labels(docs, GROUPS)):
+def test_ablation_rows_equal_brute_force(docs, graph, lambdas, radii, ks, categories):
+    """One category or the joint key of two, where some documents carry only one."""
+    labeled = derive_labels(docs, TIERS)
+    if not all(any(c in d.labels for d in labeled) for c in categories):
         return
     grid = AblationGrid(lambdas=tuple(lambdas), radii=tuple(radii), ks=tuple(ks))
-    assert ablation_rows(graph, docs, grid, GROUPS, ["group"]) == (
-        _brute_ablation_rows(graph, docs, grid)
+    assert ablation_rows(graph, docs, grid, TIERS, categories) == (
+        _brute_ablation_rows(graph, docs, grid, TIERS, categories)
     )
+
+
+def test_ablation_rows_grade_the_joint_label_key(monkeypatch):
+    """A document lacking one of two categories is neither ranked nor matched."""
+    graph = KnowledgeGraph.from_edges([], nodes=GRAPH_CONCEPTS)
+    docs = [
+        Document("a", frozenset({"c0"})),  # low, top
+        Document("b", frozenset({"c1"})),  # low, no tier
+        Document("c", frozenset({"c0", "c1"})),  # low, top
+        Document("d", frozenset({"c4"})),  # high, top
+        Document("e", frozenset({"c2"})),  # no group, top
+    ]
+    ranked = []
+    tops = ScoringCore.tops
+
+    def counting(core, q, lams, k):
+        ranked.append(q)
+        return tops(core, q, lams, k)
+
+    monkeypatch.setattr(ScoringCore, "tops", counting)
+    grid = AblationGrid(lambdas=(0.0,), radii=(0,), ks=(1, 4))
+    rows = ablation_rows(graph, docs, grid, TIERS, ["group", "tier"])
+    assert ranked == ["a", "c", "d"]
+    # a ranks c, b, d, e and c ranks a, b, d, e: each matches only its first,
+    # b though it shares the group; d, alone in (high, top), matches none
+    assert rows == [(0, 0.0, 1, 2 / 3), (0, 0.0, 4, 1 / 6)]
+    monkeypatch.undo()
+    assert rows == _brute_ablation_rows(graph, docs, grid, TIERS, ["group", "tier"])
 
 
 def test_ablation_rows_with_every_k_beyond_a_two_document_corpus():
