@@ -24,7 +24,7 @@ from .kg_store import (
     normalize_concept_id,
     parse_edge_file,
 )
-from .neighbor_index import NeighborIndex, build_index, load_index, save_index
+from .neighbor_index import NeighborIndex, build_index, build_indexes, load_index, save_index
 from .corpus import (
     corpus_vocabulary,
     read_class_map,
@@ -71,6 +71,7 @@ __all__ = [
     "parse_edge_file",
     "NeighborIndex",
     "build_index",
+    "build_indexes",
     "load_index",
     "save_index",
     "corpus_vocabulary",

@@ -1,9 +1,12 @@
 """The (radius, lambda, k) Precision@K sweep behind ``nniou ablate``.
 
-:func:`ablation_rows` ranks each graded query once per radius under every
-lambda (:meth:`nniou.scoring.ScoringCore.tops`) and grades the rankings with
-:func:`nniou.precision_at_k`'s own helpers, so a cell builds no runs or
-reports, and its rows equal ``precision_at_k`` over ground truth, float for float.
+:func:`ablation_rows` walks the graph once, to the largest radius, for an
+index at every radius (:func:`nniou.neighbor_index.build_indexes`).  Per
+radius it ranks each graded query once under every lambda
+(:meth:`nniou.scoring.ScoringCore.tops`) and grades each distinct ranking
+once with :func:`nniou.precision_at_k`'s own helpers, so a cell builds no
+runs or reports, and its rows equal ``precision_at_k`` over ground truth,
+float for float.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Sequence
 from .corpus import corpus_vocabulary
 from .distance import checked_radius
 from .errors import ConfigError
-from .neighbor_index import build_index
+from .neighbor_index import build_indexes
 from .ranking_eval import (
     Document,
     EvalConfig,
@@ -63,22 +66,28 @@ def ablation_rows(
     class_map,
     categories: Sequence[str],
 ) -> list[tuple[int, float, int, float]]:
-    """Precision per (radius, lambda, k) cell, one index and scoring pass per radius.
+    """Precision per (radius, lambda, k) cell, from one graph walk for every radius.
 
     Labels are derived from ``class_map``; a query lacking one of
     ``categories`` is excluded, as Precision@K excludes it, and never
-    ranked.  Ids must be unique.  At radius 0 approximate matching is
-    inert, so a precision that varies with lambda there is an internal error.
+    ranked.  Ids must be unique.  A query's ranking is graded only where it
+    differs from its ranking at the previous lambda; at radius 0 it never
+    does, since approximate matching is inert there, so a precision that
+    varies with lambda at radius 0 is an internal error.
     """
     matches = _label_matches(_docs_by_id(derive_labels(docs, class_map)).values(), categories)
+    indexes = build_indexes(graph, corpus_vocabulary(docs), grid.radii)
     rows: list[tuple[int, float, int, float]] = []
-    for radius in grid.radii:
-        core = ScoringCore(docs, build_index(graph, corpus_vocabulary(docs), radius))
+    for radius, index in zip(grid.radii, indexes):
+        core = ScoringCore(docs, index)
         # per lambda and k, each graded query's precision in id order
         cells = [[[] for _ in grid.ks] for _ in grid.lambdas]
         for q in sorted(matches):
+            last = None
             for columns, ranked in zip(cells, core.tops(q, grid.lambdas, max(grid.ks))):
-                for column, precision in zip(columns, _precisions(ranked, matches[q], grid.ks)):
+                if ranked != last:
+                    last, precisions = ranked, _precisions(ranked, matches[q], grid.ks)
+                for column, precision in zip(columns, precisions):
                     column.append(precision)
         for lam, columns in zip(grid.lambdas, cells):
             rows += [(radius, lam, k, _mean(column)) for k, column in zip(grid.ks, columns)]

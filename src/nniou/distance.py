@@ -100,19 +100,22 @@ def bounded_neighborhood(graph: KnowledgeGraph, x: str, n: int) -> set[str]:
     without touching edges.
     """
     checked_radius(n)
-    (ball,) = bounded_neighborhood_ids(graph, [graph.node_id(x)], n)
-    return {graph.name_of(i) for i in ball}
+    (layers,) = bounded_neighborhood_ids(graph, [graph.node_id(x)], n)
+    return {graph.name_of(i) for layer in layers for i in layer}
 
 
 def bounded_neighborhood_ids(
     graph: KnowledgeGraph, sources: Sequence[int], n: int
-) -> Iterator[list[int]]:
-    """For each source id in turn, the ids within ``n`` hops of it, excluding it.
+) -> Iterator[Iterator[list[int]]]:
+    """For each source id in turn, an iterator over its first ``n`` hop layers.
+
+    The layers are those of :func:`_layers`: the ids first reached at each
+    hop, so their concatenation is the source's ball, excluding it.
 
     Every neighbor list the walks read is gathered first, in at most ``n``
     batched lookups: hop ``k`` looks up the nodes first reached at hop
-    ``k - 1`` from any source.  Then each source is walked alone, so only
-    one ball is alive at a time.
+    ``k - 1`` from any source.  Then each source is walked alone, as its
+    layers are read, so only one walk is alive at a time.
     """
     lists: dict[int, Sequence[int]] = {}
     fresh = set(sources)
@@ -124,4 +127,4 @@ def bounded_neighborhood_ids(
         found = graph.neighbor_lists(fresh)
         lists.update(found)
     for src in sources:
-        yield [v for layer in islice(_layers(lambda _: lists, src), n) for v in layer]
+        yield islice(_layers(lambda _: lists, src), n)

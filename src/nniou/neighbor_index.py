@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # bounded_neighborhood is unused here but stays a module attribute:
 # benchmarks/tracer.py wraps it.
@@ -81,17 +82,43 @@ def build_index(
     neighbor sets (isolated), matching how corpus concepts missing from
     the hierarchy are treated everywhere else.  All the walks share one
     batched neighbor lookup per hop, ``radius`` in all, so a top-down
-    graph seldom needs its undirected view.
+    graph seldom needs its undirected view.  The one-radius case of
+    :func:`build_indexes`.
     """
-    checked_radius(radius)
+    return build_indexes(graph, concepts, [radius])[0]
+
+
+def build_indexes(
+    graph: KnowledgeGraph, concepts: Iterable[str], radii: Sequence[int]
+) -> list[NeighborIndex]:
+    """:func:`build_index` at each of ``radii``, in order, from one walk.
+
+    The walk goes to the largest radius, and radius ``r``'s entry of a
+    concept is its first ``r`` hop layers, filtered to the given concepts.
+    Radius 0 needs no walk: an index there touches no edge and asks the
+    graph nothing.
+    """
+    radii = [checked_radius(radius) for radius in radii]
     vocabulary = set(concepts)
-    entries = dict.fromkeys(sorted(vocabulary), _EMPTY)
-    known = [c for c in entries if graph.has_node(c)]
-    names = graph.node_names
-    balls = bounded_neighborhood_ids(graph, [graph.node_id(c) for c in known], radius)
-    for concept, ball in zip(known, balls):
-        entries[concept] = frozenset([names[i] for i in ball]) & vocabulary
-    return NeighborIndex(radius=radius, source_checksum=graph.source_checksum, entries=entries)
+    # one table per distinct radius, ascending; an index never changes, so
+    # a repeated radius shares its table
+    tables = {radius: dict.fromkeys(sorted(vocabulary), _EMPTY) for radius in sorted(radii)}
+    deeper = [(radius, table) for radius, table in tables.items() if radius]
+    if deeper:
+        deepest = max(radii)
+        known = [c for c in tables[deepest] if graph.has_node(c)]
+        names = graph.node_names
+        walks = bounded_neighborhood_ids(graph, [graph.node_id(c) for c in known], deepest)
+        for concept, layers in zip(known, walks):
+            ball: list[str] = []
+            depth = 0
+            for radius, table in deeper:
+                ball += [names[i] for layer in islice(layers, radius - depth) for i in layer]
+                table[concept], depth = frozenset(ball) & vocabulary, radius
+    return [
+        NeighborIndex(radius=radius, source_checksum=graph.source_checksum, entries=tables[radius])
+        for radius in radii
+    ]
 
 
 def save_index(index: NeighborIndex, path: str | Path) -> None:

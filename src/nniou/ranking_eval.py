@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import truediv
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -351,8 +352,9 @@ def _label_matches(corpus: Collection[Document], categories: Sequence[str]) -> d
 
 def _precisions(ranked: Sequence[str], matches: Collection[str], ks: Sequence[int]) -> list[float]:
     """Per k in ``ks``, the share of ``ranked``'s first k ids (or all) in ``matches``."""
-    found = [j in matches for j in ranked[:max(ks)]]
-    return [found[:k].count(True) / min(k, len(found)) if found else 0.0 for k in ks]
+    # hits[i]: how many of the first i + 1 ids match, from one pass
+    hits = list(accumulate(map(matches.__contains__, ranked[:max(ks)])))
+    return [hits[min(k, len(hits)) - 1] / min(k, len(hits)) if hits else 0.0 for k in ks]
 
 
 def _mean(values: Collection[float]) -> float:

@@ -62,7 +62,8 @@ A code's score at a lambda is the same float expression as
 the pairwise definition byte for byte.  :meth:`ScoringCore.tops` ranks a
 query under a whole list of lambdas from one count, which is how the
 ablation sweep scores each pair once per radius instead of once per
-(radius, lambda) cell.
+(radius, lambda) cell; a lambda whose scores equal the previous one's,
+as every lambda's do at radius 0, reuses its ranking.
 :meth:`ScoringCore.gains` takes the same count and ranks nothing: it maps
 each candidate to its score, which is all nn-CUI@K needs, since an ideal
 DCG depends only on the k largest gains and a run's documents are looked
@@ -172,12 +173,20 @@ class ScoringCore:
         and only positive scores at or above it are sorted; float ties at
         the cut all take part.  The positive ones come first, and every
         other document, reachable or not, scores 0 and fills the rest in id
-        order.  :meth:`gains` gives the scores.
+        order.  A lambda whose scores equal the previous lambda's, as every
+        lambda's do when no candidate has a related concept (radius 0), gets
+        a copy of that ranking instead of a sort.  :meth:`gains` gives the
+        scores.
         """
         candidates, codes = self._count(q)
         rankings = []
+        last = None
         for lam in lams:
             scores = list(map(self._table(lam).__getitem__, codes))
+            if scores == last:
+                rankings.append(rankings[-1].copy())
+                continue
+            last = scores
             cut = sorted(scores)[-k] if len(scores) > k else 0.0
             kept = [(s, j) for s, j in zip(scores, candidates) if s >= cut and s > 0]
             kept.sort(key=itemgetter(0), reverse=True)

@@ -1013,8 +1013,11 @@ class TestFlagsCheckedBeforeFiles:
 
 class TestUsage:
     def test_module_entry_point(self, tmp_path):
+        import os
         import subprocess
         import sys
+
+        import nniou
 
         edges = tmp_path / "edges.tsv"
         edges.write_text("a\tb\n", encoding="utf-8")
@@ -1028,8 +1031,13 @@ class TestUsage:
             capture_output=True,
             text=True,
             encoding="utf-8",
+            # the package this process imported, whether its directory came
+            # from PYTHONPATH or from sys.path
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(Path(nniou.__file__).parents[1]),
+                              os.environ.get("PYTHONPATH")]))},
         )
-        assert result.returncode == 0
+        assert result.returncode == 0, result.stderr
         assert "entries=2" in result.stdout
         assert out.exists()
 

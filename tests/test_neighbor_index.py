@@ -11,6 +11,7 @@ from nniou import (
     KnowledgeGraph,
     NeighborIndex,
     build_index,
+    build_indexes,
     kg_store,
     load_index,
     save_index,
@@ -24,6 +25,12 @@ from synthdata import GRAPH_SOURCES, drawn_graph
 def _counting(name):
     """Patch a kg_store function with a wrapper that counts its calls."""
     return mock.patch.object(kg_store, name, wraps=getattr(kg_store, name))
+
+
+def counting_graph_method(name):
+    """Patch a KnowledgeGraph method with a wrapper that counts its calls."""
+    method = getattr(KnowledgeGraph, name)
+    return mock.patch.object(KnowledgeGraph, name, autospec=True, side_effect=method)
 
 
 class TestBuildIndex:
@@ -98,6 +105,30 @@ class TestBuildIndex:
         for x in vocabulary:
             for y in index.neighbors(x):
                 assert x in index.neighbors(y)
+
+
+class TestBuildIndexes:
+    def test_one_walk_serves_every_radius(self, chain_graph):
+        """Radius r's index is the first r layers of one walk to the largest radius."""
+        concepts = {"a", "b", "c", "d", "ghost"}
+        with counting_graph_method("neighbor_lists") as lookups:
+            indexes = build_indexes(chain_graph, concepts, [2, 0, 1])
+        assert indexes == [build_index(chain_graph, concepts, r) for r in (2, 0, 1)]
+        assert lookups.call_count <= 2
+        assert indexes[0].neighbors("d") == {"b", "a"}
+        assert indexes[2].neighbors("d") == {"b"}
+        assert indexes[0].neighbors("ghost") == frozenset()
+
+    def test_radius_zero_asks_the_graph_nothing(self, chain_graph):
+        with counting_graph_method("neighbor_lists") as lookups:
+            with counting_graph_method("has_node") as has_node:
+                (index,) = build_indexes(chain_graph, {"a", "b", "ghost"}, [0])
+        assert lookups.call_count == has_node.call_count == 0
+        assert index == build_index(chain_graph, {"a", "b", "ghost"}, 0)
+
+    def test_every_radius_is_checked(self, chain_graph):
+        with pytest.raises(ConfigError):
+            build_indexes(chain_graph, {"a"}, [1, -1])
 
 
 class TestPersistence:

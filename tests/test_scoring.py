@@ -25,6 +25,7 @@ from nniou import (
     NeighborIndex,
     RankingRun,
     build_index,
+    build_indexes,
     derive_labels,
     ground_truth_ranking,
     ground_truth_rankings,
@@ -35,7 +36,7 @@ from nniou import (
     rel_set,
 )
 from nniou.cli import AblationGrid, ablation_rows, main
-from nniou.ranking_eval import scoring_core
+from nniou.ranking_eval import _precisions, scoring_core
 from nniou.scoring import ScoringCore
 
 from oracles import brute_nn_cui, brute_ranking
@@ -171,6 +172,22 @@ def test_tops_equal_brute_force_for_every_lambda(docs, radius, data):
                 score(by_id[i].concepts, query.concepts) for i in expected
             ]
         assert core.tops(query.id, (lams[0],), k)[0] == rankings[0]
+
+
+@settings(max_examples=200)
+@given(corpora(min_docs=2), st.integers(0, 2), st.data())
+def test_tops_under_many_lambdas_equal_each_alone_in_distinct_lists(docs, radius, data):
+    """A lambda whose scores equal the last one's reuses its ranking, as a copy."""
+    # repeats allowed, so equal score lists also come up at radius 1 and 2
+    lams = data.draw(st.lists(st.sampled_from(LAMBDAS), min_size=1, max_size=5))
+    k = data.draw(st.integers(1, len(docs) + 1))
+    vocabulary = set().union(*(d.concepts for d in docs)) - {"yy"}
+    core = ScoringCore(docs, build_index(data.draw(graphs()), vocabulary, radius))
+    for query in docs:
+        rankings = core.tops(query.id, lams, k)
+        for i, lam in enumerate(lams):
+            assert rankings[i] == core.tops(query.id, [lam], k)[0]
+        assert len({id(ranked) for ranked in rankings}) == len(rankings)
 
 
 @settings(max_examples=200)
@@ -845,6 +862,52 @@ def test_ablation_rows_rank_only_labelled_queries(monkeypatch):
     rows = ablation_rows(graph, docs, grid, GROUPS, ["group"])
     assert ranked == ["a", "b", "h"] * 3
     monkeypatch.undo()
+    assert rows == _brute_ablation_rows(graph, docs, grid)
+
+
+@settings(max_examples=100)
+@given(graphs(), st.sets(st.sampled_from(CONCEPTS)),
+       st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+def test_build_indexes_equal_build_index_at_each_radius(graph, vocabulary, radii):
+    """Radii in any order, 0 and past the graph's depth among them; "zz" is in no graph."""
+    lookups = mock.patch.object(KnowledgeGraph, "neighbor_lists", autospec=True,
+                                side_effect=KnowledgeGraph.neighbor_lists)
+    with lookups as counted:
+        indexes = build_indexes(graph, vocabulary, radii)
+    assert indexes == [build_index(graph, vocabulary, radius) for radius in radii]
+    assert counted.call_count <= max(radii)
+
+
+@pytest.mark.parametrize("radii, most", [((0, 1, 2), 2), ((2, 0, 1), 2), ((0,), 0)])
+def test_ablation_rows_walk_the_graph_once(radii, most):
+    """One batched lookup per hop to the largest radius; radius 0 alone asks nothing."""
+    graph = KnowledgeGraph.from_edges([("c0", "c1"), ("c1", "c2"), ("c2", "c4")],
+                                      nodes=GRAPH_CONCEPTS)
+    docs = [Document("a", frozenset({"c0"})), Document("b", frozenset({"c2"})),
+            Document("h", frozenset({"c4", "zz"}))]
+    grid = AblationGrid(lambdas=(0.0, 0.5), radii=radii, ks=(1, 2))
+    lookups = mock.patch.object(KnowledgeGraph, "neighbor_lists", autospec=True,
+                                side_effect=KnowledgeGraph.neighbor_lists)
+    known = mock.patch.object(KnowledgeGraph, "has_node", autospec=True,
+                              side_effect=KnowledgeGraph.has_node)
+    with lookups as counted, known as has_node:
+        rows = ablation_rows(graph, docs, grid, GROUPS, ["group"])
+    assert counted.call_count <= most
+    if not most:
+        assert has_node.call_count == 0
+    assert rows == _brute_ablation_rows(graph, docs, grid)
+
+
+def test_a_radius_zero_sweep_grades_each_query_once():
+    """Every lambda ranks alike at radius 0, so each graded query is graded once."""
+    graph = KnowledgeGraph.from_edges([("c0", "c1"), ("c1", "c4")], nodes=GRAPH_CONCEPTS)
+    docs = [Document("a", frozenset({"c0"})), Document("b", frozenset({"c1", "c2"})),
+            Document("h", frozenset({"c4"})), Document("u", frozenset({"c2"}))]
+    grid = AblationGrid(lambdas=(0.0, 0.1, 0.5, 1.0), radii=(0,), ks=(1, 3))
+    with mock.patch("nniou.ablation._precisions", wraps=_precisions) as graded:
+        rows = ablation_rows(graph, docs, grid, GROUPS, ["group"])
+    # "u" holds no grouped concept, so only a, b and h are graded
+    assert [c.args[1] for c in graded.call_args_list] == [{"a", "b"}, {"a", "b"}, {"h"}]
     assert rows == _brute_ablation_rows(graph, docs, grid)
 
 
