@@ -26,29 +26,26 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, DataFileError, EvaluationError
+from .errors import ConfigError, DataFileError, EvaluationError, text_lines
 from .neighbor_index import _UNSTORABLE
 from .ranking_eval import Document, RankingRun
 
 
 def _jsonl_records(path: str | Path):
-    with open(path, encoding="utf-8-sig") as stream:
-        try:
-            for lineno, line in enumerate(stream, start=1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    record = json.loads(stripped)
-                except json.JSONDecodeError as exc:
-                    raise DataFileError(f"invalid JSON: {exc.msg}", line=lineno) from None
-                if not isinstance(record, dict):
-                    raise DataFileError("record must be a JSON object", line=lineno)
-                if "\\u" in stripped:
-                    _no_lone_surrogate(record, line=lineno)
-                yield lineno, record
-        except UnicodeDecodeError as exc:
-            raise DataFileError.undecodable(path, exc) from None
+    with text_lines(Path(path).read_bytes(), DataFileError) as stream:
+        for lineno, line in enumerate(stream, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                record = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                raise DataFileError(f"invalid JSON: {exc.msg}", line=lineno) from None
+            if not isinstance(record, dict):
+                raise DataFileError("record must be a JSON object", line=lineno)
+            if "\\u" in stripped:
+                _no_lone_surrogate(record, line=lineno)
+            yield lineno, record
 
 
 def _no_lone_surrogate(value, line: int | None = None, where: str = "") -> None:
@@ -150,12 +147,11 @@ def write_runs(runs: Sequence[RankingRun], path: str | Path) -> None:
 
 def read_class_map(path: str | Path) -> dict[str, dict[str, frozenset[str]]]:
     """Load a class map and validate that each category's value sets are disjoint."""
+    # read with universal newlines, so JSON's line count matches the file's
+    with text_lines(Path(path).read_bytes(), DataFileError) as stream:
+        text = stream.read()
     try:
-        # read with universal newlines, so JSON's line count matches the file's
-        text = Path(path).read_text(encoding="utf-8-sig")
         raw = json.loads(text)
-    except UnicodeDecodeError as exc:
-        raise DataFileError.undecodable(path, exc) from None
     except json.JSONDecodeError as exc:
         raise DataFileError(f"invalid JSON in class map: {exc.msg}", line=exc.lineno) from None
     if not isinstance(raw, dict) or not raw:

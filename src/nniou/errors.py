@@ -1,13 +1,20 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the one text reader.
 
 Two broad families matter to callers: configuration problems (bad
 parameters, inconsistent flags) and data problems (malformed files,
 unresolvable identifiers).  The CLI maps them to distinct exit codes.
+
+Every input file is read once, whole, and its lines come from
+:func:`text_lines` over those bytes.  A byte that is not UTF-8 becomes the
+reader's own data error, naming the byte's line and its offset in the
+file, both found in the same bytes.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+import io
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class NnIouError(Exception):
@@ -30,24 +37,6 @@ class _LineError(DataError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-    @classmethod
-    def undecodable(cls, path: str | Path, exc: UnicodeDecodeError) -> _LineError:
-        """The error for a file that is not UTF-8, naming its first bad byte's line.
-
-        A reader's ``exc`` places the byte within its last read block, so the
-        file is read again to place it in the file: call this only once
-        decoding failed.  Lines end as universal newlines end them.
-        """
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            head = data[:whole.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            return cls(str(whole), line=line)
-        # the file changed after the reader failed on it
-        return cls(str(exc))
 
 
 class EdgeFileError(_LineError):
@@ -72,3 +61,25 @@ class UnknownConceptError(DataError):
 
 class EvaluationError(DataError):
     """Inconsistent corpus/runs passed to an evaluation."""
+
+
+@contextmanager
+def text_lines(data: bytes, error: type[_LineError]) -> Iterator[io.TextIOWrapper]:
+    r"""The text of a file's ``data``, read as UTF-8 with universal newlines.
+
+    A leading byte-order mark is skipped, and a line ends at ``\n``,
+    ``\r\n`` or ``\r`` and nowhere else.  A byte that is not UTF-8 raises
+    ``error`` naming its line: the wrapper's own error places the byte in
+    its last 8 KiB block, so ``data`` is decoded whole to place it in the
+    file.
+    """
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as text:
+            yield text
+    except UnicodeDecodeError:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[:exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise error(str(exc), line=line) from None

@@ -39,7 +39,6 @@ trimmed.  The graph is immutable after load and safe for concurrent reads.
 from __future__ import annotations
 
 import hashlib
-import io
 import re
 from array import array
 from bisect import bisect_left
@@ -48,7 +47,7 @@ from operator import add, eq, not_
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
-from .errors import EdgeFileError, UnknownConceptError
+from .errors import EdgeFileError, UnknownConceptError, text_lines
 
 CUI_PATTERN = re.compile(r"C\d{7}")
 
@@ -432,16 +431,10 @@ def parse_edge_file(path: str | Path, strict_cui: bool = False) -> KnowledgeGrap
     """
     data = Path(path).read_bytes()
     checksum = hashlib.sha256(data).hexdigest()
-    # universal newlines end a line at \n, \r\n or \r and nowhere else
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
-    # only lines holds the bytes now, so closing it frees them before the
-    # graph is built
+    with text_lines(data, EdgeFileError) as lines:
+        parts = _intern(map(str.partition, lines, repeat("\t")), strict_cui)
+    # the bytes are freed before the graph is built
     del data
-    try:
-        with lines:
-            parts = _intern(map(str.partition, lines, repeat("\t")), strict_cui)
-    except UnicodeDecodeError as exc:
-        raise EdgeFileError.undecodable(path, exc) from None
     return KnowledgeGraph(*parts, checksum)
 
 

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 # bounded_neighborhood is unused here but stays a module attribute:
 # benchmarks/tracer.py wraps it.
 from .distance import bounded_neighborhood, bounded_neighborhood_ids, checked_radius
-from .errors import IndexFormatError
+from .errors import IndexFormatError, text_lines
 from .kg_store import KnowledgeGraph
 
 FORMAT_VERSION = 1
@@ -150,11 +150,8 @@ def load_index(path: str | Path) -> NeighborIndex:
     symmetric (a neighbor without an entry of its own, or one that does
     not list the concept back).
     """
-    try:
-        with open(path, encoding="utf-8-sig") as stream:
-            lines = [line.rstrip("\n") for line in stream]
-    except UnicodeDecodeError as exc:
-        raise IndexFormatError.undecodable(path, exc) from None
+    with text_lines(Path(path).read_bytes(), IndexFormatError) as stream:
+        lines = [line.rstrip("\n") for line in stream]
     if not lines:
         raise IndexFormatError("empty index file")
     versioned = re.match(r"#nnidx v(\d+)\b", lines[0])

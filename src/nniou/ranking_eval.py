@@ -118,14 +118,8 @@ class MetricReport:
                    list(notes))
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "metric": self.metric,
-            "config": self.config,
-            "aggregate": self.aggregate,
-            "per_query": self.per_query,
-            "exclusions": self.exclusions,
-            "notes": self.notes,
-        }
+        # every field, shallow: dataclasses.asdict would deep-copy each score
+        return dict(vars(self))
 
 
 def scoring_core(

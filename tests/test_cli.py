@@ -10,6 +10,9 @@ import pytest
 
 from nniou import (
     ConfigError,
+    DataFileError,
+    EdgeFileError,
+    IndexFormatError,
     RankingRun,
     derive_labels,
     kg_store,
@@ -36,6 +39,13 @@ def workspace(tmp_path):
     _, docs, class_map, edge_lines = planted_cluster_corpus(docs_per_cluster=8)
     edges, corpus, cmap = write_fixture_files(tmp_path, docs, class_map, edge_lines)
     return tmp_path, edges, corpus, cmap
+
+
+def _blank_lines(size: int, end: bytes) -> tuple[bytes, int]:
+    """Whitespace lines ending in ``end``, ``size`` (64 or more) bytes in all, and their count."""
+    count = size // 64
+    last = size - 64 * (count - 1)
+    return (b" " * (64 - len(end)) + end) * (count - 1) + b" " * (last - len(end)) + end, count
 
 
 def _with_site_category(cmap):
@@ -473,6 +483,107 @@ class TestRetrieveAndEval:
         )
         assert captured.out == ""
         assert not out.exists()
+
+    def _damaged(self, workspace, bad, head):
+        """The file of format ``bad`` with ``head`` before its bytes, a command reading it,
+        and that command's output path."""
+        tmp_path, edges, corpus, cmap, index = self._build(workspace)
+        runs = tmp_path / "r.runs"
+        assert main(["retrieve", "--corpus", str(corpus), "--measure", "iou", "--k", "5",
+                     "--out", str(runs)]) == 0
+        damaged = {"edges": edges, "corpus": corpus, "runs": runs, "index": index,
+                   "class-map": cmap}[bad]
+        damaged.write_bytes(head + damaged.read_bytes())
+        out = tmp_path / "fresh.out"
+        iou = ["--corpus", str(corpus), "--measure", "iou", "--k", "5", "--out", str(out)]
+        command = {
+            "edges": ["build-index", "--edges", str(edges), "--corpus", str(corpus),
+                      "--n", "1", "--out", str(out)],
+            "corpus": ["retrieve", *iou],
+            "runs": ["eval", "--runs", str(runs), *iou],
+            "index": ["retrieve", "--corpus", str(corpus), "--index", str(index),
+                      "--measure", "nniou", "--lambda", "0.5", "--k", "5", "--out", str(out)],
+            "class-map": ["eval", "--runs", str(runs), *iou, "--class-map", str(cmap)],
+        }[bad]
+        return damaged, command, out
+
+    def _exits_two_naming(self, capsys, command, out, line, position):
+        capsys.readouterr()
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: line {line}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {position}: invalid start byte\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    @pytest.mark.parametrize("offset", [8191, 8192, 8193])
+    @pytest.mark.parametrize("bad", ["edges", "corpus", "runs", "index", "class-map"])
+    def test_a_bad_byte_beside_the_first_read_boundary_names_its_line(
+        self, workspace, capsys, bad, offset, end
+    ):
+        """Readers decode 8,192-byte blocks; a bad byte on either side of the
+        first block's end is placed in the file, past CR-only or CRLF lines."""
+        blanks, count = _blank_lines(offset, end)
+        _, command, out = self._damaged(workspace, bad, blanks + b"\xff\n")
+        self._exits_two_naming(capsys, command, out, count + 1, offset)
+
+    @pytest.mark.parametrize("split", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)],
+                             ids=lambda split: "{}-byte-{}-before".format(*split))
+    @pytest.mark.parametrize("bad", ["edges", "corpus", "runs", "index", "class-map"])
+    def test_a_character_across_the_first_read_boundary_decodes(
+        self, workspace, capsys, bad, split
+    ):
+        """A 2-, 3- or 4-byte character split across the first block's end reads
+        whole: the error names the bad byte on the line after it."""
+        size, before = split
+        char = {2: "\u00e9", 3: "\u20ac", 4: "\U0001f600"}[size].encode("utf-8")
+        # a line each format reads past: a comment, a record, or any text in a
+        # file decoded whole before it is parsed
+        holder = {"edges": "# {}", "corpus": '{{"id": "pad{}"}}',
+                  "runs": '{{"query": "pad{}", "ranked": []}}'}.get(bad, "{}").encode()
+        start, rest = holder.split(b"{}")
+        blanks, count = _blank_lines(8192 - before - len(start), b"\n")
+        head = blanks + start + char + rest + b"\n"
+        assert len(blanks + start) + before == 8192
+        _, command, out = self._damaged(workspace, bad, head + b"\xff\n")
+        self._exits_two_naming(capsys, command, out, count + 2, len(head))
+
+    @pytest.mark.parametrize("head", [b"", b"\xff\n"], ids=["utf-8", "bad-byte"])
+    @pytest.mark.parametrize("bad", ["edges", "corpus", "runs", "index", "class-map"])
+    def test_each_reader_opens_its_file_once(self, workspace, bad, head):
+        """A reader places a bad byte in the bytes it read, not by reading the file again."""
+        path, _, _ = self._damaged(workspace, bad, head)
+        read, error = {"edges": (kg_store.parse_edge_file, EdgeFileError),
+                       "corpus": (read_corpus, DataFileError),
+                       "runs": (read_runs, DataFileError),
+                       "index": (load_index, IndexFormatError),
+                       "class-map": (read_class_map, DataFileError)}[bad]
+        opened = []
+        real_path_open, real_open = Path.open, open
+
+        def path_open(self, *args, **kwargs):
+            opened.append(str(self))
+            return real_path_open(self, *args, **kwargs)
+
+        def counted(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        # Path.read_bytes and read_text open through Path.open; Path.open goes on
+        # through io.open (through a copy of it held since import, on 3.10), and
+        # never through builtins.open
+        with mock.patch.object(Path, "open", autospec=True, side_effect=path_open), \
+                mock.patch("builtins.open", counted):
+            if head:
+                with pytest.raises(error, match=r"^line 1: 'utf-8' codec can't decode byte "
+                                                r"0xff in position 0: invalid start byte$"):
+                    read(path)
+            else:
+                read(path)
+        assert opened.count(str(path)) == 1
 
     def test_retrieve_k_beyond_corpus_returns_all_candidates(self, workspace):
         tmp_path, edges, corpus, cmap, index = self._build(workspace)

@@ -214,17 +214,6 @@ class TestParseEdgeFile:
         assert checksum == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_an_undecodable_file_that_decodes_when_read_again_keeps_the_readers_error(tmp_path):
-    """The file changed after its reader failed: the reader's message, and no line."""
-    path = _write(tmp_path, "b\ta\n")
-    failed = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
-    error = EdgeFileError.undecodable(path, failed)
-    assert str(error) == str(failed) == (
-        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
-    )
-    assert error.line is None
-
-
 class TestValidateDag:
     def test_chain_is_acyclic(self):
         graph = KnowledgeGraph.from_edges([("b", "a"), ("c", "b")])
