@@ -12,6 +12,7 @@ file, both found in the same bytes.
 
 from __future__ import annotations
 
+import codecs
 import io
 from contextlib import contextmanager
 from typing import Iterator
@@ -73,13 +74,20 @@ def text_lines(data: bytes, error: type[_LineError]) -> Iterator[io.TextIOWrappe
     its last 8 KiB block, so ``data`` is decoded whole to place it in the
     file.
     """
+    # skipped by hand: a "utf-8-sig" decoder reads a lone truncated mark
+    # (b"\xef" or b"\xef\xbb") as an empty file
+    stream = io.BytesIO(data)
+    if data.startswith(codecs.BOM_UTF8):
+        stream.seek(len(codecs.BOM_UTF8))
     try:
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as text:
+        with io.TextIOWrapper(stream, encoding="utf-8") as text:
             yield text
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as exc:
+        # the mark is a whole character, so the whole decode fails too
         try:
             data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = data[:exc.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise error(str(exc), line=line) from None
+        except UnicodeDecodeError as whole:
+            exc = whole
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise error(str(exc), line=line) from None

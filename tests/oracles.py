@@ -1,10 +1,10 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Nothing here shares code with the package: distances come from a
-Floyd-Warshall all-pairs sweep (numpy min-plus), related-concept sets from
-the literal double loop over concept pairs, and nn-IoU from direct
-arithmetic on those.  Keeping these separate from the BFS/index-based
-production paths is the whole point.
+Nothing here shares code with the package: distances come from every
+node's bitset balls of growing radius, related-concept sets from the
+literal double loop over concept pairs, and nn-IoU from direct arithmetic
+on those.  Keeping these separate from the BFS/index-based production paths
+is the whole point.  Only the standard library is used.
 
 The edge-file oracle re-reads the format line by line into a dict of sets,
 which a second oracle sorts into the documented neighbour order.  The
@@ -26,36 +26,44 @@ import math
 import random
 import re
 
-import numpy as np
-
 INF = float("inf")
 
 
 class DistanceOracle:
-    """All-pairs undirected hop distances via Floyd-Warshall."""
+    """All-pairs undirected hop distances from bitset balls of growing radius.
+
+    Bit ``j`` of ``balls[k][i]`` is set iff node ``j`` is at most ``k`` hops
+    from node ``i``.  Ball 0 holds the node alone; ball ``k + 1`` is ball
+    ``k`` ORed with ball ``k`` of each neighbour, edges taken both ways,
+    until no ball grows.
+    """
 
     def __init__(self, nodes, edges):
         self.index = {name: i for i, name in enumerate(nodes)}
-        n = len(nodes)
-        dist = np.full((n, n), INF)
-        np.fill_diagonal(dist, 0.0)
-        for a, b in edges:
-            i, j = self.index[a], self.index[b]
-            dist[i, j] = 1.0
-            dist[j, i] = 1.0
-        for k in range(n):
-            dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
-        self.matrix = dist
+        pairs = [(self.index[a], self.index[b]) for a, b in edges]
+        ball = [1 << i for i in range(len(nodes))]
+        self.balls = [ball]
+        while True:
+            grown = list(ball)
+            for i, j in pairs:
+                grown[i] |= ball[j]
+                grown[j] |= ball[i]
+            if grown == ball:
+                break
+            self.balls.append(grown)
+            ball = grown
 
     def dist(self, x: str, y: str) -> float:
-        """Hop distance; infinity when unreachable or either concept unknown."""
+        """Hop distance: the radius of ``x``'s first ball that holds ``y``;
+        0 when ``x == y``, else infinity when unreachable or either concept
+        unknown."""
         if x == y:
             return 0.0
         i = self.index.get(x)
         j = self.index.get(y)
         if i is None or j is None:
             return INF
-        return float(self.matrix[i, j])
+        return next((float(k) for k, ball in enumerate(self.balls) if ball[i] >> j & 1), INF)
 
 
 def oracle_edge_file(text: str):

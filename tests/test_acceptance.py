@@ -70,7 +70,7 @@ def test_criterion_1_distance_fidelity():
 def test_criterion_2_oracle_equivalence():
     with criterion(
         2,
-        "nn-IoU matches Floyd-Warshall + literal pairwise oracle on 200 "
+        "nn-IoU matches bitset-ball distance + literal pairwise oracle on 200 "
         "random graphs (< 30 s, tol 1e-12)",
     ):
         start = time.perf_counter()

@@ -443,9 +443,13 @@ class TestRetrieveAndEval:
         assert [r["metric"] for r in reports] == ["CUI@1", "Precision@1[smile\U0001f600]"]
         assert [r["per_query"] for r in reports] == [{"a\U0001f600": 1.0, "c": 1.0}] * 2
 
+    @pytest.mark.parametrize("damage", ["bad-byte", "mark-cut-to-1", "mark-cut-to-2"])
     @pytest.mark.parametrize("bad", ["edges", "corpus", "runs", "index", "class-map"])
-    def test_an_undecodable_byte_exits_two_writing_nothing(self, workspace, capsys, bad):
-        """The error names the byte's line and its offset in the file, past 8 KiB reads."""
+    def test_an_undecodable_byte_exits_two_writing_nothing(self, workspace, capsys, bad,
+                                                           damage):
+        """The error names the byte's line and its offset in the file, past 8 KiB reads.
+        A file that is only the first one or two bytes of a byte-order mark is
+        not read as empty."""
         tmp_path, edges, corpus, cmap, index = self._build(workspace)
         runs = tmp_path / "r.runs"
         assert main(["retrieve", "--corpus", str(corpus), "--index", str(index),
@@ -458,8 +462,17 @@ class TestRetrieveAndEval:
         text = damaged.read_bytes()
         head = text + blanks
         assert len(head) > 2 * 8192
-        damaged.write_bytes(head + b"\xff\n")
+        damaged.write_bytes({"bad-byte": head + b"\xff\n", "mark-cut-to-1": b"\xef",
+                             "mark-cut-to-2": b"\xef\xbb"}[damage])
         line = text.count(b"\n") + 300 + 1
+        message = {
+            "bad-byte": f"line {line}: 'utf-8' codec can't decode byte 0xff "
+                        f"in position {len(head)}: invalid start byte",
+            "mark-cut-to-1": "line 1: 'utf-8' codec can't decode byte 0xef "
+                             "in position 0: unexpected end of data",
+            "mark-cut-to-2": "line 1: 'utf-8' codec can't decode bytes "
+                             "in position 0-1: unexpected end of data",
+        }[damage]
         out = tmp_path / "fresh.out"
         command = {
             "edges": ["build-index", "--edges", str(edges), "--corpus", str(corpus),
@@ -477,10 +490,7 @@ class TestRetrieveAndEval:
         capsys.readouterr()
         assert main(command) == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            f"error: line {line}: 'utf-8' codec can't decode byte 0xff "
-            f"in position {len(head)}: invalid start byte\n"
-        )
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
 

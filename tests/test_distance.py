@@ -52,7 +52,7 @@ class TestShortestPathLen:
         assert shortest_path_len(chain_graph, "d", "c") == 3
         assert shortest_path_len(chain_graph, "c", "d") == 3
 
-    def test_agrees_with_floyd_warshall_on_random_graphs(self):
+    def test_agrees_with_the_distance_oracle_on_random_graphs(self):
         rng = random.Random(11)
         for _ in range(25):
             nodes, edges = random_graph_parts(rng, max_nodes=50)

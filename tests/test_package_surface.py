@@ -1,5 +1,6 @@
 """What outside code relies on: the public names, the module attributes the
-benchmark traces, and a runtime that needs nothing beyond the standard library.
+benchmark traces, a runtime that needs nothing beyond the standard library,
+and a test suite that needs only pytest and hypothesis beside it.
 
 ``benchmarks/tracer.py`` replaces module globals of ``nniou`` by name, so a
 rename or deletion inside the package would break the traced benchmark
@@ -38,10 +39,9 @@ def test_every_traced_attribute_exists():
     assert missing == []
 
 
-def test_the_runtime_imports_only_the_standard_library():
-    package = Path(nniou.__file__).parent
-    modules = sorted(package.rglob("*.py"))
-    assert modules
+def _imports_outside(modules, allowed=frozenset()):
+    """``file: name`` for each absolute import, anywhere in ``modules``, of a
+    name that is neither in the standard library nor under ``allowed``."""
     outside = []
     for module in modules:
         for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
@@ -53,6 +53,19 @@ def test_the_runtime_imports_only_the_standard_library():
                 continue
             outside += [
                 f"{module.name}: {name}" for name in names
-                if name.split(".")[0] not in sys.stdlib_module_names
+                if name.split(".")[0] not in sys.stdlib_module_names | allowed
             ]
-    assert outside == []
+    return outside
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    modules = sorted(Path(nniou.__file__).parent.rglob("*.py"))
+    assert modules
+    assert _imports_outside(modules) == []
+
+
+def test_the_suite_imports_only_the_standard_library_pytest_hypothesis_and_nniou():
+    """So tier-1 runs on any supported interpreter that has pytest and hypothesis."""
+    modules = sorted(Path(__file__).parent.rglob("*.py"))
+    own = {module.stem for module in modules}
+    assert _imports_outside(modules, {"pytest", "hypothesis", "nniou", *own}) == []
