@@ -8,6 +8,7 @@ every other document by (-nn_iou, id) and to nn_iou itself.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
 from operator import attrgetter
 from unittest import mock
@@ -237,7 +238,9 @@ def test_lambda_zero_candidate_sorts_by_id_between_non_candidates():
     ranked = core.tops("q", (0.0,), 4)[0]
     assert ranked == ["p", "c", "m", "x"]
     assert _gains_of(core, "q", 0.0, ranked) == [1.0, 0.0, 0.0, 0.0]
-    assert "m" in core.gains("q", 0.0) and "c" not in core.gains("q", 0.0)
+    # q reaches m and p, half of the other documents, so it is summed, and its
+    # gains list every other document, the non-candidates c and x included
+    assert core.gains("q", 0.0) == {"c": 0.0, "m": 0.0, "p": 1.0, "x": 0.0}
 
 
 @settings(max_examples=200)
@@ -475,23 +478,39 @@ def _ranks_as_expected(core, query, expected, k):
         assert _gains_of(core, query.id, lam, top) == scores[:k]
 
 
+@contextmanager
+def _summed_queries():
+    """Record the number of every query given a row, in a list yielded.
+
+    Each row, read at the documents its query reaches, must equal the
+    walk's ``(candidates, codes)``, and every other document but the query
+    must share and relate no concept with it: inter and rel 0.
+    """
+    summed = []
+    row_of = ScoringCore._row
+
+    def recording(self, q):
+        summed.append(q)
+        row = row_of(self, q)
+        reach = self._reach[q] & ~(1 << q)
+        chosen = [r for r in range(len(self.ids)) if reach >> r & 1]
+        assert len(row) == len(self.ids)
+        assert ([self.ids[r] for r in chosen], [row[r] for r in chosen]) == self._walk(q, reach)
+        assert all(row[r] >> 8 == 0 for r in range(len(row)) if r != q and r not in chosen)
+        return row
+
+    with mock.patch.object(ScoringCore, "_row", recording):
+        yield summed
+
+
 def _ranks_like_brute_force(docs, index):
     """Rank every query under SWITCH_LAMBDAS at every k from 1 to N + 2.
 
     Returns the core and the numbers of the queries that were summed; each
-    summed query's counts are also checked against the walk's.
+    summed query's row is also checked against the walk's counts.
     """
     core = ScoringCore(docs, index)
-    summed = []
-    sums = ScoringCore._sums
-
-    def recording(self, q, reach):
-        summed.append(q)
-        counted = sums(self, q, reach)
-        assert counted == self._walk(q, reach)
-        return counted
-
-    with mock.patch.object(ScoringCore, "_sums", recording):
+    with _summed_queries() as summed:
         for query in docs:
             expected = _brute_tops(docs, index, query)
             for k in range(1, len(docs) + 3):
@@ -589,6 +608,24 @@ def test_the_first_summed_query_builds_every_concepts_counters(case):
     assert core._spread == [fields(lambda a, c=c: c in a) for c in names]
     assert core._meets == [fields(lambda a, c=c: c not in a and a & listed(c))
                            for c in names]
+    # byte B*n + q of the near table: |B & (near(q) - q)|, near(q) being every
+    # concept whose neighbor list meets q; all 0 builds no table
+    near = [{c for c in names if listed(c) & d.concepts} - d.concepts for d in by_id]
+    table = bytes(len(b.concepts & near[q]) for b in by_id for q in range(len(by_id)))
+    assert core._near_rows == (table if any(table) else b"")
+
+
+@pytest.mark.parametrize("radius", [None, 0, 1])
+def test_only_a_concept_near_a_document_builds_a_near_table(radius):
+    """IoU (no index) and a radius-0 index relate no concept, so they build none."""
+    graph = KnowledgeGraph.from_edges([("x0", "h"), ("x1", "h"), ("x2", "h")])
+    docs = [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(3)]
+    index = None if radius is None else build_index(graph, {"h", "x0", "x1", "x2"}, radius)
+    core = ScoringCore(docs, index)
+    core.tops("d0", (0.5,), 2)
+    assert core._spread  # summed
+    # d1 holds x1, which lists h, so x1 is near d0 and byte 1*3 + 0 is 1
+    assert core._near_rows == (b"" if radius in (None, 0) else bytes([0, 1, 1, 1, 0, 1, 1, 1, 0]))
 
 
 def test_score_tables_are_kept_one_per_lambda_asked():
@@ -613,7 +650,9 @@ def test_both_counts_agree_on_a_query_with_no_concepts_in_a_dense_corpus():
     ]
     core = ScoringCore(docs)
     e = core._number["e"]
-    assert core._sums(e, 0) == core._walk(e, 0) == ([], [])
+    assert core._walk(e, 0) == ([], [])
+    # in id order d0 .. d3, e: only the union field, each document's size, is set
+    assert core._row(e).tolist() == [2, 2, 2, 2, 0]
     assert core.tops("e", (0.5,), 4)[0] == ["d0", "d1", "d2", "d3"]
     assert core.gains("e", 0.5) == {}
     ranked = core.tops("d0", (0.5,), 4)[0]
@@ -629,20 +668,13 @@ def test_dense_rankings_and_nn_cui_equal_brute_force(case, lam, data):
     measure = "iou" if index is None else data.draw(st.sampled_from(("iou", "nniou")))
     cfg = EvalConfig(k=data.draw(st.integers(1, len(docs) + 2)), lam=lam, measure=measure)
     score = _pair_score(cfg, index)
-    summed = []
-    sums = ScoringCore._sums
-
-    def recording(self, q, reach):
-        summed.append(q)
-        return sums(self, q, reach)
-
     rng = data.draw(st.randoms(use_true_random=False))
     runs = []
     for doc in docs:
         others = [d.id for d in docs if d is not doc]
         rng.shuffle(others)
         runs.append(RankingRun(doc.id, others[: rng.randint(0, cfg.k + 1)]))
-    with mock.patch.object(ScoringCore, "_sums", recording):
+    with _summed_queries() as summed:
         rankings = ground_truth_rankings(docs, cfg, index)
         report = nn_cui_at_k(docs, runs, cfg, index)
     for query, run in zip(docs, rankings):
@@ -657,14 +689,7 @@ def _gains_equal_nn_iou(docs, index, lams):
     Returns the ids of the queries whose count was summed.
     """
     core = ScoringCore(docs, index)
-    summed = []
-    sums = ScoringCore._sums
-
-    def recording(self, q, reach):
-        summed.append(q)
-        return sums(self, q, reach)
-
-    with mock.patch.object(ScoringCore, "_sums", recording):
+    with _summed_queries() as summed:
         for lam in lams:
             for query in docs:
                 gains = core.gains(query.id, lam)
@@ -925,14 +950,7 @@ def test_ablation_rows_on_a_summed_corpus_equal_brute_force(concept_sets, graph,
     docs.append(Document("low", frozenset({"h", "c0"})))  # one graded query at least
     graded = [d for d in derive_labels(docs, GROUPS) if "group" in d.labels]
     grid = AblationGrid(lambdas=tuple(lambdas), radii=(0, 1, 2), ks=tuple(ks))
-    summed = []
-    sums = ScoringCore._sums
-
-    def recording(self, q, reach):
-        summed.append(q)
-        return sums(self, q, reach)
-
-    with mock.patch.object(ScoringCore, "_sums", recording):
+    with _summed_queries() as summed:
         rows = ablation_rows(graph, docs, grid, GROUPS, ["group"])
     assert rows == _brute_ablation_rows(graph, docs, grid)
     assert len(summed) == 3 * len(graded)
