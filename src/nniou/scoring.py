@@ -34,37 +34,44 @@ The two halves of ``rel`` are :func:`nniou.relevance.rel_set`'s two loops,
   field per document, 1 where the document holds ``c``, and ``meets[c]``
   one with 1 where ``c`` is in ``near(B) - B``.  Then ``inter`` is the sum
   of ``spread[c]`` over ``A``, and ``rel`` the sum of ``meets[c]`` over
-  ``A`` plus ``|B & (near(A) - A)|``, which the documents fill in once for
-  every query: the *near table* holds, per document ``B``, the sum of
-  ``meets[c]`` over ``B``'s concepts, so its byte ``B*n + q`` is
-  ``|B & (near(q) - q)|`` and column ``q`` is one strided slice.  That
-  only regroups ``meets``, so it holds for asymmetric indexes too.  A
-  query costs ``2|A|`` big int additions; ``to_bytes`` reads the sums out,
-  and one ``memoryview.cast`` gives every document's code, the query's
-  own included: the query's *row*.  The core's first summed query builds
-  every concept's two ints from its bitmasks with bytes work (``bin``,
-  ``translate``, ``int.from_bytes``), and the near table from those.
+  ``A`` plus that of ``spread[c]`` over ``near(A) - A``: a few dozen big
+  int additions.  ``to_bytes`` reads the sums out, and one
+  ``memoryview.cast`` gives every document's code; a query that reaches
+  every other document keeps them all but its own, and any other keeps
+  those it reaches.  The core's first summed query builds every concept's
+  two ints from its bitmasks with bytes work (``bin``, ``translate``,
+  ``int.from_bytes``).
+* The *near table* lets the documents fill in ``|B & (near(A) - A)|``
+  once for every query: per document ``B``, the sum of ``meets[c]`` over
+  ``B``'s concepts, so its byte ``B*n + q`` is ``|B & (near(q) - q)|``,
+  and its column ``q``, one strided slice, replaces the sum over
+  ``near(A) - A``.  That only regroups ``meets``, so it holds for
+  asymmetric indexes too.  A core's second summed query builds it, so a
+  core asked one query never pays for it.
 
 The switch rule is fixed: a query is summed when its candidates are at
 least half of the other documents, and walked otherwise.  The walk costs
 the same per candidate; the sums cost grows with the corpus and with the
-query's concepts, hardly with its candidates.  On the benchmark's 240-
-and 300-document corpora at radii 0-6 (CPython 3.11), before the near
-table and the row ranking, the sums were 14-57% faster for queries reaching half of the corpus or
-more, about even at a third, and two to three times slower at a tenth.
+query's concepts and near concepts, hardly with its candidates.  On the
+benchmark's 240- and 300-document corpora at radii 0-6 (CPython 3.11),
+before the near table, the sums were 14-57% faster for queries reaching
+half of the corpus or more, about even at a third, and two to three
+times slower at a tenth.
 
 The sums have a size limit: every count must fit in its one-byte field,
 so a corpus is summed only while each of its documents has at most 127
 concepts (``rel`` and ``union`` reach twice that), and only on a
 little-endian host, whose native 4-byte ints ``memoryview.cast`` reads
 the codes as.  Any other corpus is always walked.  The near table takes
-``n**2`` bytes for ``n`` documents (88 KiB at 300), built only when some
-concept is near a document that does not hold it, so never at radius 0
-or for IoU.
+``n**2`` bytes for ``n`` documents (88 KiB at 300), so it is built only
+while that is at most the ``2 * w * n`` bytes that ``spread`` and
+``meets`` can take, ``n <= 2w``, and only when some concept is near a
+document that does not hold it, so never at radius 0 or for IoU.  Any
+other summed corpus keeps the sum over ``near(A) - A``.
 
-Both ways give each counted document one code ``inter << 2b | rel << b |
-union`` (``b`` bits per field, 8 whenever the sums may run): the walk
-for its candidates, in id order, the sums for every document.
+Both ways hand each candidate on as one code ``inter << 2b | rel << b |
+union`` (``b`` bits per field, 8 whenever the sums may run), and one
+ranking tail takes it from there.
 A code's score at a lambda is the same float expression as
 :func:`nniou.relevance.nn_iou`, computed once per code, so rankings match
 the pairwise definition byte for byte.  :meth:`ScoringCore.tops` ranks a
@@ -73,19 +80,16 @@ ablation sweep scores each pair once per radius instead of once per
 (radius, lambda) cell; a lambda whose scores equal the previous one's,
 as every lambda's do at radius 0, reuses its ranking.
 :meth:`ScoringCore.gains` takes the same count and ranks nothing: it maps
-each counted document to its score, which is all nn-CUI@K needs, since an ideal
+each candidate to its score, which is all nn-CUI@K needs, since an ideal
 DCG depends only on the k largest gains and a run's documents are looked
 up in it.
 Queries and results are document ids.  The core sorts its documents by id
-once and numbers them in that order, so both ways list documents in id
-order, and one stable sort by descending score breaks every tie by id.
-A summed query's row is ranked whole: per lambda, its codes map to
-scores, the query's own is set below all of them, and one stable reverse
-sort puts the positive scores first and every 0 after them in id order.
-A walked query ranks its candidates: per lambda, the k-th largest float
-score is a cut, only positive scores at or above it are sorted, so a
-query sorts about k of them instead of one per candidate, and every float
-tie at the cut is kept; every other document scores 0 and follows in id
+once and numbers them in that order, so both ways list the candidates in
+id order, and one stable sort by descending score breaks every tie by id.
+Per lambda, the candidates' float scores come first and the k-th largest
+is a cut: only positive scores at or above it are sorted, so a query
+sorts about k of them instead of one per candidate, and every float tie
+at the cut is kept.  Every other document scores 0 and follows in id
 order.  Every ranking has a cutoff; a ``k`` of one less than the corpus
 size ranks every other document.
 """
@@ -114,9 +118,9 @@ class ScoringCore:
     scores unranked (nn-CUI@K).  Both count through one step, so they
     agree float for float.  Results are fixed at construction, and the
     index is read only there.  The first summed query builds every
-    concept's byte-field counters and the near table; the score of each
-    count code is cached as queries first need it, in one table per lambda
-    asked for, kept for the life of the core.
+    concept's byte-field counters, and the second the near table; the
+    score of each count code is cached as queries first need it, in one
+    table per lambda asked for, kept for the life of the core.
     """
 
     def __init__(self, docs: Sequence, index: NeighborIndex | None = None):
@@ -165,11 +169,11 @@ class ScoringCore:
         self._bits = max(8, (2 * max(self._sizes, default=0)).bit_length())
         self._summable = self._bits == 8 and sys.byteorder == "little"
         self._inter_weight = (1 << 2 * self._bits) - 1
-        # spread[c], meets[c] and the near table (see _row and _build), built
-        # on the first summed query
+        # spread[c] and meets[c] (see _sums), built on the first summed
+        # query, and the near table (see _near_table), on the second
         self._spread: list[int] = []
         self._meets: list[int] = []
-        self._near_rows = bytearray()
+        self._near_rows: bytes | None = None
         self._size_fields = 0  # each document's size in its field
         self._one_fields = 0  # 1 in every field
         self._scores: dict[float, _Scores] = {}
@@ -177,37 +181,29 @@ class ScoringCore:
     def tops(self, q: str, lams: Sequence[float], k: int) -> list[list[str]]:
         """Query ``q``'s first ``k`` document ids under each weight.
 
-        One ranking per entry of ``lams``, in order, by descending score,
-        ties by ascending id; documents scoring 0 follow the positive ones
-        in id order.  Each counted document's weight-free (inter, rel,
-        union) counts are kept as one code and re-weighted per lambda.  A
-        summed query's row is ranked whole by one stable reverse sort, with
-        ``q``'s own score set below every other.  A walked query sorts only
-        its candidates' positive scores at or above the k-th largest, float
-        ties at that cut all taking part, and every other document fills
-        the rest in id order.  A lambda whose scores equal the previous
-        lambda's, as every lambda's do when no document has a related
-        concept (radius 0), gets a copy of that ranking instead of a sort.
-        :meth:`gains` gives the scores.
+        One ranking per entry of ``lams``, in order.  Each is ordered by
+        descending score, ties by ascending id.  Only reachable documents
+        are scored, and each of them once: its weight-free (inter, rel,
+        union) counts are kept as one code and re-weighted per lambda.
+        Candidates come in id order, so one stable sort by score breaks
+        ties by id.  Per lambda, the k-th largest float score is the cut,
+        and only positive scores at or above it are sorted; float ties at
+        the cut all take part.  The positive ones come first, and every
+        other document, reachable or not, scores 0 and fills the rest in id
+        order.  A lambda whose scores equal the previous lambda's, as every
+        lambda's do when no candidate has a related concept (radius 0), gets
+        a copy of that ranking instead of a sort.  :meth:`gains` gives the
+        scores.
         """
         candidates, codes = self._count(q)
-        ids = self.ids
-        whole = candidates is ids  # a summed row: q's own field included
         rankings = []
         last = None
         for lam in lams:
             scores = list(map(self._table(lam).__getitem__, codes))
-            if whole:
-                scores[self._number[q]] = -1.0  # below every score: q ranks last
             if scores == last:
                 rankings.append(rankings[-1].copy())
                 continue
             last = scores
-            if whole:
-                # a reverse sort is stable: positive scores, then every 0, ties by id
-                order = sorted(range(len(ids)), key=scores.__getitem__, reverse=True)
-                rankings.append(list(map(ids.__getitem__, order[:min(k, len(ids) - 1)])))
-                continue
             cut = sorted(scores)[-k] if len(scores) > k else 0.0
             kept = [(s, j) for s, j in zip(scores, candidates) if s >= cut and s > 0]
             kept.sort(key=itemgetter(0), reverse=True)
@@ -215,30 +211,23 @@ class ScoringCore:
             if len(ranked) < k:
                 # every positive document is ranked already; the rest score 0
                 skip = {q, *ranked}
-                ranked += islice(filterfalse(skip.__contains__, ids), k - len(ranked))
+                ranked += islice(filterfalse(skip.__contains__, self.ids), k - len(ranked))
             rankings.append(ranked)
         return rankings
 
     def gains(self, q: str, lam: float) -> dict[str, float]:
-        """Query ``q``'s counted documents with their scores at ``lam``, by id.
+        """Every candidate of query ``q`` with its score at ``lam``, by id.
 
-        A summed query lists every document but ``q``, a walked one its
-        candidates, each score the float :meth:`tops` ranks by; every
-        document not listed scores exactly 0 at every lambda (see
-        :meth:`_walk`).  Nothing is ranked: an ideal DCG needs only the
-        largest values.
+        The candidates are the documents :meth:`tops` scores, each score
+        the float it ranks by; every other document, ``q`` itself aside,
+        scores exactly 0 at every lambda (see :meth:`_walk`).  Nothing is
+        ranked: an ideal DCG needs only the largest values.
         """
         candidates, codes = self._count(q)
-        gains = dict(zip(candidates, map(self._table(lam).__getitem__, codes)))
-        gains.pop(q, None)  # a summed row holds q's own field
-        return gains
+        return dict(zip(candidates, map(self._table(lam).__getitem__, codes)))
 
     def _count(self, q: str) -> tuple[list[str], Sequence[int]]:
-        """Query ``q``'s counted documents, in id order, and their count codes.
-
-        A summed query counts the whole corpus, ``q`` included, and returns
-        ``self.ids`` itself with its row; a walked one its candidates.
-        """
+        """Query ``q``'s candidates, in id order, and their count codes."""
         ids = self.ids
         if len(ids) < 2:
             raise EvaluationError(
@@ -249,7 +238,7 @@ class ScoringCore:
         # the switch rule (module docstring): sum once the candidates are at
         # least half of the other documents
         if self._summable and 2 * reach.bit_count() >= len(ids) - 1:
-            return ids, self._row(r)
+            return self._sums(r, reach)
         return self._walk(r, reach)
 
     def _table(self, lam: float) -> _Scores:
@@ -286,60 +275,75 @@ class ScoringCore:
                          + ((swapped & p).bit_count() << bits) + size_q + sizes[r])
         return candidates, codes
 
-    def _row(self, q: int) -> memoryview:
-        """Every document's count code against query number ``q``, in id
-        order and ``q``'s own included, from byte-field sums over the corpus.
+    def _sums(self, q: int, reach: int) -> tuple[list[str], Sequence[int]]:
+        """What :meth:`_walk` returns, from byte-field sums over the corpus.
 
         ``spread[c]`` holds a 1 in the field of every document holding
         ``c``, and ``meets[c]`` in that of every document near ``c``
-        without holding it.  Summed over ``q``'s concepts ``A`` they give
-        every document's counts at once, with the near table's column of
-        ``q`` for the other half of ``rel``::
+        without holding it.  Summed over ``q``'s concepts ``A`` and its
+        near ones ``N = near(A) - A``, they give every document's counts
+        at once::
 
             inter = sum(spread[c] for c in A)
-            rel   = sum(meets[c] for c in A) + near_rows[q::n]
+            rel   = sum(meets[c] for c in A) + sum(spread[c] for c in N)
 
-        A field never carries into the next one: ``inter`` is at most the
+        Once the near table is built, its column ``q`` is the last sum.  A
+        field never carries into the next one: ``inter`` is at most the
         largest document's size, and ``rel`` and ``union`` at most twice
-        that, below 256 in a summable corpus.  Documents ``q`` cannot reach
-        get inter and rel 0, so they score 0.
+        that, below 256 in a summable corpus.
         """
         if not self._spread:
             self._build()
-        n = len(self.ids)
-        held = _digits(self._packed[q] & self._held_bits)
-        inter = sum(compress(self._spread, held))
-        rel = (sum(compress(self._meets, held))
-               + int.from_bytes(self._near_rows[q::n], "little"))
+        elif self._near_rows is None:
+            self._near_rows = self._near_table()
+        spread, packed, n = self._spread, self._packed[q], len(self.ids)
+        held = _digits(packed & self._held_bits)
+        inter = sum(compress(spread, held))
+        rel = sum(compress(self._meets, held))
+        if self._near_rows:
+            rel += int.from_bytes(self._near_rows[q::n], "little")
+        else:
+            rel += sum(compress(spread, _digits(packed >> self._width)))
         union = self._size_fields + self._sizes[q] * self._one_fields - inter
         # each document's code is 4 bytes, from the lowest: union, rel, inter, 0
         data = bytearray(4 * n)
         data[0::4] = union.to_bytes(n, "little")
         data[1::4] = rel.to_bytes(n, "little")
         data[2::4] = inter.to_bytes(n, "little")
-        return memoryview(data).cast("I")
+        if reach.bit_count() == n - 1:
+            # every other document: drop q's own code, and compress nothing
+            del data[4 * q:4 * q + 4]
+            return self.ids[:q] + self.ids[q + 1:], memoryview(data).cast("I")
+        chosen = _digits(reach)
+        codes = memoryview(data).cast("I")
+        return list(compress(self.ids, chosen)), list(compress(codes, chosen))
 
     def _build(self) -> None:
-        """Fill in ``spread``, ``meets`` and the near table.
-
-        Byte ``B*n + q`` of the near table is ``|B & (near(q) - q)|``: the
-        sum of ``meets[c]`` over document ``B``'s concepts, read at ``q``.
-        It is built only when some concept is near a document that does not
-        hold it; otherwise every byte would be 0, and it stays empty.
-        """
-        n = len(self.ids)
+        """Fill in ``spread`` and ``meets`` for every concept."""
         self._size_fields = int.from_bytes(bytes(self._sizes), "little")
-        self._one_fields = int.from_bytes(b"\1" * n, "little")
-        meets = self._meets = [_fields(near & ~held)
-                               for held, near in zip(self._postings, self._near)]
-        if any(meets):
-            # filled in place: a join of the rows would hold the table twice
-            rows = self._near_rows = bytearray(n * n)
-            for b, packed in enumerate(self._packed):
-                near_b = sum(compress(meets, _digits(packed & self._held_bits)))
-                rows[b * n:(b + 1) * n] = near_b.to_bytes(n, "little")
+        self._one_fields = int.from_bytes(b"\1" * len(self.ids), "little")
+        self._meets = [_fields(near & ~held) for held, near in zip(self._postings, self._near)]
         # assigned last, so an interrupted build is redone
         self._spread = list(map(_fields, self._postings))
+
+    def _near_table(self) -> bytes:
+        """The near table, or ``b""`` where it would be all 0 or too large.
+
+        Byte ``B*n + q`` is ``|B & (near(q) - q)|``: the sum of
+        ``meets[c]`` over document ``B``'s concepts, read at ``q``.  It
+        takes ``n**2`` bytes, so it is built only while that is at most
+        the ``2 * width * n`` bytes that ``spread`` and ``meets`` can take,
+        and only when some concept is near a document that does not hold
+        it.
+        """
+        n, meets = len(self.ids), self._meets
+        if n > 2 * self._width or not any(meets):
+            return b""
+        rows = bytearray(n * n)  # filled in place: a join would hold it twice
+        for b, packed in enumerate(self._packed):
+            near_b = sum(compress(meets, _digits(packed & self._held_bits)))
+            rows[b * n:(b + 1) * n] = near_b.to_bytes(n, "little")
+        return rows
 
 
 class _Scores(dict):

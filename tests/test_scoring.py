@@ -238,9 +238,7 @@ def test_lambda_zero_candidate_sorts_by_id_between_non_candidates():
     ranked = core.tops("q", (0.0,), 4)[0]
     assert ranked == ["p", "c", "m", "x"]
     assert _gains_of(core, "q", 0.0, ranked) == [1.0, 0.0, 0.0, 0.0]
-    # q reaches m and p, half of the other documents, so it is summed, and its
-    # gains list every other document, the non-candidates c and x included
-    assert core.gains("q", 0.0) == {"c": 0.0, "m": 0.0, "p": 1.0, "x": 0.0}
+    assert "m" in core.gains("q", 0.0) and "c" not in core.gains("q", 0.0)
 
 
 @settings(max_examples=200)
@@ -480,26 +478,20 @@ def _ranks_as_expected(core, query, expected, k):
 
 @contextmanager
 def _summed_queries():
-    """Record the number of every query given a row, in a list yielded.
+    """Record the number of every summed query, in a list yielded.
 
-    Each row, read at the documents its query reaches, must equal the
-    walk's ``(candidates, codes)``, and every other document but the query
-    must share and relate no concept with it: inter and rel 0.
+    Each summed count must equal the walk's ``(candidates, codes)``.
     """
     summed = []
-    row_of = ScoringCore._row
+    sums = ScoringCore._sums
 
-    def recording(self, q):
+    def recording(self, q, reach):
         summed.append(q)
-        row = row_of(self, q)
-        reach = self._reach[q] & ~(1 << q)
-        chosen = [r for r in range(len(self.ids)) if reach >> r & 1]
-        assert len(row) == len(self.ids)
-        assert ([self.ids[r] for r in chosen], [row[r] for r in chosen]) == self._walk(q, reach)
-        assert all(row[r] >> 8 == 0 for r in range(len(row)) if r != q and r not in chosen)
-        return row
+        candidates, codes = sums(self, q, reach)
+        assert (candidates, list(codes)) == self._walk(q, reach)
+        return candidates, codes
 
-    with mock.patch.object(ScoringCore, "_row", recording):
+    with mock.patch.object(ScoringCore, "_sums", recording):
         yield summed
 
 
@@ -507,7 +499,7 @@ def _ranks_like_brute_force(docs, index):
     """Rank every query under SWITCH_LAMBDAS at every k from 1 to N + 2.
 
     Returns the core and the numbers of the queries that were summed; each
-    summed query's row is also checked against the walk's counts.
+    summed query's counts are also checked against the walk's.
     """
     core = ScoringCore(docs, index)
     with _summed_queries() as summed:
@@ -561,7 +553,7 @@ def test_sums_need_every_count_in_one_byte(size, summed):
 
 
 def test_an_interrupted_counter_build_is_redone():
-    """A build cut short leaves no counters, so the next summed query redoes it."""
+    """A build cut short leaves no counters or table, so the next summed query redoes it."""
     docs = [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(4)]
     index = NeighborIndex(radius=1, source_checksum="hand",
                           entries={"h": frozenset({"x0"}), "x1": frozenset({"x2"})})
@@ -572,6 +564,13 @@ def test_an_interrupted_counter_build_is_redone():
             core.tops("d1", SWITCH_LAMBDAS, 3)
     assert core._spread == []
     assert core.tops("d1", SWITCH_LAMBDAS, 3) == expected
+    # so is the near table, which the second summed query builds
+    with mock.patch("nniou.scoring._digits", side_effect=MemoryError):
+        with pytest.raises(MemoryError):
+            core.tops("d1", SWITCH_LAMBDAS, 3)
+    assert core._near_rows is None
+    assert core.tops("d1", SWITCH_LAMBDAS, 3) == expected
+    assert core._near_rows
 
 
 @settings(max_examples=100)
@@ -594,7 +593,8 @@ def test_the_first_summed_query_builds_every_concepts_counters(case):
     core = ScoringCore(docs, index)
     assert core._spread == [] and core._meets == []
     # every query with concepts is summed
-    core.tops(next(d.id for d in docs if d.concepts), SWITCH_LAMBDAS, 1)
+    first = next(d.id for d in docs if d.concepts)
+    core.tops(first, SWITCH_LAMBDAS, 1)
     # the core numbers documents by id: field r is the r-th smallest id's
     by_id = sorted(docs, key=attrgetter("id"))
     names = list(dict.fromkeys(c for d in by_id for c in d.concepts))  # bit order
@@ -608,11 +608,15 @@ def test_the_first_summed_query_builds_every_concepts_counters(case):
     assert core._spread == [fields(lambda a, c=c: c in a) for c in names]
     assert core._meets == [fields(lambda a, c=c: c not in a and a & listed(c))
                            for c in names]
-    # byte B*n + q of the near table: |B & (near(q) - q)|, near(q) being every
-    # concept whose neighbor list meets q; all 0 builds no table
+    # the second summed query builds the near table: byte B*n + q is
+    # |B & (near(q) - q)|, near(q) being every concept whose neighbor list
+    # meets q; all 0, or more than the counters' 2 * width * n bytes, builds none
+    assert core._near_rows is None
+    core.gains(first, 0.5)
     near = [{c for c in names if listed(c) & d.concepts} - d.concepts for d in by_id]
     table = bytes(len(b.concepts & near[q]) for b in by_id for q in range(len(by_id)))
-    assert core._near_rows == (table if any(table) else b"")
+    built = any(table) and len(docs) <= 2 * len(names)
+    assert core._near_rows == (table if built else b"")
 
 
 @pytest.mark.parametrize("radius", [None, 0, 1])
@@ -622,10 +626,22 @@ def test_only_a_concept_near_a_document_builds_a_near_table(radius):
     docs = [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(3)]
     index = None if radius is None else build_index(graph, {"h", "x0", "x1", "x2"}, radius)
     core = ScoringCore(docs, index)
-    core.tops("d0", (0.5,), 2)
-    assert core._spread  # summed
+    expected = core.tops("d0", (0.5,), 2)
+    assert core._spread and core._near_rows is None  # one summed query: no table yet
+    assert core.tops("d0", (0.5,), 2) == expected
     # d1 holds x1, which lists h, so x1 is near d0 and byte 1*3 + 0 is 1
     assert core._near_rows == (b"" if radius in (None, 0) else bytes([0, 1, 1, 1, 0, 1, 1, 1, 0]))
+
+
+def test_a_near_table_larger_than_the_counters_is_not_built():
+    """Five documents over two concepts: 25 table bytes against at most 20 of counters."""
+    index = NeighborIndex(radius=1, source_checksum="hand",
+                          entries={"h": frozenset({"x"}), "x": frozenset({"h"})})
+    docs = [Document(f"d{i}", frozenset({"hx"[i % 2]})) for i in range(5)]
+    core = ScoringCore(docs, index)
+    for query in docs:
+        _ranks_as_expected(core, query, _brute_tops(docs, index, query), 4)
+    assert core._spread and core._near_rows == b""
 
 
 def test_score_tables_are_kept_one_per_lambda_asked():
@@ -650,9 +666,7 @@ def test_both_counts_agree_on_a_query_with_no_concepts_in_a_dense_corpus():
     ]
     core = ScoringCore(docs)
     e = core._number["e"]
-    assert core._walk(e, 0) == ([], [])
-    # in id order d0 .. d3, e: only the union field, each document's size, is set
-    assert core._row(e).tolist() == [2, 2, 2, 2, 0]
+    assert core._sums(e, 0) == core._walk(e, 0) == ([], [])
     assert core.tops("e", (0.5,), 4)[0] == ["d0", "d1", "d2", "d3"]
     assert core.gains("e", 0.5) == {}
     ranked = core.tops("d0", (0.5,), 4)[0]
