@@ -14,8 +14,9 @@ index, approximate matching is off (IoU or lambda 0) or refused, and
 
 Lambda, k, radius and the ablation grid are checked before any file is
 read; a value listed twice in ``--categories``, ``--lambdas``, ``--radii``
-or ``--ks`` is an error.  ``eval`` and ``ablate`` then check the class
-map and ``--categories`` before reading the graph, corpus, runs or index.
+or ``--ks`` is an error, and so are two lambdas that the CSV prints alike.
+``eval`` and ``ablate`` then check the class map and ``--categories``
+before reading the graph, corpus, runs or index.
 A chosen category that labels no document is reported once the corpus is
 read and before any query is ranked; ``eval`` reports it before reading
 the runs or the index.
@@ -343,19 +344,31 @@ def _parse_number_list(raw: str, kind, flag: str) -> tuple:
     return tuple(values)
 
 
+def _lambda_label(lam: float) -> str:
+    """``lam`` as the ablation CSV writes it."""
+    return f"{lam:.6f}"
+
+
 def _cmd_ablate(args) -> int:
     grid = AblationGrid(
         lambdas=_parse_number_list(args.lambdas, float, "--lambdas"),
         radii=_parse_number_list(args.radii, int, "--radii"),
         ks=_parse_number_list(args.ks, int, "--ks"),
     )
+    labels: dict[str, float] = {}
+    for lam in grid.lambdas:
+        label = _lambda_label(lam)
+        other = labels.setdefault(label, lam)
+        if other != lam:
+            raise ConfigError(f"lambdas {other!r} and {lam!r} both print as {label} "
+                              "in the CSV")
     class_map = read_class_map(args.class_map)
     categories = _split_categories(args, class_map)
     graph, docs = _graph_and_corpus(args)
     rows = ablation_rows(graph, docs, grid, class_map, categories)
     lines = ["n,lambda,k,precision"]
     for radius, lam, k, precision in rows:
-        lines.append(f"{radius},{lam:.6f},{k},{precision:.6f}")
+        lines.append(f"{radius},{_lambda_label(lam)},{k},{precision:.6f}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

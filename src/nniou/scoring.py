@@ -38,21 +38,22 @@ The two halves of ``rel`` are :func:`nniou.relevance.rel_set`'s two loops,
   int additions.  ``to_bytes`` reads the sums out, and one
   ``memoryview.cast`` gives every document's code; a query that reaches
   every other document keeps them all but its own, and any other keeps
-  those it reaches.  The core's first summed query builds every concept's
-  two ints from its bitmasks with bytes work (``bin``, ``translate``,
-  ``int.from_bytes``).
+  those it reaches.  A core with a summed document builds every concept's
+  two ints when it is made, from its bitmasks with bytes work (``bin``,
+  ``translate``, ``int.from_bytes``).
 * The *near table* lets the documents fill in ``|B & (near(A) - A)|``
   once for every query: per document ``B``, the sum of ``meets[c]`` over
   ``B``'s concepts, so its byte ``B*n + q`` is ``|B & (near(q) - q)|``,
   and its column ``q``, one strided slice, replaces the sum over
   ``near(A) - A``.  That only regroups ``meets``, so it holds for
-  asymmetric indexes too.  A core's second summed query builds it, so a
-  core asked one query never pays for it.
+  asymmetric indexes too.  It is built with the two ints.
 
 The switch rule is fixed: a query is summed when its candidates are at
-least half of the other documents, and walked otherwise.  The walk costs
-the same per candidate; the sums cost grows with the corpus and with the
-query's concepts and near concepts, hardly with its candidates.  On the
+least half of the other documents, and walked otherwise.  The core decides
+it once per document when it is made; a corpus of fewer than two documents
+has no candidates and sums nothing.  The walk costs the same per
+candidate; the sums cost grows with the corpus and with the query's
+concepts and near concepts, hardly with its candidates.  On the
 benchmark's 240- and 300-document corpora at radii 0-6 (CPython 3.11),
 before the near table, the sums were 14-57% faster for queries reaching
 half of the corpus or more, about even at a third, and two to three
@@ -117,10 +118,11 @@ class ScoringCore:
     ranks a query (retrieval, the ablation sweep); :meth:`gains` lists its
     scores unranked (nn-CUI@K).  Both count through one step, so they
     agree float for float.  Results are fixed at construction, and the
-    index is read only there.  The first summed query builds every
-    concept's byte-field counters, and the second the near table; the
-    score of each count code is cached as queries first need it, in one
-    table per lambda asked for, kept for the life of the core.
+    index is read only there.  Construction also decides each document's
+    count path and, if any document is summed, builds every concept's
+    byte-field counters and the near table; the score of each count code
+    is cached as queries first need it, in one table per lambda asked
+    for, kept for the life of the core.
     """
 
     def __init__(self, docs: Sequence, index: NeighborIndex | None = None):
@@ -161,21 +163,27 @@ class ScoringCore:
                 for held, doc in zip(self._packed, docs)
             ]
         reach = [r | n for r, n in zip(reach, near)]
-        self._reach = [_union(bit, reach, doc.concepts) for doc in docs]
-        self._postings, self._near = postings, near  # for the sums' counters
+        # a query never retrieves itself, so its own bit is cleared here
+        self._reach = [_union(bit, reach, doc.concepts) & ~(1 << r)
+                       for r, doc in enumerate(docs)]
 
         # bits per count field: inter <= the largest size, rel and union
         # <= twice that; the size limit of the sums (module docstring)
         self._bits = max(8, (2 * max(self._sizes, default=0)).bit_length())
-        self._summable = self._bits == 8 and sys.byteorder == "little"
         self._inter_weight = (1 << 2 * self._bits) - 1
-        # spread[c] and meets[c] (see _sums), built on the first summed
-        # query, and the near table (see _near_table), on the second
+        # the switch rule (module docstring), once per document: sum once the
+        # candidates are at least half of the other documents
+        n = len(docs)
+        summable = self._bits == 8 and sys.byteorder == "little" and n > 1
+        self._summed = [summable and 2 * reached.bit_count() >= n - 1
+                        for reached in self._reach]
+        # spread[c], meets[c] and the near table (see _build), left empty
+        # when no document is summed
         self._spread: list[int] = []
         self._meets: list[int] = []
-        self._near_rows: bytes | None = None
-        self._size_fields = 0  # each document's size in its field
-        self._one_fields = 0  # 1 in every field
+        self._near_rows = b""
+        if any(self._summed):
+            self._build(postings, near)
         self._scores: dict[float, _Scores] = {}
 
     def tops(self, q: str, lams: Sequence[float], k: int) -> list[list[str]]:
@@ -228,18 +236,14 @@ class ScoringCore:
 
     def _count(self, q: str) -> tuple[list[str], Sequence[int]]:
         """Query ``q``'s candidates, in id order, and their count codes."""
-        ids = self.ids
-        if len(ids) < 2:
+        if len(self.ids) < 2:
             raise EvaluationError(
                 f"no candidate documents for query {q!r} (corpus too small)"
             )
         r = self._number[q]
-        reach = self._reach[r] & ~(1 << r)
-        # the switch rule (module docstring): sum once the candidates are at
-        # least half of the other documents
-        if self._summable and 2 * reach.bit_count() >= len(ids) - 1:
-            return self._sums(r, reach)
-        return self._walk(r, reach)
+        if self._summed[r]:
+            return self._sums(r, self._reach[r])
+        return self._walk(r, self._reach[r])
 
     def _table(self, lam: float) -> _Scores:
         """The score table of ``lam``, made on first use and kept."""
@@ -287,15 +291,11 @@ class ScoringCore:
             inter = sum(spread[c] for c in A)
             rel   = sum(meets[c] for c in A) + sum(spread[c] for c in N)
 
-        Once the near table is built, its column ``q`` is the last sum.  A
+        Where the core has a near table, its column ``q`` is the last sum.  A
         field never carries into the next one: ``inter`` is at most the
         largest document's size, and ``rel`` and ``union`` at most twice
         that, below 256 in a summable corpus.
         """
-        if not self._spread:
-            self._build()
-        elif self._near_rows is None:
-            self._near_rows = self._near_table()
         spread, packed, n = self._spread, self._packed[q], len(self.ids)
         held = _digits(packed & self._held_bits)
         inter = sum(compress(spread, held))
@@ -318,32 +318,27 @@ class ScoringCore:
         codes = memoryview(data).cast("I")
         return list(compress(self.ids, chosen)), list(compress(codes, chosen))
 
-    def _build(self) -> None:
-        """Fill in ``spread`` and ``meets`` for every concept."""
-        self._size_fields = int.from_bytes(bytes(self._sizes), "little")
-        self._one_fields = int.from_bytes(b"\1" * len(self.ids), "little")
-        self._meets = [_fields(near & ~held) for held, near in zip(self._postings, self._near)]
-        # assigned last, so an interrupted build is redone
-        self._spread = list(map(_fields, self._postings))
+    def _build(self, postings: list[int], near: list[int]) -> None:
+        """Fill in ``spread`` and ``meets`` from the documents holding each
+        concept (``postings``) and those it is near (``near``), and the near
+        table.
 
-    def _near_table(self) -> bytes:
-        """The near table, or ``b""`` where it would be all 0 or too large.
-
-        Byte ``B*n + q`` is ``|B & (near(q) - q)|``: the sum of
-        ``meets[c]`` over document ``B``'s concepts, read at ``q``.  It
-        takes ``n**2`` bytes, so it is built only while that is at most
-        the ``2 * width * n`` bytes that ``spread`` and ``meets`` can take,
-        and only when some concept is near a document that does not hold
-        it.
+        Byte ``B*n + q`` of the table is ``|B & (near(q) - q)|``: the sum of
+        ``meets[c]`` over document ``B``'s concepts, read at ``q``.  Outside
+        its bound (module docstring) it stays ``b""``.
         """
-        n, meets = len(self.ids), self._meets
+        n = len(self.ids)
+        self._size_fields = int.from_bytes(bytes(self._sizes), "little")  # each size in its field
+        self._one_fields = int.from_bytes(b"\1" * n, "little")  # 1 in every field
+        self._spread = list(map(_fields, postings))
+        self._meets = meets = [_fields(near_c & ~held) for held, near_c in zip(postings, near)]
         if n > 2 * self._width or not any(meets):
-            return b""
+            return
         rows = bytearray(n * n)  # filled in place: a join would hold it twice
         for b, packed in enumerate(self._packed):
             near_b = sum(compress(meets, _digits(packed & self._held_bits)))
             rows[b * n:(b + 1) * n] = near_b.to_bytes(n, "little")
-        return rows
+        self._near_rows = rows
 
 
 class _Scores(dict):

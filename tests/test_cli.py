@@ -1040,6 +1040,17 @@ class TestAblate:
         assert captured.err == f"configuration error: {named} is listed more than once\n"
         assert captured.out == ""
 
+    def test_lambdas_that_print_alike_are_a_usage_error(self, tmp_path, capsys):
+        """Two lambdas that round to one CSV label exit 1 before any file is read."""
+        missing = str(tmp_path / "missing")
+        code = main(["ablate", "--corpus", missing, "--edges", missing, "--class-map", missing,
+                     "--lambdas", "0.1,0.1234567,0.1234568", "--radii", "1", "--ks", "5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: lambdas 0.1234567 and 0.1234568 both "
+                                "print as 0.123457 in the CSV\n")
+        assert captured.out == ""
+
     def test_grid_validation(self):
         with pytest.raises(Exception):
             AblationGrid(lambdas=(), radii=(0,), ks=(5,))

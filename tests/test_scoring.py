@@ -14,7 +14,7 @@ from operator import attrgetter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nniou import (
@@ -552,25 +552,33 @@ def test_sums_need_every_count_in_one_byte(size, summed):
     assert bool(core._spread) == summed
 
 
-def test_an_interrupted_counter_build_is_redone():
-    """A build cut short leaves no counters or table, so the next summed query redoes it."""
-    docs = [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(4)]
-    index = NeighborIndex(radius=1, source_checksum="hand",
-                          entries={"h": frozenset({"x0"}), "x1": frozenset({"x2"})})
+@settings(max_examples=200)
+@given(settings_cases())
+@example(([Document(i, frozenset(c)) for i, c in
+           [("a", {"c0", "c1"}), ("b", {"c0"}), ("c", {"c1"}), ("d", {"c2"}), ("e", set())]],
+          EvalConfig(k=1), None))
+@example(([Document("a", frozenset({"c0"}))], EvalConfig(k=1), None))
+def test_the_switch_rule_sums_each_document_reaching_half_of_the_others(case):
+    """A query is summed exactly when the documents it scores above 0 against
+    at lambda 1 are at least half of the other documents; a corpus with no
+    such document, a lone document's included, builds no counters."""
+    docs, _, index = case
+    n = len(docs)
+
+    def candidates(a):
+        score = iou if index is None else (lambda x, y: nn_iou(x, y, 1.0, index))
+        return sum(1 for b in docs if b is not a and score(a.concepts, b.concepts) > 0)
+
+    expected = sorted(d.id for d in docs if n > 1 and 2 * candidates(d) >= n - 1)
     core = ScoringCore(docs, index)
-    expected = ScoringCore(docs, index).tops("d1", SWITCH_LAMBDAS, 3)
-    with mock.patch("nniou.scoring._fields", side_effect=MemoryError):
-        with pytest.raises(MemoryError):
-            core.tops("d1", SWITCH_LAMBDAS, 3)
-    assert core._spread == []
-    assert core.tops("d1", SWITCH_LAMBDAS, 3) == expected
-    # so is the near table, which the second summed query builds
-    with mock.patch("nniou.scoring._digits", side_effect=MemoryError):
-        with pytest.raises(MemoryError):
-            core.tops("d1", SWITCH_LAMBDAS, 3)
-    assert core._near_rows is None
-    assert core.tops("d1", SWITCH_LAMBDAS, 3) == expected
-    assert core._near_rows
+    with _summed_queries() as summed:
+        if n > 1:  # a lone document has no other to count
+            for query in docs:
+                core.gains(query.id, 0.5)
+    assert sorted(core.ids[r] for r in summed) == expected
+    assert bool(core._spread) == bool(core._meets) == bool(expected)
+    if not expected:
+        assert core._near_rows == b""
 
 
 @settings(max_examples=100)
@@ -588,13 +596,9 @@ def test_a_built_core_never_reads_its_index_again(case):
 
 @settings(max_examples=100)
 @given(summed_corpora())
-def test_the_first_summed_query_builds_every_concepts_counters(case):
+def test_a_summed_core_builds_every_concepts_counters_and_its_near_table_when_made(case):
     docs, index = case
-    core = ScoringCore(docs, index)
-    assert core._spread == [] and core._meets == []
-    # every query with concepts is summed
-    first = next(d.id for d in docs if d.concepts)
-    core.tops(first, SWITCH_LAMBDAS, 1)
+    core = ScoringCore(docs, index)  # and no query
     # the core numbers documents by id: field r is the r-th smallest id's
     by_id = sorted(docs, key=attrgetter("id"))
     names = list(dict.fromkeys(c for d in by_id for c in d.concepts))  # bit order
@@ -608,11 +612,9 @@ def test_the_first_summed_query_builds_every_concepts_counters(case):
     assert core._spread == [fields(lambda a, c=c: c in a) for c in names]
     assert core._meets == [fields(lambda a, c=c: c not in a and a & listed(c))
                            for c in names]
-    # the second summed query builds the near table: byte B*n + q is
-    # |B & (near(q) - q)|, near(q) being every concept whose neighbor list
-    # meets q; all 0, or more than the counters' 2 * width * n bytes, builds none
-    assert core._near_rows is None
-    core.gains(first, 0.5)
+    # so is the near table: byte B*n + q is |B & (near(q) - q)|, near(q)
+    # being every concept whose neighbor list meets q; all 0, or more than
+    # the counters' 2 * width * n bytes, builds none
     near = [{c for c in names if listed(c) & d.concepts} - d.concepts for d in by_id]
     table = bytes(len(b.concepts & near[q]) for b in by_id for q in range(len(by_id)))
     built = any(table) and len(docs) <= 2 * len(names)
@@ -625,10 +627,8 @@ def test_only_a_concept_near_a_document_builds_a_near_table(radius):
     graph = KnowledgeGraph.from_edges([("x0", "h"), ("x1", "h"), ("x2", "h")])
     docs = [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(3)]
     index = None if radius is None else build_index(graph, {"h", "x0", "x1", "x2"}, radius)
-    core = ScoringCore(docs, index)
-    expected = core.tops("d0", (0.5,), 2)
-    assert core._spread and core._near_rows is None  # one summed query: no table yet
-    assert core.tops("d0", (0.5,), 2) == expected
+    core = ScoringCore(docs, index)  # and no query
+    assert core._spread
     # d1 holds x1, which lists h, so x1 is near d0 and byte 1*3 + 0 is 1
     assert core._near_rows == (b"" if radius in (None, 0) else bytes([0, 1, 1, 1, 0, 1, 1, 1, 0]))
 
