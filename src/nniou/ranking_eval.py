@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, count
 from operator import truediv
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -203,22 +203,16 @@ def ground_truth_rankings(
     return [RankingRun(query_id, core.tops(query_id, (lam,), cfg.k)[0]) for query_id in docs]
 
 
-# log2(rank + 1) for ranks 1, 2, ...; replaced by a longer table when a list
-# outgrows it, never changed in place
-_DISCOUNTS = [math.log2(rank + 1) for rank in range(1, 65)]
+# log2(rank + 1) for ranks 1-64; a longer list computes the rest as it goes
+_DISCOUNTS = tuple(math.log2(rank + 1) for rank in range(1, 65))
 
 
-def dcg(relevances: Sequence[float]) -> float:
+def dcg(relevances: Iterable[float]) -> float:
     """Discounted cumulative gain with a log2(rank + 1) position penalty.
 
     Ranks are 1-based, so the first item is undiscounted (log2(2) = 1).
     """
-    global _DISCOUNTS
-    discounts = _DISCOUNTS
-    if len(relevances) > len(discounts):
-        size = max(len(relevances), 2 * len(discounts))
-        discounts = _DISCOUNTS = [math.log2(rank + 1) for rank in range(1, size + 1)]
-    return sum(map(truediv, relevances, discounts))
+    return sum(map(truediv, relevances, chain(_DISCOUNTS, map(math.log2, count(66)))))
 
 
 def ndcg_at_k(

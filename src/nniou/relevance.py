@@ -21,6 +21,7 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from typing import Collection
 
 from .errors import ConfigError
@@ -28,12 +29,8 @@ from .neighbor_index import NeighborIndex
 
 
 def iou(a: Collection[str], b: Collection[str]) -> float:
-    """Intersection over union; 0.0 when both sets are empty."""
-    a, b = frozenset(a), frozenset(b)
-    union = a | b
-    if not union:
-        return 0.0
-    return len(a & b) / len(union)
+    """Intersection over union: nn-IoU at lambda 0; 0.0 when both sets are empty."""
+    return nn_iou(a, b, 0)
 
 
 def rel_set(a: Collection[str], b: Collection[str], index: NeighborIndex) -> frozenset[str]:
@@ -78,8 +75,8 @@ def nn_iou(
 
 
 def checked_lambda(lam: float) -> float:
-    """The weight of approximate matching, which must lie in [0, 1]."""
-    if not 0.0 <= lam <= 1.0:
+    """The weight of approximate matching, which must lie in [0, 1] and not be -0.0."""
+    if not 0.0 <= lam <= 1.0 or math.copysign(1.0, lam) < 0:
         raise ConfigError(f"lambda must be in [0, 1], got {lam}")
     return lam
 

@@ -142,26 +142,24 @@ class ScoringCore:
                 postings[bit[c]] |= 1 << r
         self._width = width = len(bit)
         self._held_bits = (1 << width) - 1  # the held half of a packed int
-        # without an index no concept is near, so only the held half is set
-        self._packed = [sum(1 << bit[c] for c in doc.concepts) for doc in docs]
 
         # near[c]: the documents B with c in near(B), i.e. holding a concept
         # c lists; reach[c] adds those that hold c or a concept listing c
         near = [0] * width
         reach = list(postings)
-        if index is not None:
-            listed_by = [0] * width
-            for c, i in bit.items():
-                for neighbor in index.neighbors(c):
-                    n = bit.get(neighbor)
-                    if n is not None:
-                        listed_by[n] |= 1 << i
-                        near[i] |= postings[n]
-                        reach[n] |= postings[i]
-            self._packed = [
-                held | (_union(bit, listed_by, doc.concepts) & ~held) << width
-                for held, doc in zip(self._packed, docs)
-            ]
+        listed_by = [0] * width
+        for c, i in bit.items():
+            for neighbor in index.neighbors(c) if index is not None else ():
+                n = bit.get(neighbor)
+                if n is not None:
+                    listed_by[n] |= 1 << i
+                    near[i] |= postings[n]
+                    reach[n] |= postings[i]
+        self._packed = [
+            (held := sum(1 << bit[c] for c in doc.concepts))
+            | (_union(bit, listed_by, doc.concepts) & ~held) << width
+            for doc in docs
+        ]
         reach = [r | n for r, n in zip(reach, near)]
         # a query never retrieves itself, so its own bit is cleared here
         self._reach = [_union(bit, reach, doc.concepts) & ~(1 << r)

@@ -1056,6 +1056,8 @@ class TestAblate:
             AblationGrid(lambdas=(), radii=(0,), ks=(5,))
         with pytest.raises(Exception):
             AblationGrid(lambdas=(2.0,), radii=(0,), ks=(5,))
+        with pytest.raises(ConfigError, match=r"lambda must be in \[0, 1\], got -0.0"):
+            AblationGrid(lambdas=(-0.0, 0.5), radii=(0,), ks=(5,))
         with pytest.raises(Exception):
             AblationGrid(lambdas=(0.5,), radii=(-1,), ks=(5,))
         with pytest.raises(Exception):
@@ -1086,10 +1088,11 @@ class TestFlagsCheckedBeforeFiles:
     @pytest.mark.parametrize("command", ["relevance", "retrieve", "eval"])
     @pytest.mark.parametrize("with_index", [False, True], ids=["no-index", "missing-index"])
     def test_lambda_out_of_range(self, tmp_path, capsys, command, with_index):
-        assert main([*self._argv(command, tmp_path, with_index), "--lambda", "1.5"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "configuration error: lambda must be in [0, 1], got 1.5\n"
-        assert captured.out == ""
+        for lam, shown in (("1.5", "1.5"), ("-0", "-0.0")):
+            assert main([*self._argv(command, tmp_path, with_index), "--lambda", lam]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"configuration error: lambda must be in [0, 1], got {shown}\n"
+            assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["retrieve", "eval"])
     def test_k_below_one(self, tmp_path, capsys, command):

@@ -59,9 +59,8 @@ class TestDcg:
         expected = sum(r / math.log2(i + 2) for i, r in enumerate(rels))
         assert dcg(rels) == pytest.approx(expected, abs=1e-12)
 
-    def test_discount_table_gives_the_literal_sum_at_every_length(self, monkeypatch):
-        """Float for float, while the table grows past its first size and after."""
-        monkeypatch.setattr(ranking_eval, "_DISCOUNTS", list(ranking_eval._DISCOUNTS))
+    def test_discounts_give_the_literal_sum_at_every_length(self):
+        """Float for float, within the discount table and past its end."""
         first = len(ranking_eval._DISCOUNTS)
         rng = random.Random(5)
         for length in (0, 1, 2, first - 1, first, first + 1, 3 * first, 1000, 3000, 7, 2500):
@@ -69,7 +68,6 @@ class TestDcg:
             literal = sum(rel / math.log2(j + 1) for j, rel in enumerate(rels, start=1))
             assert dcg(rels) == literal
             assert dcg(tuple(rels)) == literal
-        assert len(ranking_eval._DISCOUNTS) >= 3000
 
 
 class TestNdcg:

@@ -124,7 +124,7 @@ class TestNnIou:
 
 
 class TestParams:
-    @pytest.mark.parametrize("lam", [-0.1, 1.1, float("nan")])
+    @pytest.mark.parametrize("lam", [-0.1, 1.1, float("nan"), -0.0])
     def test_lambda_out_of_range(self, lam):
         with pytest.raises(ConfigError, match=r"lambda must be in \[0, 1\], got"):
             EvalConfig(k=1, lam=lam)
@@ -187,6 +187,7 @@ def test_range_dominance_symmetry(data, radius, lam):
     graph, a, b = data
     index = build_index(graph, a | b, radius)
     base = iou(a, b)
+    assert base == (len(a & b) / len(a | b) if a | b else 0.0)
     score = nn_iou(a, b, lam, index)
     assert 0.0 <= base <= score <= 1.0
     assert score == nn_iou(b, a, lam, index)

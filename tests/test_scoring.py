@@ -631,6 +631,12 @@ def test_only_a_concept_near_a_document_builds_a_near_table(radius):
     assert core._spread
     # d1 holds x1, which lists h, so x1 is near d0 and byte 1*3 + 0 is 1
     assert core._near_rows == (b"" if radius in (None, 0) else bytes([0, 1, 1, 1, 0, 1, 1, 1, 0]))
+    if radius != 1:
+        # no index and a radius-0 index relate nothing, so they pack and reach alike
+        other = ScoringCore(docs, build_index(graph, {"h", "x0", "x1", "x2"}, 0)
+                            if radius is None else None)
+        assert (other._packed, other._reach, other._summed) == (
+            core._packed, core._reach, core._summed)
 
 
 def test_a_near_table_larger_than_the_counters_is_not_built():
