@@ -5,23 +5,22 @@ Usage, from anywhere::
     python .github/line_coverage.py [pytest arguments]
 
 Recording starts before ``nniou`` is imported, so module-level lines count.
-Python 3.12 and later record with ``sys.monitoring``: each LINE event is
-disabled after its first hit, so the suite runs at nearly full speed.
-Older Pythons fall back to ``sys.settrace`` and ``threading.settrace``,
-tracing only frames of ``nniou``'s own files.
+It needs Python 3.12 or later and records with ``sys.monitoring``: each
+LINE event is disabled after its first hit, so the suite runs at nearly
+full speed.
 
 A line is executable when a code object compiled from its module lists it
 in ``co_lines()``.  A function's first line is left out: it is the ``def``
 or decorator line, which the enclosing code runs.  The script exits 1 when
-the suite fails, when an executable line outside ``ALLOWED`` never ran, or
-when an ``ALLOWED`` entry names no such line, and 0 otherwise.
+the suite fails, when an executable line outside ``ALLOWED`` never ran, when
+an ``ALLOWED`` entry names no such line, or on a Python older than 3.12, and
+0 otherwise.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import threading
 import types
 from pathlib import Path
 
@@ -39,30 +38,17 @@ prefix = str(PACKAGE) + os.sep
 
 
 def _start() -> None:
-    monitoring = getattr(sys, "monitoring", None)
-    if monitoring is not None:
-        tool = monitoring.COVERAGE_ID
-        monitoring.use_tool_id(tool, "line_coverage")
+    monitoring = sys.monitoring
+    tool = monitoring.COVERAGE_ID
+    monitoring.use_tool_id(tool, "line_coverage")
 
-        def on_line(code, line):
-            if code.co_filename.startswith(prefix):
-                hits.setdefault(code.co_filename, set()).add(line)
-            return monitoring.DISABLE
+    def on_line(code, line):
+        if code.co_filename.startswith(prefix):
+            hits.setdefault(code.co_filename, set()).add(line)
+        return monitoring.DISABLE
 
-        monitoring.register_callback(tool, monitoring.events.LINE, on_line)
-        monitoring.set_events(tool, monitoring.events.LINE)
-        return
-
-    def local(frame, event, arg):
-        if event == "line":
-            hits.setdefault(frame.f_code.co_filename, set()).add(frame.f_lineno)
-        return local
-
-    def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(prefix) else None
-
-    threading.settrace(tracer)
-    sys.settrace(tracer)
+    monitoring.register_callback(tool, monitoring.events.LINE, on_line)
+    monitoring.set_events(tool, monitoring.events.LINE)
 
 
 def _executable(path: Path) -> set[int]:
@@ -79,6 +65,10 @@ def _executable(path: Path) -> set[int]:
 
 
 def main(args: list[str]) -> int:
+    if sys.version_info < (3, 12):
+        print("line coverage needs Python 3.12 or later (sys.monitoring), got "
+              f"{sys.version.split()[0]}", file=sys.stderr)
+        return 1
     if any(name == "nniou" or name.startswith("nniou.") for name in sys.modules):
         print("nniou was imported before recording started", file=sys.stderr)
         return 1
@@ -90,8 +80,6 @@ def main(args: list[str]) -> int:
     import pytest
 
     status = pytest.main(["-p", "no:cacheprovider", str(ROOT / "tests"), *args])
-    sys.settrace(None)
-    threading.settrace(None)
     if status != 0:
         print(f"the suite failed (pytest exit {status}); coverage not checked",
               file=sys.stderr)

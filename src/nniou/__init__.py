@@ -33,10 +33,12 @@ from .corpus import (
     write_runs,
 )
 from .ranking_eval import (
+    AblationGrid,
     Document,
     EvalConfig,
     MetricReport,
     RankingRun,
+    ablation_rows,
     dcg,
     derive_labels,
     ground_truth_ranking,
@@ -47,7 +49,6 @@ from .ranking_eval import (
     precision_at_k,
 )
 from .relevance import iou, nn_iou, rel_set
-from .ablation import AblationGrid, ablation_rows
 
 __version__ = "0.1.0"
 

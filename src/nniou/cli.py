@@ -22,7 +22,7 @@ read and before any query is ranked; ``eval`` reports it before reading
 the runs or the index.
 ``eval`` adds a joint ``Precision@K[a&b]`` report to the per-category ones
 when it grades two or more categories.
-The sweep that ``ablate`` runs is :func:`nniou.ablation.ablation_rows`.
+The sweep that ``ablate`` runs is :func:`nniou.ranking_eval.ablation_rows`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .ablation import AblationGrid, _no_repeats, ablation_rows
 from .corpus import (
     corpus_vocabulary,
     read_class_map,
@@ -51,10 +50,13 @@ from .neighbor_index import NeighborIndex, build_index, load_index, save_index
 # ground_truth_ranking is unused here but stays a module attribute:
 # benchmarks/tracer.py wraps it.
 from .ranking_eval import (
+    AblationGrid,
     Document,
     EvalConfig,
     MetricReport,
     _label_matches,
+    _no_repeats,
+    ablation_rows,
     derive_labels,
     ground_truth_ranking,
     ground_truth_rankings,
@@ -88,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="edge file (child<TAB>parent lines)")
     graph_input.add_argument("--corpus", required=True, help="JSONL corpus file")
     graph_input.add_argument("--strict-cui", action="store_true",
-                             help="require identifiers shaped like 'C' + seven digits")
+                             help="require edge-file identifiers shaped like 'C' + "
+                                  "seven ASCII digits")
 
     p = sub.add_parser(
         "build-index",

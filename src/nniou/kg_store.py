@@ -49,7 +49,7 @@ from typing import Collection, Iterable, Sequence
 
 from .errors import EdgeFileError, UnknownConceptError, text_lines
 
-CUI_PATTERN = re.compile(r"C\d{7}")
+CUI_PATTERN = re.compile(r"C[0-9]{7}")
 
 # Edges are deduplicated on the int key child << _SHIFT | parent, which is
 # unique while node ids stay below 2**32.
@@ -83,7 +83,7 @@ def normalize_concept_id(raw: str, strict_cui: bool = False) -> str:
     """Trim and validate a concept identifier.
 
     With ``strict_cui`` the identifier must be the letter ``C`` followed by
-    exactly seven decimal digits.  Raises ValueError on violation.
+    exactly seven ASCII digits (``0``-``9``).  Raises ValueError on violation.
     """
     concept = raw.strip()
     if not concept:

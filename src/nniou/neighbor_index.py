@@ -38,7 +38,7 @@ from .kg_store import KnowledgeGraph
 
 FORMAT_VERSION = 1
 
-_HEADER_RE = re.compile(r"#nnidx v\d+ radius=(\d+) checksum=([0-9a-f]+)")
+_HEADER_RE = re.compile(r"#nnidx v[0-9]+ radius=([0-9]+) checksum=([0-9a-f]+)")
 
 # The format's separators: ``,`` between neighbors, a tab before them, and
 # the line ends that universal newlines read (``\n``, ``\r``).  A concept
@@ -154,7 +154,7 @@ def load_index(path: str | Path) -> NeighborIndex:
         lines = [line.rstrip("\n") for line in stream]
     if not lines:
         raise IndexFormatError("empty index file")
-    versioned = re.match(r"#nnidx v(\d+)\b", lines[0])
+    versioned = re.match(r"#nnidx v([0-9]+)\b", lines[0])
     if versioned and int(versioned.group(1)) != FORMAT_VERSION:
         raise IndexFormatError(
             f"unsupported index version {int(versioned.group(1))} "

@@ -122,8 +122,11 @@ class TestParseEdgeFile:
             ("C0000003\t", False, "empty concept identifier"),
             ("C0000003\tX1", True,
              "invalid CUI 'X1': expected the letter 'C' followed by seven digits"),
+            ("C0000003\tC\uff11\uff12\uff13\uff14\uff15\uff16\uff17", True,
+             "invalid CUI 'C\uff11\uff12\uff13\uff14\uff15\uff16\uff17': "
+             "expected the letter 'C' followed by seven digits"),
         ],
-        ids=["three-fields", "self-loop", "empty-parent", "strict-cui"],
+        ids=["three-fields", "self-loop", "empty-parent", "strict-cui", "strict-cui-fullwidth"],
     )
     def test_bad_records_after_skipped_lines_name_their_line(
         self, tmp_path, mark, end, skipped, bad, strict, message
@@ -151,7 +154,10 @@ class TestParseEdgeFile:
         )
         assert graph.num_nodes == 2
 
-    @pytest.mark.parametrize("bad", ["c0042449", "C004244", "C00424491", "V0042449"])
+    @pytest.mark.parametrize("bad", [
+        "c0042449", "C004244", "C00424491", "V0042449",
+        "C\u0660\u0660\u0664\u0662\u0664\u0664\u0669",  # Arabic-Indic digits
+    ])
     def test_strict_cui_rejects_malformed_ids(self, tmp_path, bad):
         with pytest.raises(EdgeFileError, match="line 1"):
             parse_edge_file(_write(tmp_path, f"{bad}\tC0005847\n"), strict_cui=True)

@@ -230,9 +230,12 @@ class TestPersistence:
 
     def test_missing_checksum_rejected(self, tmp_path):
         path = tmp_path / "nochk.nnidx"
-        path.write_text("#nnidx v1 radius=1\nx\t\n", encoding="utf-8")
-        with pytest.raises(IndexFormatError, match="header"):
-            load_index(path)
+        # and a version or radius in digits other than ASCII 0-9 (full-width here)
+        for header in ("#nnidx v1 radius=1", "#nnidx v\uff11 radius=1 checksum=ab",
+                       "#nnidx v1 radius=\uff12 checksum=ab"):
+            path.write_text(header + "\nx\t\n", encoding="utf-8")
+            with pytest.raises(IndexFormatError, match="malformed index header"):
+                load_index(path)
 
     def test_malformed_record_reports_line(self, tmp_path):
         path = tmp_path / "bad.nnidx"

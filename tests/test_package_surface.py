@@ -4,7 +4,8 @@ and a test suite that needs only pytest and hypothesis beside it.
 
 ``benchmarks/tracer.py`` replaces module globals of ``nniou`` by name, so a
 rename or deletion inside the package would break the traced benchmark
-without failing any other test.
+without failing any other test.  The package's modules also take a few
+private names from each other; those are pinned here too.
 """
 
 from __future__ import annotations
@@ -69,3 +70,19 @@ def test_the_suite_imports_only_the_standard_library_pytest_hypothesis_and_nniou
     modules = sorted(Path(__file__).parent.rglob("*.py"))
     own = {module.stem for module in modules}
     assert _imports_outside(modules, {"pytest", "hypothesis", "nniou", *own}) == []
+
+
+def test_cross_module_private_imports_are_the_known_few():
+    """Each ``from .module import _name`` inside the package, so a new reach
+    into another module's private names has to change this list."""
+    reached = []
+    for module in sorted(Path(nniou.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                reached += [(module.stem, node.module, alias.name) for alias in node.names
+                            if alias.name.startswith("_")]
+    assert sorted(reached) == [
+        ("cli", "ranking_eval", "_label_matches"),
+        ("cli", "ranking_eval", "_no_repeats"),
+        ("corpus", "neighbor_index", "_UNSTORABLE"),
+    ]

@@ -877,7 +877,7 @@ def test_ablation_rows_reject_a_radius_zero_precision_that_varies_with_lambda():
             Document("h", frozenset({"c4"}))]
     grid = AblationGrid(lambdas=(0.0, 0.5), radii=(0,), ks=(1,))
     # at lambda 0, "a" and "b" each rank the other first; reversed, "h" first
-    with mock.patch("nniou.ablation.ScoringCore", Skewed):
+    with mock.patch("nniou.ranking_eval.ScoringCore", Skewed):
         with pytest.raises(RuntimeError) as caught:
             ablation_rows(graph, docs, grid, GROUPS, ["group"])
     assert str(caught.value) == (
@@ -949,7 +949,7 @@ def test_a_radius_zero_sweep_grades_each_query_once():
     docs = [Document("a", frozenset({"c0"})), Document("b", frozenset({"c1", "c2"})),
             Document("h", frozenset({"c4"})), Document("u", frozenset({"c2"}))]
     grid = AblationGrid(lambdas=(0.0, 0.1, 0.5, 1.0), radii=(0,), ks=(1, 3))
-    with mock.patch("nniou.ablation._precisions", wraps=_precisions) as graded:
+    with mock.patch("nniou.ranking_eval._precisions", wraps=_precisions) as graded:
         rows = ablation_rows(graph, docs, grid, GROUPS, ["group"])
     # "u" holds no grouped concept, so only a, b and h are graded
     assert [c.args[1] for c in graded.call_args_list] == [{"a", "b"}, {"a", "b"}, {"h"}]
