@@ -50,6 +50,7 @@ from .neighbor_index import NeighborIndex, build_index, load_index, save_index
 # ground_truth_ranking is unused here but stays a module attribute:
 # benchmarks/tracer.py wraps it.
 from .ranking_eval import (
+    MEASURES,
     AblationGrid,
     Document,
     EvalConfig,
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     ranking = argparse.ArgumentParser(add_help=False, parents=[scoring])
     ranking.add_argument("--corpus", required=True, help="JSONL corpus file")
     ranking.add_argument("--edges", help="edge file, only to cross-check the index checksum")
-    ranking.add_argument("--measure", choices=["iou", "nniou"], default="nniou",
+    ranking.add_argument("--measure", choices=MEASURES, default="nniou",
                          help="relevance measure (default nniou)")
     ranking.add_argument("--k", type=int, default=10, help="ranking cutoff (default 10)")
 

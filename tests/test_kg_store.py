@@ -464,6 +464,23 @@ class TestLazyAdjacency:
         assert (scans.call_count, adjacency.call_count) == (kg_store._SCANS, 1)
         assert walked == [set(graph.neighbors(name)) for name in names]
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_a_batch_of_a_tenth_of_the_nodes_builds_the_view_at_once(self, tmp_path, extra):
+        """The scans' id cap: a first batch of num_nodes / _SCANS ids or more
+        builds the view without a scan, and one id fewer scans once."""
+        path = tmp_path / "kg.tsv"
+        write_edge_file(path, seed=4, order="parents-first", num_nodes=2000)
+        listed = documented_adjacency(path.read_text(encoding="utf-8"))
+        graph = parse_edge_file(path)
+        assert graph.num_nodes % kg_store._SCANS == 0
+        ids = range(graph.num_nodes // kg_store._SCANS + extra)
+        with _counting("_adjacency") as adjacency, _counting_scans() as scans:
+            lists = graph.neighbor_lists(ids)
+        assert (scans.call_count, adjacency.call_count) == ((1, 0) if extra < 0 else (0, 1))
+        assert {u: list(lists[u]) for u in ids} == {
+            u: [graph.node_id(v) for v in listed[graph.name_of(u)]] for u in ids
+        }
+
     @pytest.mark.parametrize("walk", ["shortest_path_len", "bounded_neighborhood"])
     def test_one_walk_builds_the_view_partway_through(self, tmp_path, walk):
         """A walk along a chain outlasts the _SCANS scans well before their id

@@ -1,11 +1,15 @@
 """What outside code relies on: the public names, the module attributes the
 benchmark traces, a runtime that needs nothing beyond the standard library,
-and a test suite that needs only pytest and hypothesis beside it.
+a test suite that needs only pytest and hypothesis beside it, and the smoke
+checks that CI runs.
 
 ``benchmarks/tracer.py`` replaces module globals of ``nniou`` by name, so a
 rename or deletion inside the package would break the traced benchmark
 without failing any other test.  The package's modules also take a few
 private names from each other; those are pinned here too.
+``.github/smoke_checks.py`` holds the checks of CI's ``benchmark-smoke``
+job, each called from one of its steps, and reads each benchmark run's
+verdict and output digests.
 """
 
 from __future__ import annotations
@@ -13,12 +17,27 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import nniou
 
-TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "benchmarks" / "tracer.py"
+SMOKE = ROOT / ".github" / "smoke_checks.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+
+
+def _load(path, name):
+    """Import a script that is not on ``sys.path``, from its file."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_public_name_resolves():
@@ -27,9 +46,7 @@ def test_every_public_name_resolves():
 
 
 def test_every_traced_attribute_exists():
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load(TRACER, "benchmark_tracer")
     traced = [(module, attr) for module, attr, _ in tracer.SPANS + tracer.LEAVES]
     assert traced
     missing = [
@@ -86,3 +103,63 @@ def test_cross_module_private_imports_are_the_known_few():
         ("cli", "ranking_eval", "_no_repeats"),
         ("corpus", "neighbor_index", "_UNSTORABLE"),
     ]
+
+
+def test_every_smoke_check_runs_in_exactly_one_ci_step():
+    """The workflow is read as text, since PyYAML is no test dependency; a
+    step that names no check runs them all."""
+    checks = _load(SMOKE, "smoke_checks").CHECKS
+    job = re.search(r"^  benchmark-smoke:\n((?:    .*\n|\n)*)",
+                    WORKFLOW.read_text(encoding="utf-8"), re.MULTILINE)
+    steps = re.findall(r"^ +run: python3 \.github/smoke_checks\.py\b(.*)$", job[1], re.MULTILINE)
+    called = [name for step in steps for name in step.split() or checks]
+    assert sorted(called) == sorted(checks)
+
+
+def _smoke_run_problems(tmp_path, edit=None):
+    """``run_problems`` of one workload's three two-line ``run.out`` files,
+    seed 1 plain and traced and seed 7 plain, each holding its seed's
+    table, after ``edit`` of their ``[summary, verdict]`` pairs."""
+    smoke = _load(SMOKE, "smoke_checks")
+    workload = "sparse-large-kg"
+    runs = [
+        [{"workload": workload, "seed": seed, "digests": dict(smoke.TABLES[seed][workload])},
+         {"correct": True, "attempted": 531, "failed": 0}]
+        for seed in (1, 1, 7)
+    ]
+    if edit:
+        edit(runs)
+    paths = [tmp_path / f"run{i}.out" for i in range(len(runs))]
+    for path, lines in zip(paths, runs):
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    return smoke.run_problems(workload, paths)
+
+
+def test_the_smoke_run_reader_passes_runs_that_match_their_tables(tmp_path):
+    assert _smoke_run_problems(tmp_path) == []
+
+
+def _off_by_one_character(runs):
+    digests = runs[2][0]["digests"]
+    digests["ablate"] = digests["ablate"][:-1] + ("0" if digests["ablate"][-1] != "0" else "1")
+
+
+@pytest.mark.parametrize(
+    "edit, reported",
+    [
+        (lambda runs: runs[2][0].update(workload="dense-small-kg"),
+         "run2.out: a run of dense-small-kg"),
+        (lambda runs: runs[2][0].update(seed=2), "run2.out: no digest table for seed 2"),
+        (lambda runs: runs[1][0]["digests"].update(eval="0" * 64),
+         "run1.out: seed 1 outputs differ from an earlier run's"),
+        (_off_by_one_character, "seed 7 ablate output SHA-256 "),
+        (lambda runs: runs[1][1].update(correct=False), "run1.out: correct False, failed 0"),
+        (lambda runs: runs[0][1].update(failed=1), "run0.out: correct True, failed 1"),
+    ],
+    ids=["other-workload", "seed-without-table", "seed-1-runs-disagree",
+         "digest-off-by-one-character", "not-correct", "one-failed"],
+)
+def test_the_smoke_run_reader_reports_each_fault(tmp_path, edit, reported):
+    problems = _smoke_run_problems(tmp_path, edit)
+    assert len(problems) == 1
+    assert problems[0].startswith(f"sparse-large-kg: {reported}")
