@@ -7,7 +7,6 @@ NDCG-style rankings graded by those measures.  Neighbor sets are
 precomputed into a persistent index so evaluation never touches the graph.
 """
 
-from .distance import UNREACHABLE, Distance, Unreachable, bounded_neighborhood, shortest_path_len
 from .errors import (
     ConfigError,
     DataError,
@@ -24,7 +23,18 @@ from .kg_store import (
     normalize_concept_id,
     parse_edge_file,
 )
-from .neighbor_index import NeighborIndex, build_index, build_indexes, load_index, save_index
+from .neighbor_index import (
+    UNREACHABLE,
+    Distance,
+    NeighborIndex,
+    Unreachable,
+    bounded_neighborhood,
+    build_index,
+    build_indexes,
+    load_index,
+    save_index,
+    shortest_path_len,
+)
 from .corpus import (
     corpus_vocabulary,
     read_class_map,
@@ -48,7 +58,7 @@ from .ranking_eval import (
     nn_cui_at_k,
     precision_at_k,
 )
-from .relevance import iou, nn_iou, rel_set
+from .scoring import iou, nn_iou, rel_set
 
 __version__ = "0.1.0"
 

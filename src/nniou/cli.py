@@ -43,10 +43,9 @@ from .corpus import (
     read_runs,
     write_runs,
 )
-from .distance import checked_radius
 from .errors import ConfigError, DataError, EvaluationError
 from .kg_store import KnowledgeGraph, edge_file_checksum, parse_edge_file
-from .neighbor_index import NeighborIndex, build_index, load_index, save_index
+from .neighbor_index import NeighborIndex, build_index, checked_radius, load_index, save_index
 # ground_truth_ranking is unused here but stays a module attribute:
 # benchmarks/tracer.py wraps it.
 from .ranking_eval import (
@@ -64,7 +63,7 @@ from .ranking_eval import (
     nn_cui_at_k,
     precision_at_k,
 )
-from .relevance import checked_lambda, iou, nn_iou
+from .scoring import checked_lambda, iou, nn_iou
 
 
 class _UsageError(Exception):

@@ -156,6 +156,7 @@ def read_class_map(path: str | Path) -> dict[str, dict[str, frozenset[str]]]:
         raise DataFileError(f"invalid JSON in class map: {exc.msg}", line=exc.lineno) from None
     if not isinstance(raw, dict) or not raw:
         raise ConfigError("class map must be a non-empty JSON object")
+    escaped = "\\u" in text
     class_map: dict[str, dict[str, frozenset[str]]] = {}
     for category, value_map in raw.items():
         if not isinstance(value_map, dict) or not value_map:
@@ -165,7 +166,7 @@ def read_class_map(path: str | Path) -> dict[str, dict[str, frozenset[str]]]:
         claimed: dict[str, str] = {}
         values: dict[str, frozenset[str]] = {}
         for value, concept_list in value_map.items():
-            if "\\u" in text:
+            if escaped:
                 _no_lone_surrogate([category, value, concept_list],
                                    where=f"class map category {category!r} value {value!r}: ")
             if not isinstance(concept_list, list) or not all(

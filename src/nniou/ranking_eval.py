@@ -39,13 +39,11 @@ from itertools import accumulate, chain, count
 from operator import truediv
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .distance import checked_radius
 from .errors import ConfigError, EvaluationError
-from .neighbor_index import NeighborIndex, build_indexes
+from .neighbor_index import NeighborIndex, build_indexes, checked_radius
 # ``iou`` and ``nn_iou`` stay module attributes (benchmarks/tracer.py wraps
 # them) although ranking now goes through the scoring core.
-from .relevance import checked_index, checked_lambda, iou, nn_iou
-from .scoring import ScoringCore
+from .scoring import ScoringCore, checked_index, checked_lambda, iou, nn_iou
 
 MEASURES = ("iou", "nniou")
 
@@ -84,6 +82,13 @@ class RankingRun:
             )
 
 
+def checked_k(k: int) -> int:
+    """A ranking cutoff, which must be >= 1."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    return k
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     """Cutoff, weight of approximate matching, and measure for one evaluation."""
@@ -93,8 +98,7 @@ class EvalConfig:
     measure: str = "nniou"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        checked_k(self.k)
         checked_lambda(self.lam)
         if self.measure not in MEASURES:
             raise ConfigError(
@@ -304,7 +308,7 @@ def precision_at_k(
     over the results actually considered (at most k), so exhaustive
     retrieval on a small corpus is not penalized.
     """
-    EvalConfig(k=k)  # rejects a k below 1
+    checked_k(k)
     categories = list(label_categories)
     docs = _docs_by_id(corpus)
     matches = _label_matches(docs.values(), categories)
@@ -412,7 +416,7 @@ class AblationGrid:
         for radius in self.radii:
             checked_radius(radius)
         for k in self.ks:
-            EvalConfig(k=k)
+            checked_k(k)
         _no_repeats(self.lambdas, "lambda")
         _no_repeats(self.radii, "radius")
         _no_repeats(self.ks, "k")

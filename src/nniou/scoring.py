@@ -1,26 +1,43 @@
-"""Exact, pruned nn-IoU ranking over a whole corpus.
+"""nn-IoU between two concept sets, and its exact, pruned ranking over a corpus.
 
-A document can score above zero against a query only if the two share a
-concept or one of them holds a concept whose neighbor list meets the
-other.  So instead of scoring every pair, each concept carries the set of
-documents it can reach that way, a query's candidates are the union of
-those sets over its concepts, and every other document scores exactly 0
-and fills the ranking's tail in id order.  Candidate generation from
-posting lists with top-k pruning follows AllPairs (Bayardo, Ma & Srikant,
-WWW 2007) and top-k set-similarity joins (Xiao et al., ICDE 2009).
+Plain intersection-over-union treats distinct concepts as unrelated even
+when they sit one hop apart in the hierarchy.  nn-IoU credits those near
+misses: concepts of either set that the neighbor index lists next to some
+concept on the other side join the numerator with weight ``lam``::
+
+    nn_iou(A, B) = (|A & B| + lam * |rel(A, B)|) / |A | B|
+
+where ``rel(A, B)`` contains every concept of the symmetric difference
+that participates in at least one within-threshold pair; no concept is
+counted twice, and exact matches stay in the intersection term.  The
+distance threshold n is the radius the index was built at; an index at
+radius 0 lists no neighbors, so nn-IoU then equals IoU.  Both parameters
+are checked in one place each: :func:`checked_lambda` keeps ``lam`` in
+[0, 1] and :func:`checked_index` demands an index when it is > 0.  The
+pairwise functions are pure and safe for concurrent use.
+
+Ranking a whole corpus scores few pairs.  A document can score above
+zero against a query only if the two share a concept or one of them holds
+a concept whose neighbor list meets the other.  So instead of scoring
+every pair, each concept carries the set of documents it can reach that
+way, a query's candidates are the union of those sets over its concepts,
+and every other document scores exactly 0 and fills the ranking's tail in
+id order.  Candidate generation from posting lists with top-k pruning
+follows AllPairs (Bayardo, Ma & Srikant, WWW 2007) and top-k
+set-similarity joins (Xiao et al., ICDE 2009).
 
 Concepts are interned to the bits ``0 .. w-1`` of a Python int, ``w``
 being the number of distinct concepts, and documents to the bits of
 another, numbered by ascending id, so every set above is an int.
 ``near(S)`` holds every concept whose neighbor list meets ``S``.  A query
-``A`` needs, for each candidate ``B``, the weight-free counts::
+``A`` needs, for each candidate ``B``, the weight-free counts of the
+nn-IoU formula::
 
     inter = |A & B|
     rel   = |B & (near(A) - A)| + |A & (near(B) - B)|
     union = |A| + |B| - inter
-    score = (inter + lam * rel) / union
 
-The two halves of ``rel`` are :func:`nniou.relevance.rel_set`'s two loops,
+The two halves of ``rel`` are :func:`rel_set`'s two loops,
 ``(B - A) & near(A)`` and ``(A - B) & near(B)``, for any
 :class:`NeighborIndex`, symmetric or not.  There are two ways to count:
 
@@ -74,8 +91,8 @@ Both ways hand each candidate on as one code ``inter << 2b | rel << b |
 union`` (``b`` bits per field, 8 whenever the sums may run), and one
 ranking tail takes it from there.
 A code's score at a lambda is the same float expression as
-:func:`nniou.relevance.nn_iou`, computed once per code, so rankings match
-the pairwise definition byte for byte.  :meth:`ScoringCore.tops` ranks a
+:func:`nn_iou`, computed once per code, so rankings match the pairwise
+definition byte for byte.  :meth:`ScoringCore.tops` ranks a
 query under a whole list of lambdas from one count, which is how the
 ablation sweep scores each pair once per radius instead of once per
 (radius, lambda) cell; a lambda whose scores equal the previous one's,
@@ -97,15 +114,77 @@ size ranks every other document.
 
 from __future__ import annotations
 
+import math
 import sys
 from itertools import compress, filterfalse, islice
 from operator import attrgetter, itemgetter
-from typing import Sequence
+from typing import Collection, Sequence
 
-from .errors import EvaluationError
+from .errors import ConfigError, EvaluationError
 from .neighbor_index import NeighborIndex
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def iou(a: Collection[str], b: Collection[str]) -> float:
+    """Intersection over union: nn-IoU at lambda 0; 0.0 when both sets are empty."""
+    return nn_iou(a, b, 0)
+
+
+def rel_set(a: Collection[str], b: Collection[str], index: NeighborIndex) -> frozenset[str]:
+    """Related-but-not-shared concepts between two sets.
+
+    A concept qualifies when it lies outside the intersection and the index
+    lists it as a neighbor of some concept on the other side.  The result
+    is a set, so it is independent of any iteration order.
+    """
+    a, b = frozenset(a), frozenset(b)
+    shared = a & b
+    related = set()
+    for x in a - shared:
+        if index.neighbors(x) & b:
+            related.add(x)
+    for y in b - shared:
+        if index.neighbors(y) & a:
+            related.add(y)
+    return frozenset(related)
+
+
+def nn_iou(
+    a: Collection[str],
+    b: Collection[str],
+    lam: float,
+    index: NeighborIndex | None = None,
+) -> float:
+    """Nearest-neighbor-aware IoU; 0.0 when both sets are empty.
+
+    The index is consulted, and required, only when ``lam`` is positive.
+    Concepts absent from the index participate only in exact matching.
+    """
+    checked_lambda(lam)
+    a, b = frozenset(a), frozenset(b)
+    union = a | b
+    if not union:
+        return 0.0
+    related = 0
+    if lam:
+        related = len(rel_set(a, b, checked_index(index)))
+    return (len(a & b) + lam * related) / len(union)
+
+
+def checked_lambda(lam: float) -> float:
+    """The weight of approximate matching, which must lie in [0, 1] and not be -0.0."""
+    if not 0.0 <= lam <= 1.0 or math.copysign(1.0, lam) < 0:
+        raise ConfigError(f"lambda must be in [0, 1], got {lam}")
+    return lam
+
+
+def checked_index(index: NeighborIndex | None) -> NeighborIndex:
+    """The index approximate matching needs, which must be present."""
+    if index is None:
+        raise ConfigError("a neighbor index is required when lambda > 0 "
+                          "(build one with 'nniou build-index')")
+    return index
 
 
 class ScoringCore:

@@ -20,7 +20,7 @@ from nniou import (
     normalize_concept_id,
     parse_edge_file,
 )
-from nniou.distance import bounded_neighborhood, shortest_path_len
+from nniou import bounded_neighborhood, shortest_path_len
 
 from oracles import (
     DistanceOracle,

@@ -6,7 +6,8 @@ checks that CI runs.
 ``benchmarks/tracer.py`` replaces module globals of ``nniou`` by name, so a
 rename or deletion inside the package would break the traced benchmark
 without failing any other test.  The package's modules also take a few
-private names from each other; those are pinned here too.
+private names from each other, and keep a few imported names only for the
+tracer; both lists are pinned here too.
 ``.github/smoke_checks.py`` holds the checks of CI's ``benchmark-smoke``
 job, each called from one of its steps, and reads each benchmark run's
 verdict and output digests.
@@ -103,6 +104,22 @@ def test_cross_module_private_imports_are_the_known_few():
         ("cli", "ranking_eval", "_no_repeats"),
         ("corpus", "neighbor_index", "_UNSTORABLE"),
     ]
+
+
+def test_every_sibling_import_is_used_except_the_tracer_only_few():
+    """Each ``from .module import name`` outside ``__init__`` whose module
+    never uses ``name`` as an AST ``Name``: only the names that
+    ``benchmarks/tracer.py`` wraps may be kept that way."""
+    unused = []
+    for module in sorted(Path(nniou.__file__).parent.glob("*.py")):
+        if module.stem == "__init__":
+            continue
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module.stem}.{alias.asname or alias.name}"
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                   for alias in node.names if (alias.asname or alias.name) not in used]
+    assert sorted(unused) == ["cli.ground_truth_ranking", "ranking_eval.iou", "ranking_eval.nn_iou"]
 
 
 def test_every_smoke_check_runs_in_exactly_one_ci_step():
