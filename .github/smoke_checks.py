@@ -297,6 +297,12 @@ def shuffled(directory: Path) -> None:
     with them the near table and the sums of a query that reaches every
     other document: dense retrieve and eval at radius 2, and ablate on the
     labelled grid at radii 1-2, where only graded queries are asked.
+
+    Each corpus also gets IoU runs (``retrieve --measure iou``), which are
+    not the ground truth, graded by ``eval`` at the workload's lambda and
+    index: their report must be byte-equal too, so gains below the ideal
+    go through the sums on dense and through the walk on sparse and
+    labelled.
     """
     import workloads
     from nniou.cli import main
@@ -317,17 +323,27 @@ def shuffled(directory: Path) -> None:
             out = directory / name / f"{corpus.stem}-out"
             out.mkdir()
             argv, written = workloads.stage_plan(w, {**paths, "corpus": corpus}, out)
+            written |= {"retrieve-iou": out / "iou.runs", "eval-iou": out / "iou-report.json"}
+            argv["retrieve-iou"] = ["retrieve", "--corpus", str(corpus), "--measure", "iou",
+                                    "--k", str(w.k), "--out", str(written["retrieve-iou"])]
+            argv["eval-iou"] = ["eval", "--corpus", str(corpus),
+                                "--runs", str(written["retrieve-iou"]),
+                                "--index", str(written["build-index"]), "--lambda", repr(w.lam),
+                                "--k", str(w.k), "--out", str(written["eval-iou"])]
             for stage, args in argv.items():
                 if main(args) != 0:
                     raise CheckFailed(f"{name}: {stage} failed on {corpus.name}")
             outputs.append({stage: path.read_bytes() for stage, path in written.items()})
         ordered, mixed = outputs
-        for stage in ("build-index", "eval", "ablate"):
+        for stage in ("build-index", "eval", "ablate", "eval-iou"):
             if ordered[stage] != mixed[stage]:
                 raise CheckFailed(f"{name}: {stage} output differs on the shuffled corpus")
-        if sorted(ordered["retrieve"].splitlines()) != sorted(mixed["retrieve"].splitlines()):
-            raise CheckFailed(f"{name}: retrieve runs differ on the shuffled corpus")
-        print(f"{name}: every output agrees on the shuffled corpus")
+        for stage in ("retrieve", "retrieve-iou"):
+            if sorted(ordered[stage].splitlines()) != sorted(mixed[stage].splitlines()):
+                raise CheckFailed(f"{name}: {stage} runs differ on the shuffled corpus")
+        graded = json.loads(ordered["eval-iou"])["reports"][0]
+        print(f"{name}: every output agrees on the shuffled corpus; the IoU runs grade "
+              f"{graded['metric']} = {graded['aggregate']!r}")
 
 
 CHECKS: dict[str, Callable[[Path], None]] = {

@@ -306,6 +306,22 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _warn_left_out(reports: Sequence[MetricReport], runs, k: int) -> None:
+    """Warn once about the queries the reports exclude and once about the runs
+    padded to ``k``, each with a count and one example, in either format."""
+    excluded = [(entry, report.metric) for report in reports for entry in report.exclusions]
+    if excluded:
+        (entry, metric), queries = excluded[0], {entry["query_id"] for entry, _ in excluded}
+        _warn(f"{len(queries)} query(s) excluded from a report, e.g. {entry['query_id']!r} "
+              f"from {metric}: {entry['reason']}")
+    padded = sorted((run.query_id, len(run.ranked_ids)) for run in runs
+                    if len(run.ranked_ids) < k)
+    if padded:
+        query_id, length = padded[0]
+        _warn(f"{len(padded)} run(s) shorter than k={k} padded with zero relevance, "
+              f"e.g. {query_id!r} with {length} result(s)")
+
+
 def _cmd_eval(args) -> int:
     if args.categories is not None and not args.class_map:
         raise ConfigError("--categories needs --class-map to derive the labels it names")
@@ -323,6 +339,7 @@ def _cmd_eval(args) -> int:
             reports.append(precision_at_k(labeled, runs, args.k, [category]))
         if len(categories) > 1:
             reports.append(precision_at_k(labeled, runs, args.k, categories))
+    _warn_left_out(reports, runs, args.k)
     if args.format == "json":
         payload = {"reports": [r.to_dict() for r in reports]}
         text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

@@ -14,9 +14,12 @@ position: each result contributes its relevance divided by
 log2(rank + 1), the resulting DCG is normalized by the ideal DCG, that of
 the query's k largest scores, and the final metric is the mean per-query
 NDCG.  nn-CUI@K builds no ranking: one count per query scores every
-candidate (:meth:`ScoringCore.gains`), the ideal takes the k largest
-values, and the run's documents are looked up in it, so its result does
-not depend on tie order.
+candidate (:meth:`ScoringCore.gains`), a summed query every document as
+one row by number; the ideal takes the k largest scores with
+``heapq.nlargest``, and each run document's gain comes from the lookup
+``gains`` returns: by number in a row, else by id, 0.0 for a document
+that is no candidate.  A row builds no candidate id list or score dict,
+and the result does not depend on tie order.
 
 :func:`ablation_rows` is the (radius, lambda, k) Precision@K sweep behind
 ``nniou ablate``.  It walks the graph once, to the largest radius, for an
@@ -256,7 +259,9 @@ def nn_cui_at_k(
     measure against the query's concepts; the ideal DCG is that of the k
     largest scores over the candidate pool, in descending order, so it does
     not depend on how ties are ordered.  One count per query gives both:
-    :meth:`ScoringCore.gains` scores every candidate once.  Corpus documents
+    :meth:`ScoringCore.gains` scores every candidate once, or a summed
+    query's whole row, whose own entry scores 0, and returns a lookup of
+    each run document's score, 0.0 for a non-candidate.  Corpus documents
     without a run are skipped as queries and recorded as exclusions; runs
     shorter than k are padded with zero relevance and noted.  The report's
     ``"n"`` is the index's radius, or 1 without an index.
@@ -279,11 +284,8 @@ def nn_cui_at_k(
                 f"query {query_id}: run returned {len(top)} of k={cfg.k} results; "
                 "missing positions padded with zero relevance"
             )
-        # non-candidates score exactly 0, so they are not listed
-        gains = core.gains(query_id, lam)
-        gain = gains.get
-        per_query[query_id] = ndcg_at_k([gain(r, 0.0) for r in top],
-                                        heapq.nlargest(cfg.k, gains.values()), cfg.k)
+        scores, gains_of = core.gains(query_id, lam)
+        per_query[query_id] = ndcg_at_k(gains_of(top), heapq.nlargest(cfg.k, scores), cfg.k)
 
     metric = f"nn-CUI@{cfg.k}" if cfg.measure == "nniou" else f"CUI@{cfg.k}"
     config = {

@@ -53,16 +53,21 @@ The two halves of ``rel`` are :func:`rel_set`'s two loops,
   of ``spread[c]`` over ``A``, and ``rel`` the sum of ``meets[c]`` over
   ``A`` plus that of ``spread[c]`` over ``near(A) - A``: a few dozen big
   int additions.  ``to_bytes`` reads the sums out, and one
-  ``memoryview.cast`` gives every document's code; a query that reaches
-  every other document keeps them all but its own, and any other keeps
-  those it reaches.  A core with a summed document builds every concept's
-  two ints when it is made, from its bitmasks with bytes work (``bin``,
-  ``translate``, ``int.from_bytes``).
+  ``memoryview.cast`` gives every document's code.  A query that reaches
+  every other document keeps them all, as one *row* indexed by document
+  number, with its own code set to one that scores 0 (union 1, inter 0,
+  rel 0), so no candidate list is built; any other keeps the numbers and
+  codes of the documents it reaches, except for :meth:`ScoringCore.gains`,
+  which takes every summed query's whole row.  A core with a summed document
+  builds every concept's two ints when it is made, from its bitmasks with
+  bytes work (``bin``, ``translate``, ``int.from_bytes``).
 * The *near table* lets the documents fill in ``|B & (near(A) - A)|``
   once for every query: per document ``B``, the sum of ``meets[c]`` over
   ``B``'s concepts, so its byte ``B*n + q`` is ``|B & (near(q) - q)|``,
   and its column ``q``, one strided slice, replaces the sum over
-  ``near(A) - A``.  That only regroups ``meets``, so it holds for
+  ``near(A) - A``.  Its row ``q`` is the sum of ``meets[c]`` over ``q``'s
+  own concepts, the other half of ``rel``, so one contiguous slice
+  replaces that sum too.  That only regroups ``meets``, so it holds for
   asymmetric indexes too.  It is built with the two ints.
 
 The switch rule is fixed: a query is summed when its candidates are at
@@ -85,7 +90,7 @@ the codes as.  Any other corpus is always walked.  The near table takes
 while that is at most the ``2 * w * n`` bytes that ``spread`` and
 ``meets`` can take, ``n <= 2w``, and only when some concept is near a
 document that does not hold it, so never at radius 0 or for IoU.  Any
-other summed corpus keeps the sum over ``near(A) - A``.
+other summed corpus keeps both sums of ``rel``.
 
 Both ways hand each candidate on as one code ``inter << 2b | rel << b |
 union`` (``b`` bits per field, 8 whenever the sums may run), and one
@@ -97,33 +102,34 @@ query under a whole list of lambdas from one count, which is how the
 ablation sweep scores each pair once per radius instead of once per
 (radius, lambda) cell; a lambda whose scores equal the previous one's,
 as every lambda's do at radius 0, reuses its ranking.
-:meth:`ScoringCore.gains` takes the same count and ranks nothing: it maps
-each candidate to its score, which is all nn-CUI@K needs, since an ideal
-DCG depends only on the k largest gains and a run's documents are looked
-up in it.
+:meth:`ScoringCore.gains` takes the same count and ranks nothing: it
+returns the scores, whose k largest values are all an ideal DCG needs,
+and a lookup of run documents' scores: by number in a summed query's
+row, and by id from a dict of a walked query's candidates.
 Queries and results are document ids.  The core sorts its documents by id
-once and numbers them in that order, so both ways list the candidates in
-id order, and one stable sort by descending score breaks every tie by id.
-Per lambda, the candidates' float scores come first and the k-th largest
-is a cut: only positive scores at or above it are sorted, so a query
-sorts about k of them instead of one per candidate, and every float tie
-at the cut is kept.  Every other document scores 0 and follows in id
-order.  Every ranking has a cutoff; a ``k`` of one less than the corpus
-size ranks every other document.
+once and numbers them in that order, so both ways list the counted
+documents in id order.  Per lambda, one stable sort of their positions
+by descending float score, ``sorted(positions, key=scores.__getitem__,
+reverse=True)[:k]``, keeps the ``k`` best and breaks every tie by id.
+Only the positive scores it keeps are mapped to ids; every other document
+scores 0 and follows in id order.  Every ranking has a cutoff; a ``k`` of
+one less than the corpus size ranks every other document.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import compress, filterfalse, islice
-from operator import attrgetter, itemgetter
-from typing import Collection, Sequence
+from itertools import compress, filterfalse, islice, repeat
+from operator import attrgetter
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import ConfigError, EvaluationError
 from .neighbor_index import NeighborIndex
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
+# the lookup ScoringCore.gains returns: ids in, their scores out
+_Lookup = Callable[[Iterable[str]], list[float]]
 
 
 def iou(a: Collection[str], b: Collection[str]) -> float:
@@ -210,6 +216,7 @@ class ScoringCore:
         docs = sorted(docs, key=attrgetter("id"))
         self.ids = [doc.id for doc in docs]
         self._number = {doc_id: r for r, doc_id in enumerate(self.ids)}
+        self._row = range(len(docs))  # every document number, as a whole row lists them
         self._sizes = [len(doc.concepts) for doc in docs]
         bit: dict[str, int] = {}
         postings: list[int] = []
@@ -270,17 +277,19 @@ class ScoringCore:
         descending score, ties by ascending id.  Only reachable documents
         are scored, and each of them once: its weight-free (inter, rel,
         union) counts are kept as one code and re-weighted per lambda.
-        Candidates come in id order, so one stable sort by score breaks
-        ties by id.  Per lambda, the k-th largest float score is the cut,
-        and only positive scores at or above it are sorted; float ties at
-        the cut all take part.  The positive ones come first, and every
-        other document, reachable or not, scores 0 and fills the rest in id
+        The count lists documents by number, so in id order, and per lambda
+        one stable sort of their positions by descending score keeps the top
+        ``k``, every float tie in id order; only its positive scores are
+        mapped to ids.  Every other document, reachable or not, ``q``'s own
+        entry in a whole row included, scores 0 and fills the rest in id
         order.  A lambda whose scores equal the previous lambda's, as every
         lambda's do when no candidate has a related concept (radius 0), gets
-        a copy of that ranking instead of a sort.  :meth:`gains` gives the
-        scores.
+        a copy of that ranking instead of a sort.  :meth:`gains` gives
+        the scores.
         """
-        candidates, codes = self._count(q)
+        numbers, codes = self._count(q)
+        ids = self.ids
+        positions = range(len(codes))
         rankings = []
         last = None
         for lam in lams:
@@ -289,37 +298,47 @@ class ScoringCore:
                 rankings.append(rankings[-1].copy())
                 continue
             last = scores
-            cut = sorted(scores)[-k] if len(scores) > k else 0.0
-            kept = [(s, j) for s, j in zip(scores, candidates) if s >= cut and s > 0]
-            kept.sort(key=itemgetter(0), reverse=True)
-            ranked = [j for _, j in kept[:k]]
+            top = sorted(positions, key=scores.__getitem__, reverse=True)[:k]
+            ranked = [ids[numbers[i]] for i in top if scores[i] > 0]
             if len(ranked) < k:
                 # every positive document is ranked already; the rest score 0
                 skip = {q, *ranked}
-                ranked += islice(filterfalse(skip.__contains__, self.ids), k - len(ranked))
+                ranked += islice(filterfalse(skip.__contains__, ids), k - len(ranked))
             rankings.append(ranked)
         return rankings
 
-    def gains(self, q: str, lam: float) -> dict[str, float]:
-        """Every candidate of query ``q`` with its score at ``lam``, by id.
+    def gains(self, q: str, lam: float) -> tuple[Collection[float], _Lookup]:
+        """Query ``q``'s scores at ``lam``, and a lookup of documents' scores by id.
 
-        The candidates are the documents :meth:`tops` scores, each score
-        the float it ranks by; every other document, ``q`` itself aside,
-        scores exactly 0 at every lambda (see :meth:`_walk`).  Nothing is
-        ranked: an ideal DCG needs only the largest values.
+        The scores are the floats :meth:`tops` ranks by, one per counted
+        document, so their ``k`` largest values are the ideal gains.  The
+        lookup maps ids, a run's for one, to their scores in one call: by
+        document number from the whole row of a summed query, even one that
+        reaches fewer documents (``q``'s own entry scores 0 there), and
+        otherwise by id from a dict of the candidates, 0.0 for a document
+        that is none, as every such document scores exactly 0 at every lambda
+        (see :meth:`_walk`).  Nothing is ranked.
         """
-        candidates, codes = self._count(q)
-        return dict(zip(candidates, map(self._table(lam).__getitem__, codes)))
+        numbers, codes = self._count(q, whole=True)
+        score = self._table(lam).__getitem__
+        if numbers is self._row:
+            scores = list(map(score, codes))
+            number = self._number.__getitem__
+            return scores, lambda ids: list(map(scores.__getitem__, map(number, ids)))
+        by_id = dict(zip(map(self.ids.__getitem__, numbers), map(score, codes)))
+        return by_id.values(), lambda ids: list(map(by_id.get, ids, repeat(0.0)))
 
-    def _count(self, q: str) -> tuple[list[str], Sequence[int]]:
-        """Query ``q``'s candidates, in id order, and their count codes."""
+    def _count(self, q: str, whole: bool = False) -> tuple[Sequence[int], Sequence[int]]:
+        """Query ``q``'s counted documents, as numbers in ascending order, and
+        their count codes: its candidates, or the whole row ``self._row``,
+        which ``whole`` asks of every summed query."""
         if len(self.ids) < 2:
             raise EvaluationError(
                 f"no candidate documents for query {q!r} (corpus too small)"
             )
         r = self._number[q]
         if self._summed[r]:
-            return self._sums(r, self._reach[r])
+            return self._sums(r, self._reach[r], whole)
         return self._walk(r, self._reach[r])
 
     def _table(self, lam: float) -> _Scores:
@@ -328,9 +347,9 @@ class ScoringCore:
             self._scores[lam] = _Scores(lam, self._bits)
         return self._scores[lam]
 
-    def _walk(self, q: int, reach: int) -> tuple[list[str], list[int]]:
-        """The candidates of query number ``q``, as ids in id order, each
-        with its count code.
+    def _walk(self, q: int, reach: int) -> tuple[list[int], list[int]]:
+        """The candidates of query number ``q``, as numbers in ascending
+        order, each with its count code.
 
         Candidates are the reachable documents, ``reach``: each shares a
         concept with ``q`` or holds a neighbor of one, so its inter or rel
@@ -338,26 +357,29 @@ class ScoringCore:
         included, scores 0 at every lambda.  Each candidate costs two ANDs
         and two popcounts on its packed int.
         """
-        packed, sizes, width, ids = self._packed, self._sizes, self._width, self.ids
+        packed, sizes, width = self._packed, self._sizes, self._width
         held = packed[q] & self._held_bits
         swapped = packed[q] >> width | held << width
         # inter << 2 * bits | rel << bits | union, where union = the two
         # sizes - inter
         bits, inter_weight, size_q = self._bits, self._inter_weight, sizes[q]
-        candidates: list[str] = []
+        candidates: list[int] = []
         codes: list[int] = []
         while reach:
             low = reach & -reach
             reach ^= low
             r = low.bit_length() - 1
             p = packed[r]
-            candidates.append(ids[r])
+            candidates.append(r)
             codes.append((held & p).bit_count() * inter_weight
                          + ((swapped & p).bit_count() << bits) + size_q + sizes[r])
         return candidates, codes
 
-    def _sums(self, q: int, reach: int) -> tuple[list[str], Sequence[int]]:
-        """What :meth:`_walk` returns, from byte-field sums over the corpus.
+    def _sums(self, q: int, reach: int, whole: bool) -> tuple[Sequence[int], Sequence[int]]:
+        """What :meth:`_walk` returns, from byte-field sums over the corpus;
+        the whole row instead when ``whole`` or when ``q`` reaches every other
+        document.  A document ``q`` does not reach has inter and rel 0 in
+        it, and ``q`` has concepts, so that document scores exactly 0.
 
         ``spread[c]`` holds a 1 in the field of every document holding
         ``c``, and ``meets[c]`` in that of every document near ``c``
@@ -368,32 +390,36 @@ class ScoringCore:
             inter = sum(spread[c] for c in A)
             rel   = sum(meets[c] for c in A) + sum(spread[c] for c in N)
 
-        Where the core has a near table, its column ``q`` is the last sum.  A
-        field never carries into the next one: ``inter`` is at most the
-        largest document's size, and ``rel`` and ``union`` at most twice
-        that, below 256 in a summable corpus.
+        Where the core has a near table, its row ``q`` is the sum of
+        ``meets`` and its column ``q`` the last sum.  A field never carries
+        into the next one: ``inter`` is at most the largest document's size,
+        and ``rel`` and ``union`` at most twice that, below 256 in a
+        summable corpus.
         """
         spread, packed, n = self._spread, self._packed[q], len(self.ids)
         held = _digits(packed & self._held_bits)
         inter = sum(compress(spread, held))
-        rel = sum(compress(self._meets, held))
-        if self._near_rows:
-            rel += int.from_bytes(self._near_rows[q::n], "little")
+        rows = self._near_rows
+        if rows:
+            rel = (int.from_bytes(rows[q * n:(q + 1) * n], "little")
+                   + int.from_bytes(rows[q::n], "little"))
         else:
-            rel += sum(compress(spread, _digits(packed >> self._width)))
+            rel = (sum(compress(self._meets, held))
+                   + sum(compress(spread, _digits(packed >> self._width))))
         union = self._size_fields + self._sizes[q] * self._one_fields - inter
         # each document's code is 4 bytes, from the lowest: union, rel, inter, 0
         data = bytearray(4 * n)
         data[0::4] = union.to_bytes(n, "little")
         data[1::4] = rel.to_bytes(n, "little")
         data[2::4] = inter.to_bytes(n, "little")
-        if reach.bit_count() == n - 1:
-            # every other document: drop q's own code, and compress nothing
-            del data[4 * q:4 * q + 4]
-            return self.ids[:q] + self.ids[q + 1:], memoryview(data).cast("I")
+        if whole or reach.bit_count() == n - 1:
+            # the whole row, compressed by nothing, with q's own code made
+            # union 1, rel 0, inter 0, which scores 0
+            data[4 * q:4 * q + 4] = b"\1\0\0\0"
+            return self._row, memoryview(data).cast("I")
         chosen = _digits(reach)
         codes = memoryview(data).cast("I")
-        return list(compress(self.ids, chosen)), list(compress(codes, chosen))
+        return list(compress(self._row, chosen)), list(compress(codes, chosen))
 
     def _build(self, postings: list[int], near: list[int]) -> None:
         """Fill in ``spread`` and ``meets`` from the documents holding each

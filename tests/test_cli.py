@@ -61,6 +61,11 @@ def _with_site_category(cmap):
     return path
 
 
+# the four documents holding noise from both site groups get no site label
+SITE_EXCLUSIONS = ("warning: 4 query(s) excluded from a report, e.g. 'ct000' from "
+                   "Precision@5[site]: missing label(s): site\n")
+
+
 def _with_unused_category(cmap):
     """The class map plus a category whose only concept no document carries."""
     payload = json.loads(cmap.read_text(encoding="utf-8"))
@@ -347,6 +352,52 @@ class TestRetrieveAndEval:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "metric,query_id,score"
         assert lines[1].startswith("CUI@3,ct000,")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_eval_warns_once_about_exclusions_and_padded_runs(self, tmp_path, capsys, fmt):
+        """Four documents and one 1-id run at k=3: three queries have no run and
+        the one run is padded.  Each kind is one warning with a count and an
+        example, in either format; a full set of runs gives none."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"id": i, "cuis": c}) + "\n" for i, c in (
+            ("a", ["C1"]), ("b", ["C1", "C2"]), ("c", ["C2"]), ("d", ["C3"]))), encoding="utf-8")
+        runs = tmp_path / "r.runs"
+        write_runs([RankingRun("a", ["b"])], runs)
+        argv = ["eval", "--corpus", str(corpus), "--runs", str(runs), "--measure", "iou",
+                "--k", "3", "--format", fmt]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == (
+            "warning: 3 query(s) excluded from a report, e.g. 'b' from CUI@3: "
+            "no run provided\n"
+            "warning: 1 run(s) shorter than k=3 padded with zero relevance, "
+            "e.g. 'a' with 1 result(s)\n"
+        )
+        if fmt == "csv":
+            assert out == "metric,query_id,score\nCUI@3,a,1.000000\n"
+        else:
+            (report,) = json.loads(out)["reports"]
+            assert [e["query_id"] for e in report["exclusions"]] == ["b", "c", "d"]
+            assert report["notes"] == ["query a: run returned 1 of k=3 results; "
+                                       "missing positions padded with zero relevance"]
+        write_runs([RankingRun(q, [d for d in "abcd" if d != q]) for q in "abcd"], runs)
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_eval_counts_each_excluded_query_once_across_reports(self, workspace, capsys):
+        """A query without a run is excluded from nn-CUI@K and from Precision@K:
+        one query, one warning, and its example from the first report."""
+        tmp_path, edges, corpus, cmap, index = self._build(workspace)
+        runs = tmp_path / "r.runs"
+        docs = read_corpus(corpus)
+        write_runs([RankingRun(d.id, [o.id for o in docs if o is not d][:5]) for d in docs[1:]],
+                   runs)
+        assert main(["eval", "--corpus", str(corpus), "--runs", str(runs), "--index", str(index),
+                     "--k", "5", "--class-map", str(cmap), "--format", "csv"]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: 1 query(s) excluded from a report, e.g. {docs[0].id!r} from nn-CUI@5: "
+            "no run provided\n"
+        )
 
     def test_an_id_holding_u2028_round_trips_retrieve_then_eval(self, tmp_path, capsys):
         """Runs are written with the raw U+2028, which ends no record on reading."""
@@ -755,7 +806,7 @@ class TestRetrieveAndEval:
         cmap = _with_site_category(workspace[3])
         code, err, payload, _ = self._eval_report(
             workspace, capsys, "--class-map", str(cmap), "--categories", "site")
-        assert (code, err) == (0, "")
+        assert (code, err) == (0, SITE_EXCLUSIONS)
         assert [r["metric"] for r in payload["reports"]] == ["nn-CUI@5", "Precision@5[site]"]
         assert payload["reports"][1]["config"] == {"k": 5, "categories": ["site"]}
 
@@ -766,7 +817,7 @@ class TestRetrieveAndEval:
         cmap = _with_site_category(workspace[3])
         code, err, payload, runs = self._eval_report(
             workspace, capsys, "--class-map", str(cmap), *categories)
-        assert (code, err) == (0, "")
+        assert (code, err) == (0, SITE_EXCLUSIONS)
         assert [r["metric"] for r in payload["reports"]] == [
             "nn-CUI@5", "Precision@5[modality]", "Precision@5[site]",
             "Precision@5[modality&site]",

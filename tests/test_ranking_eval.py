@@ -25,9 +25,10 @@ from nniou import (
     precision_at_k,
 )
 from nniou import ranking_eval
+from nniou.scoring import ScoringCore
 
-from oracles import brute_precision
-from synthdata import planted_cluster_corpus
+from oracles import DistanceOracle, brute_nn_iou, brute_precision
+from synthdata import planted_cluster_corpus, random_tree_corpus
 
 
 def _iou_cfg(k: int) -> EvalConfig:
@@ -367,6 +368,58 @@ class TestPrecisionAtK:
                 labeled, runs, k, ["modality"]
             ).aggregate
         assert scores[(0.5, 1)] >= scores[(0.0, 0)]
+
+
+# Graded runs that are not the ground truth, each per-query value against
+# ndcg_at_k over the oracle's scores.  At radius 1 the tree corpus sums 25
+# of its 30 queries and walks 5, the planted one sums 23 of 24 and walks 1;
+# at radius 2 the tree corpus sums all 30, 3 of them as whole rows.
+GRADED_CORPORA = {
+    "tree": lambda: random_tree_corpus(seed=3, num_nodes=40, num_docs=30),
+    "planted": lambda: planted_cluster_corpus(docs_per_cluster=12)[:2],
+}
+GRADED_LAMBDAS = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0)
+
+
+def _graded_runs(docs, index, k, kind):
+    """Seeded runs of one ``kind``: the ground truth's top 2k shuffled and cut
+    to k, the ground truth cut short so it is padded, or IoU's own top k."""
+    rng = random.Random(11)
+    if kind == "iou":
+        return ground_truth_rankings(docs, EvalConfig(k=k, measure="iou"))
+    truth = ground_truth_rankings(docs, EvalConfig(k=2 * k, lam=0.5), index)
+    if kind == "shuffled":
+        return [RankingRun(run.query_id, rng.sample(run.ranked_ids, len(run.ranked_ids))[:k])
+                for run in truth]
+    return [RankingRun(run.query_id, run.ranked_ids[:rng.randrange(k)]) for run in truth]
+
+
+@pytest.mark.parametrize("kind", ["shuffled", "short", "iou"])
+@pytest.mark.parametrize("corpus, radius", [("tree", 1), ("tree", 2), ("planted", 1)])
+def test_runs_that_are_not_the_ground_truth_grade_like_the_oracle(corpus, radius, kind):
+    graph, docs = GRADED_CORPORA[corpus]()
+    by_id = {doc.id: doc for doc in docs}
+    index = build_index(graph, set().union(*(d.concepts for d in docs)), radius)
+    summed = ScoringCore(docs, index)._summed
+    assert any(summed) and (radius == 2 or not all(summed))
+    dist = DistanceOracle(graph.node_names, graph.edges()).dist
+    k = 5
+    runs = _graded_runs(docs, index, k, kind)
+    below_ideal = 0
+    for lam in GRADED_LAMBDAS:
+        report = nn_cui_at_k(docs, runs, EvalConfig(k=k, lam=lam), index)
+        expected = {}
+        for run in runs:
+            query = by_id[run.query_id]
+            gains = {d.id: brute_nn_iou(query.concepts, d.concepts, lam, radius, dist)
+                     for d in docs if d is not query}
+            expected[run.query_id] = ndcg_at_k([gains[i] for i in run.ranked_ids],
+                                               sorted(gains.values(), reverse=True), k)
+        assert report.per_query == dict(sorted(expected.items()))
+        below_ideal += sum(0 < value < 1 for value in report.per_query.values())
+        if kind == "short":
+            assert len(report.notes) == len(runs)
+    assert below_ideal
 
 
 class TestLabelFromConcepts:

@@ -8,6 +8,7 @@ every other document by (-nn_iou, id) and to nn_iou itself.
 
 from __future__ import annotations
 
+import heapq
 from contextlib import contextmanager
 from dataclasses import replace
 from operator import attrgetter
@@ -31,6 +32,7 @@ from nniou import (
     ground_truth_ranking,
     ground_truth_rankings,
     iou,
+    ndcg_at_k,
     nn_cui_at_k,
     nn_iou,
     precision_at_k,
@@ -104,10 +106,9 @@ def _pair_score(cfg, index):
 
 
 def _gains_of(core, q, lam, ranked):
-    """Each ranked id's score against ``q`` at ``lam``: its ``core.gains`` entry, or
-    0.0 for a document that is no candidate."""
-    gain = core.gains(q, lam).get
-    return [gain(j, 0.0) for j in ranked]
+    """Each ranked id's score against ``q`` at ``lam``, by ``core.gains``' lookup,
+    which gives 0.0 for a document that is no candidate."""
+    return core.gains(q, lam)[1](ranked)
 
 
 @settings(max_examples=300)
@@ -238,7 +239,8 @@ def test_lambda_zero_candidate_sorts_by_id_between_non_candidates():
     ranked = core.tops("q", (0.0,), 4)[0]
     assert ranked == ["p", "c", "m", "x"]
     assert _gains_of(core, "q", 0.0, ranked) == [1.0, 0.0, 0.0, 0.0]
-    assert "m" in core.gains("q", 0.0) and "c" not in core.gains("q", 0.0)
+    counted = [core.ids[r] for r in core._count("q")[0]]
+    assert "m" in counted and "c" not in counted
 
 
 @settings(max_examples=200)
@@ -348,11 +350,11 @@ def test_related_concepts_on_the_first_and_last_concept_bits(entries):
             return nn_iou(a, b, lam, index)
 
         for query in docs:
-            gains = core.gains(query.id, lam)
+            gains_of = core.gains(query.id, lam)[1]
             for doc in docs:
                 related |= rel_set(query.concepts, doc.concepts, index)
                 if doc is not query:
-                    assert gains.get(doc.id, 0.0) == score(query.concepts, doc.concepts)
+                    assert gains_of([doc.id]) == [score(query.concepts, doc.concepts)]
             expected = brute_ranking(query, docs, score)
             top = core.tops(query.id, (lam,), len(docs) - 1)[0]
             assert top == expected
@@ -476,33 +478,54 @@ def _ranks_as_expected(core, query, expected, k):
         assert _gains_of(core, query.id, lam, top) == scores[:k]
 
 
-@contextmanager
-def _summed_queries():
-    """Record the number of every summed query, in a list yielded.
+def _walk_only(core, q, reach, whole):
+    """``ScoringCore._walk`` in place of the sums: every count walked."""
+    return core._walk(q, reach)
 
-    Each summed count must equal the walk's ``(candidates, codes)``.
+
+# a test parameter: count as the core chooses, or with _sums patched to walk
+WALK = pytest.mark.parametrize("walk", [False, True], ids=["as-counted", "walk-forced"])
+
+
+@contextmanager
+def _summed_queries(walk=False):
+    """Record the number of every summed query, in a list yielded; with
+    ``walk``, every one of them is walked instead (``_walk_only``).
+
+    Each summed count must equal the walk's ``(candidates, codes)``.  A whole
+    row, asked for or of a query reaching every other document, must list
+    every document, ``q``'s own code scoring 0, every document the walk
+    skips with inter and rel 0, and the walk's candidates as the walk does.
     """
     summed = []
-    sums = ScoringCore._sums
+    sums = _walk_only if walk else ScoringCore._sums
 
-    def recording(self, q, reach):
+    def recording(self, q, reach, whole):
         summed.append(q)
-        candidates, codes = sums(self, q, reach)
-        assert (candidates, list(codes)) == self._walk(q, reach)
-        return candidates, codes
+        numbers, codes = sums(self, q, reach, whole)
+        counted = list(zip(numbers, codes))
+        if numbers is self._row:
+            assert whole or reach.bit_count() == len(self.ids) - 1
+            assert counted.pop(q) == (q, 1)  # union 1, rel 0, inter 0
+            skipped = [c for r, c in counted if not reach >> r & 1]
+            assert all(c >> self._bits == 0 for c in skipped)
+            counted = [(r, c) for r, c in counted if reach >> r & 1]
+        assert counted == list(zip(*self._walk(q, reach)))
+        return numbers, codes
 
     with mock.patch.object(ScoringCore, "_sums", recording):
         yield summed
 
 
-def _ranks_like_brute_force(docs, index):
+def _ranks_like_brute_force(docs, index, walk=False):
     """Rank every query under SWITCH_LAMBDAS at every k from 1 to N + 2.
 
-    Returns the core and the numbers of the queries that were summed; each
-    summed query's counts are also checked against the walk's.
+    Returns the core and the numbers of the queries that were summed (or,
+    with ``walk``, would have been); each summed query's counts are also
+    checked against the walk's.
     """
     core = ScoringCore(docs, index)
-    with _summed_queries() as summed:
+    with _summed_queries(walk) as summed:
         for query in docs:
             expected = _brute_tops(docs, index, query)
             for k in range(1, len(docs) + 3):
@@ -510,11 +533,12 @@ def _ranks_like_brute_force(docs, index):
     return core, summed
 
 
+@WALK
 @settings(max_examples=150)
 @given(summed_corpora())
-def test_summed_queries_rank_like_brute_force_and_count_like_the_walk(case):
+def test_summed_queries_rank_like_brute_force_and_count_like_the_walk(walk, case):
     docs, index = case
-    core, summed = _ranks_like_brute_force(docs, index)
+    core, summed = _ranks_like_brute_force(docs, index, walk)
     # every query with concepts took the sums, at every k; the core numbers
     # documents by id, and ids[r] names number r
     nonempty = sorted(d.id for d in docs if d.concepts)
@@ -672,12 +696,81 @@ def test_both_counts_agree_on_a_query_with_no_concepts_in_a_dense_corpus():
     ]
     core = ScoringCore(docs)
     e = core._number["e"]
-    assert core._sums(e, 0) == core._walk(e, 0) == ([], [])
+    assert core._sums(e, 0, False) == core._walk(e, 0) == ([], [])
     assert core.tops("e", (0.5,), 4)[0] == ["d0", "d1", "d2", "d3"]
-    assert core.gains("e", 0.5) == {}
+    scores, gains_of = core.gains("e", 0.5)
+    assert list(scores) == [] and gains_of(["d0", "d3"]) == [0.0, 0.0]
     ranked = core.tops("d0", (0.5,), 4)[0]
     assert ranked == ["d1", "d2", "d3", "e"]
     assert _gains_of(core, "d0", 0.5, ranked) == [1 / 3, 1 / 3, 1 / 3, 0.0]
+
+
+# h lists g, and g lists nothing back
+ROW_INDEX = NeighborIndex(radius=1, source_checksum="hand", entries={"h": frozenset({"g"})})
+ROW_CORPORA = {
+    # a reaches every other document: b through h's list, c through h, d
+    # through z; b and c reach two of three, d one
+    "whole": ([Document("d", frozenset({"z"})), Document("a", frozenset({"h", "z"})),
+               Document("c", frozenset({"h"})), Document("b", frozenset({"g"}))],
+              {"a": "row", "b": "summed", "c": "summed", "d": "walked"}),
+    # a, b and c each reach the two others, exactly half of the other four,
+    # so they are summed with the compress by reach; d and the empty e reach
+    # nothing
+    "boundary": ([Document("e", frozenset()), Document("c", frozenset({"h", "y"})),
+                  Document("a", frozenset({"h"})), Document("d", frozenset({"z"})),
+                  Document("b", frozenset({"g"}))],
+                 {"a": "summed", "b": "summed", "c": "summed", "d": "walked", "e": "walked"}),
+}
+
+
+def _count_shape(core, q):
+    """How ``q`` was counted: its whole row, summed by reach, or walked."""
+    if core._count(q)[0] is core._row:
+        return "row"
+    return "summed" if core._summed[core._number[q]] else "walked"
+
+
+def _row_like_the_oracle(docs, index, core):
+    """Every query ranks as ``brute_ranking`` at every k up to N + 1 and under
+    every switch lambda; its gains, and the ideal gains, are nn_iou's; a whole
+    row's own entry scores 0 and is never ranked or graded."""
+    by_id = {d.id: d for d in docs}
+    for query in docs:
+        numbers, codes = core._count(query.id)
+        if numbers is core._row:
+            own = codes[core._number[query.id]]
+            assert {core._table(lam)[own] for lam in SWITCH_LAMBDAS} == {0.0}
+        expected = _brute_tops(docs, index, query)
+        for k in range(1, len(docs) + 2):
+            _ranks_as_expected(core, query, expected, k)
+        for lam, (ranked, scores) in zip(SWITCH_LAMBDAS, expected):
+            row, gains_of = core.gains(query.id, lam)
+            assert gains_of(ranked) == scores
+            assert sorted(filter(None, row)) == sorted(filter(None, scores))
+            measure = "iou" if index is None else "nniou"
+            score = _pair_score(EvalConfig(k=1, lam=lam, measure=measure), index)
+            for k in (1, len(docs) - 1, len(docs) + 1):
+                runs = [RankingRun(query.id, ranked[::-1][:k])]  # worst first
+                want = brute_nn_cui(docs, runs, k, score)
+                cfg = EvalConfig(k=k, lam=lam, measure=measure)
+                assert nn_cui_at_k(docs, runs, cfg, index).per_query == want
+                assert ndcg_at_k(gains_of(runs[0].ranked_ids),
+                                 heapq.nlargest(k, row), k) == want[query.id]
+
+
+@pytest.mark.parametrize("name", ROW_CORPORA)
+@WALK
+def test_the_row_ranks_and_grades_like_the_oracle(name, walk):
+    """A whole row, a summed query at the switch boundary, and walked queries,
+    over an asymmetric index, at every k up to one past the corpus; then the
+    same with every count walked."""
+    docs, shapes = ROW_CORPORA[name]
+    core = ScoringCore(docs, ROW_INDEX)
+    assert {q: _count_shape(core, q) for q in shapes} == shapes
+    with _summed_queries(walk):
+        if walk:
+            assert {_count_shape(core, q) for q in shapes} <= {"summed", "walked"}
+        _row_like_the_oracle(docs, ROW_INDEX, core)
 
 
 @settings(max_examples=100)
@@ -703,38 +796,51 @@ def test_dense_rankings_and_nn_cui_equal_brute_force(case, lam, data):
     assert len(summed) == 2 * sum(1 for d in docs if d.concepts)
 
 
-def _gains_equal_nn_iou(docs, index, lams):
-    """Every pair q != j: the gain, 0.0 for a non-candidate, is nn_iou's float.
+def _gains_equal_nn_iou(docs, index, lams, walk=False):
+    """Every pair q != j: the gain, 0.0 for a non-candidate, is nn_iou's float,
+    and the scores hold the positive ones; a summed query's scores are its
+    whole row, whose own entry scores 0, unless ``walk`` walks it.
 
-    Returns the ids of the queries whose count was summed.
+    Returns the ids of the queries whose count was summed (or, with
+    ``walk``, would have been).
     """
     core = ScoringCore(docs, index)
-    with _summed_queries() as summed:
+    with _summed_queries(walk) as summed:
         for lam in lams:
             for query in docs:
-                gains = core.gains(query.id, lam)
-                assert query.id not in gains and set(gains) <= {d.id for d in docs}
+                scores, gains_of = core.gains(query.id, lam)
+                r = core._number[query.id]
+                reached = core._reach[r]
+                counted = {core.ids[j] for j in range(len(docs)) if reached >> j & 1}
+                if core._summed[r] and not walk:
+                    assert len(scores) == len(docs) and scores[r] == 0.0
+                else:
+                    assert len(scores) == len(counted)
+                positive = []
                 for doc in docs:
                     if doc is query:
                         continue
                     expected = (nn_iou(query.concepts, doc.concepts, lam, index)
                                 if index is not None else iou(query.concepts, doc.concepts))
-                    got = gains.get(doc.id, 0.0)
+                    (got,) = gains_of([doc.id])
                     assert got == expected and type(got) is float
-                    if doc.id not in gains:  # a non-candidate: no shared or related concept
+                    positive += [got] if got else []
+                    if doc.id not in counted:  # a non-candidate: no shared or related concept
                         assert not query.concepts & doc.concepts
                         assert index is None or not rel_set(query.concepts, doc.concepts,
                                                             index)
-                assert core.gains(query.id, lam) == gains
+                assert sorted(filter(None, scores)) == sorted(positive)
+                assert list(core.gains(query.id, lam)[0]) == list(scores)
     assert list(core._scores) == list(lams)  # one table per lambda, all kept
     return [core.ids[r] for r in summed]
 
 
+@WALK
 @settings(max_examples=150)
 @given(summed_corpora())
-def test_gains_of_summed_queries_equal_nn_iou(case):
+def test_gains_of_summed_queries_equal_nn_iou(walk, case):
     docs, index = case
-    summed = _gains_equal_nn_iou(docs, index, SWITCH_LAMBDAS)
+    summed = _gains_equal_nn_iou(docs, index, SWITCH_LAMBDAS, walk)
     nonempty = sorted(d.id for d in docs if d.concepts)
     assert summed and sorted(set(summed)) == nonempty
 
