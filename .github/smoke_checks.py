@@ -293,9 +293,9 @@ def shuffled(directory: Path) -> None:
     benchmark corpus already lists them in; a shuffled corpus must give the
     same index, eval report and ablation CSV byte for byte, and the same
     runs once their lines are sorted by query.  Every sparse query is
-    walked and every dense one summed, so both count paths are checked, and
-    with them the near table and the sums of a query that reaches every
-    other document: dense retrieve and eval at radius 2, and ablate on the
+    walked and every dense one summed, so both count shapes are checked, a
+    walked query's candidate list and a summed query's row, and with them
+    the near table: dense retrieve and eval at radius 2, and ablate on the
     labelled grid at radii 1-2, where only graded queries are asked.
 
     Each corpus also gets IoU runs (``retrieve --measure iou``), which are

@@ -303,7 +303,10 @@ def _emit(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
         print(f"report written to {out_path}")
     else:
-        sys.stdout.write(text)
+        # the bytes --out would hold, whatever the encoding of stdout
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.flush()
 
 
 def _warn_left_out(reports: Sequence[MetricReport], runs, k: int) -> None:

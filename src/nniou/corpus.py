@@ -118,15 +118,23 @@ def corpus_vocabulary(corpus: Iterable[Document]) -> set[str]:
 
 
 def read_runs(path: str | Path) -> list[RankingRun]:
-    """Load a JSONL runs file; duplicate or self-retrieving rankings are rejected."""
+    """Load a JSONL runs file; a repeated query, and a ranking with a duplicate
+    or its own query, are rejected."""
     runs: list[RankingRun] = []
+    seen: dict[str, int] = {}
     for lineno, record in _jsonl_records(path):
         query = record.get("query")
         if not isinstance(query, str) or not query.strip():
             raise DataFileError("missing or empty 'query' field", line=lineno)
+        query = query.strip()
+        if query in seen:
+            raise DataFileError(
+                f"duplicate query {query!r} (first seen on line {seen[query]})", line=lineno
+            )
+        seen[query] = lineno
         ranked = _string_list(record.get("ranked"), "'ranked'", lineno)
         try:
-            runs.append(RankingRun(query.strip(), [r.strip() for r in ranked]))
+            runs.append(RankingRun(query, [r.strip() for r in ranked]))
         except EvaluationError as exc:
             raise DataFileError(str(exc), line=lineno) from None
     return runs

@@ -259,8 +259,8 @@ def nn_cui_at_k(
     measure against the query's concepts; the ideal DCG is that of the k
     largest scores over the candidate pool, in descending order, so it does
     not depend on how ties are ordered.  One count per query gives both:
-    :meth:`ScoringCore.gains` scores every candidate once, or a summed
-    query's whole row, whose own entry scores 0, and returns a lookup of
+    :meth:`ScoringCore.gains` scores a walked query's candidates, or a
+    summed query's row, whose own entry scores 0, and returns a lookup of
     each run document's score, 0.0 for a non-candidate.  Corpus documents
     without a run are skipped as queries and recorded as exclusions; runs
     shorter than k are padded with zero relevance and noted.  The report's

@@ -53,14 +53,11 @@ The two halves of ``rel`` are :func:`rel_set`'s two loops,
   of ``spread[c]`` over ``A``, and ``rel`` the sum of ``meets[c]`` over
   ``A`` plus that of ``spread[c]`` over ``near(A) - A``: a few dozen big
   int additions.  ``to_bytes`` reads the sums out, and one
-  ``memoryview.cast`` gives every document's code.  A query that reaches
-  every other document keeps them all, as one *row* indexed by document
-  number, with its own code set to one that scores 0 (union 1, inter 0,
-  rel 0), so no candidate list is built; any other keeps the numbers and
-  codes of the documents it reaches, except for :meth:`ScoringCore.gains`,
-  which takes every summed query's whole row.  A core with a summed document
-  builds every concept's two ints when it is made, from its bitmasks with
-  bytes work (``bin``, ``translate``, ``int.from_bytes``).
+  ``memoryview.cast`` gives every document's code: the query's *row*,
+  indexed by document number, with its own code set to one that scores 0
+  (union 1, inter 0, rel 0), so no candidate list is built.  A core with a
+  summed document builds every concept's two ints when it is made, from
+  its bitmasks with bytes work (``bin``, ``translate``, ``int.from_bytes``).
 * The *near table* lets the documents fill in ``|B & (near(A) - A)|``
   once for every query: per document ``B``, the sum of ``meets[c]`` over
   ``B``'s concepts, so its byte ``B*n + q`` is ``|B & (near(q) - q)|``,
@@ -92,20 +89,23 @@ while that is at most the ``2 * w * n`` bytes that ``spread`` and
 document that does not hold it, so never at radius 0 or for IoU.  Any
 other summed corpus keeps both sums of ``rel``.
 
-Both ways hand each candidate on as one code ``inter << 2b | rel << b |
-union`` (``b`` bits per field, 8 whenever the sums may run), and one
-ranking tail takes it from there.
-A code's score at a lambda is the same float expression as
-:func:`nn_iou`, computed once per code, so rankings match the pairwise
-definition byte for byte.  :meth:`ScoringCore.tops` ranks a
-query under a whole list of lambdas from one count, which is how the
-ablation sweep scores each pair once per radius instead of once per
-(radius, lambda) cell; a lambda whose scores equal the previous one's,
-as every lambda's do at radius 0, reuses its ranking.
-:meth:`ScoringCore.gains` takes the same count and ranks nothing: it
-returns the scores, whose k largest values are all an ideal DCG needs,
-and a lookup of run documents' scores: by number in a summed query's
-row, and by id from a dict of a walked query's candidates.
+So a count has one of two shapes: a walked query's candidate list, or a
+summed query's row.  Both hand each counted document on as one code
+``inter << 2b | rel << b | union`` (``b`` bits per field, 8 whenever the
+sums may run), and one ranking tail takes it from there.  A code's score
+at a lambda is the same float expression as :func:`nn_iou`, computed once
+per code, so rankings match the pairwise definition byte for byte.
+:meth:`ScoringCore.tops` ranks a query under a whole list of lambdas from
+one count, which is how the ablation sweep scores each pair once per
+radius instead of once per (radius, lambda) cell.  A core whose index
+lists no corpus concept as another's neighbor (radius 0, or no index) is
+*inert*: every ``rel`` is 0, so every lambda scores alike.  The core
+decides this once, when it is made, and ``tops`` then ranks the first
+lambda and copies that ranking to the others.  :meth:`ScoringCore.gains`
+takes the same count and ranks nothing: it returns the scores, whose k
+largest values are all an ideal DCG needs, and a lookup of run
+documents' scores: by number in a summed query's row, and by id from a
+dict of a walked query's candidates.
 Queries and results are document ids.  The core sorts its documents by id
 once and numbers them in that order, so both ways list the counted
 documents in id order.  Per lambda, one stable sort of their positions
@@ -204,10 +204,10 @@ class ScoringCore:
     scores unranked (nn-CUI@K).  Both count through one step, so they
     agree float for float.  Results are fixed at construction, and the
     index is read only there.  Construction also decides each document's
-    count path and, if any document is summed, builds every concept's
-    byte-field counters and the near table; the score of each count code
-    is cached as queries first need it, in one table per lambda asked
-    for, kept for the life of the core.
+    count path and whether the core is inert and, if any document is
+    summed, builds every concept's byte-field counters and the near table;
+    the score of each count code is cached as queries first need it, in
+    one table per lambda scored, kept for the life of the core.
     """
 
     def __init__(self, docs: Sequence, index: NeighborIndex | None = None):
@@ -216,7 +216,7 @@ class ScoringCore:
         docs = sorted(docs, key=attrgetter("id"))
         self.ids = [doc.id for doc in docs]
         self._number = {doc_id: r for r, doc_id in enumerate(self.ids)}
-        self._row = range(len(docs))  # every document number, as a whole row lists them
+        self._row = range(len(docs))  # every document number, as a row lists them
         self._sizes = [len(doc.concepts) for doc in docs]
         bit: dict[str, int] = {}
         postings: list[int] = []
@@ -241,6 +241,8 @@ class ScoringCore:
                     listed_by[n] |= 1 << i
                     near[i] |= postings[n]
                     reach[n] |= postings[i]
+        # no concept listed by another: every rel is 0 (radius 0, or no index)
+        self._inert = not any(listed_by)
         self._packed = [
             (held := sum(1 << bit[c] for c in doc.concepts))
             | (_union(bit, listed_by, doc.concepts) & ~held) << width
@@ -274,30 +276,25 @@ class ScoringCore:
         """Query ``q``'s first ``k`` document ids under each weight.
 
         One ranking per entry of ``lams``, in order.  Each is ordered by
-        descending score, ties by ascending id.  Only reachable documents
-        are scored, and each of them once: its weight-free (inter, rel,
-        union) counts are kept as one code and re-weighted per lambda.
-        The count lists documents by number, so in id order, and per lambda
-        one stable sort of their positions by descending score keeps the top
-        ``k``, every float tie in id order; only its positive scores are
-        mapped to ids.  Every other document, reachable or not, ``q``'s own
-        entry in a whole row included, scores 0 and fills the rest in id
-        order.  A lambda whose scores equal the previous lambda's, as every
-        lambda's do when no candidate has a related concept (radius 0), gets
-        a copy of that ranking instead of a sort.  :meth:`gains` gives
-        the scores.
+        descending score, ties by ascending id.  Each counted document is
+        scored once: its weight-free (inter, rel, union) counts are kept as
+        one code and re-weighted per lambda.  The count lists documents by
+        number, so in id order, and per lambda one stable sort of their
+        positions by descending score keeps the top ``k``, every float tie
+        in id order; only its positive scores are mapped to ids.  Every
+        other document scores 0 and fills the rest in id order.  An inert
+        core (module docstring) ranks the first lambda only and gives every
+        later one a copy.  :meth:`gains` gives the scores.
         """
         numbers, codes = self._count(q)
         ids = self.ids
         positions = range(len(codes))
         rankings = []
-        last = None
         for lam in lams:
-            scores = list(map(self._table(lam).__getitem__, codes))
-            if scores == last:
-                rankings.append(rankings[-1].copy())
+            if rankings and self._inert:
+                rankings.append(rankings[0].copy())
                 continue
-            last = scores
+            scores = list(map(self._table(lam).__getitem__, codes))
             top = sorted(positions, key=scores.__getitem__, reverse=True)[:k]
             ranked = [ids[numbers[i]] for i in top if scores[i] > 0]
             if len(ranked) < k:
@@ -313,13 +310,12 @@ class ScoringCore:
         The scores are the floats :meth:`tops` ranks by, one per counted
         document, so their ``k`` largest values are the ideal gains.  The
         lookup maps ids, a run's for one, to their scores in one call: by
-        document number from the whole row of a summed query, even one that
-        reaches fewer documents (``q``'s own entry scores 0 there), and
-        otherwise by id from a dict of the candidates, 0.0 for a document
-        that is none, as every such document scores exactly 0 at every lambda
-        (see :meth:`_walk`).  Nothing is ranked.
+        document number from a summed query's row, and by id from a dict of
+        a walked query's candidates, 0.0 for a document that is none, as
+        every such document scores exactly 0 at every lambda (see
+        :meth:`_walk`).  Nothing is ranked.
         """
-        numbers, codes = self._count(q, whole=True)
+        numbers, codes = self._count(q)
         score = self._table(lam).__getitem__
         if numbers is self._row:
             scores = list(map(score, codes))
@@ -328,17 +324,17 @@ class ScoringCore:
         by_id = dict(zip(map(self.ids.__getitem__, numbers), map(score, codes)))
         return by_id.values(), lambda ids: list(map(by_id.get, ids, repeat(0.0)))
 
-    def _count(self, q: str, whole: bool = False) -> tuple[Sequence[int], Sequence[int]]:
+    def _count(self, q: str) -> tuple[Sequence[int], Sequence[int]]:
         """Query ``q``'s counted documents, as numbers in ascending order, and
-        their count codes: its candidates, or the whole row ``self._row``,
-        which ``whole`` asks of every summed query."""
+        their count codes: a walked query's candidates, or a summed query's
+        row, ``self._row``."""
         if len(self.ids) < 2:
             raise EvaluationError(
                 f"no candidate documents for query {q!r} (corpus too small)"
             )
         r = self._number[q]
         if self._summed[r]:
-            return self._sums(r, self._reach[r], whole)
+            return self._sums(r)
         return self._walk(r, self._reach[r])
 
     def _table(self, lam: float) -> _Scores:
@@ -375,11 +371,11 @@ class ScoringCore:
                          + ((swapped & p).bit_count() << bits) + size_q + sizes[r])
         return candidates, codes
 
-    def _sums(self, q: int, reach: int, whole: bool) -> tuple[Sequence[int], Sequence[int]]:
-        """What :meth:`_walk` returns, from byte-field sums over the corpus;
-        the whole row instead when ``whole`` or when ``q`` reaches every other
-        document.  A document ``q`` does not reach has inter and rel 0 in
-        it, and ``q`` has concepts, so that document scores exactly 0.
+    def _sums(self, q: int) -> tuple[range, memoryview]:
+        """Query number ``q``'s row: every document's count code by number,
+        from byte-field sums over the corpus.  ``q``'s own code is union 1,
+        rel 0, inter 0, which scores 0.  A document ``q`` does not reach has
+        inter and rel 0, and ``q`` has concepts, so it scores exactly 0.
 
         ``spread[c]`` holds a 1 in the field of every document holding
         ``c``, and ``meets[c]`` in that of every document near ``c``
@@ -412,14 +408,8 @@ class ScoringCore:
         data[0::4] = union.to_bytes(n, "little")
         data[1::4] = rel.to_bytes(n, "little")
         data[2::4] = inter.to_bytes(n, "little")
-        if whole or reach.bit_count() == n - 1:
-            # the whole row, compressed by nothing, with q's own code made
-            # union 1, rel 0, inter 0, which scores 0
-            data[4 * q:4 * q + 4] = b"\1\0\0\0"
-            return self._row, memoryview(data).cast("I")
-        chosen = _digits(reach)
-        codes = memoryview(data).cast("I")
-        return list(compress(self._row, chosen)), list(compress(codes, chosen))
+        data[4 * q:4 * q + 4] = b"\1\0\0\0"
+        return self._row, memoryview(data).cast("I")
 
     def _build(self, postings: list[int], near: list[int]) -> None:
         """Fill in ``spread`` and ``meets`` from the documents holding each

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import nniou
 from nniou import (
     ConfigError,
     DataFileError,
@@ -39,6 +43,17 @@ def workspace(tmp_path):
     _, docs, class_map, edge_lines = planted_cluster_corpus(docs_per_cluster=8)
     edges, corpus, cmap = write_fixture_files(tmp_path, docs, class_map, edge_lines)
     return tmp_path, edges, corpus, cmap
+
+
+def _run_cli(argv, **env):
+    """``python -m nniou.cli`` with ``argv`` in a subprocess, ``env`` added to
+    this one's environment; its output is kept as bytes."""
+    # the package this process imported, whether its directory came from
+    # PYTHONPATH or from sys.path
+    path = os.pathsep.join(filter(None, [str(Path(nniou.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "nniou.cli", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
 
 
 def _blank_lines(size: int, end: bytes) -> tuple[bytes, int]:
@@ -383,6 +398,36 @@ class TestRetrieveAndEval:
         write_runs([RankingRun(q, [d for d in "abcd" if d != q]) for q in "abcd"], runs)
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
+
+    def test_eval_rejects_a_query_run_twice_naming_both_lines(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "cuis": ["C1"]}\n{"id": "b", "cuis": ["C1"]}\n',
+                          encoding="utf-8")
+        runs = tmp_path / "r.runs"
+        runs.write_text('{"query": "a", "ranked": ["b"]}\n{"query": "b", "ranked": []}\n'
+                        '{"query": "a", "ranked": []}\n', encoding="utf-8")
+        assert main(["eval", "--corpus", str(corpus), "--runs", str(runs),
+                     "--measure", "iou", "--k", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: line 3: duplicate query 'a' (first seen on line 1)\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_eval_writes_stdout_in_the_bytes_of_out_whatever_its_encoding(self, tmp_path,
+                                                                        fmt):
+        """An id latin-1 cannot encode reaches a latin-1 stdout as UTF-8."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "\u6587", "cuis": ["C1"]}\n{"id": "b", "cuis": ["C1"]}\n',
+                          encoding="utf-8")
+        runs = tmp_path / "r.runs"
+        write_runs([RankingRun("\u6587", ["b"]), RankingRun("b", ["\u6587"])], runs)
+        out = tmp_path / "report.out"
+        argv = ["eval", "--corpus", str(corpus), "--runs", str(runs), "--measure", "iou",
+                "--k", "1", "--format", fmt]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert "\u6587" in out.read_text(encoding="utf-8")
+        result = _run_cli(argv, PYTHONIOENCODING="latin-1")
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == out.read_bytes()
 
     def test_eval_counts_each_excluded_query_once_across_reports(self, workspace, capsys):
         """A query without a run is excluded from nn-CUI@K and from Precision@K:
@@ -1199,32 +1244,15 @@ class TestFlagsCheckedBeforeFiles:
 
 class TestUsage:
     def test_module_entry_point(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        import nniou
-
         edges = tmp_path / "edges.tsv"
         edges.write_text("a\tb\n", encoding="utf-8")
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"id": "d", "cuis": ["a", "b"]}\n', encoding="utf-8")
         out = tmp_path / "idx.nnidx"
-        result = subprocess.run(
-            [sys.executable, "-m", "nniou.cli", "build-index",
-             "--edges", str(edges), "--corpus", str(corpus),
-             "--n", "1", "--out", str(out)],
-            capture_output=True,
-            text=True,
-            encoding="utf-8",
-            # the package this process imported, whether its directory came
-            # from PYTHONPATH or from sys.path
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                filter(None, [str(Path(nniou.__file__).parents[1]),
-                              os.environ.get("PYTHONPATH")]))},
-        )
+        result = _run_cli(["build-index", "--edges", str(edges), "--corpus", str(corpus),
+                           "--n", "1", "--out", str(out)])
         assert result.returncode == 0, result.stderr
-        assert "entries=2" in result.stdout
+        assert b"entries=2" in result.stdout
         assert out.exists()
 
     def test_no_subcommand_exits_one(self, capsys):

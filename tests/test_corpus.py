@@ -171,6 +171,20 @@ class TestRuns:
         with pytest.raises(DataFileError, match="line 1.*duplicate"):
             read_runs(path)
 
+    def test_repeated_query_reports_both_lines(self, tmp_path):
+        path = _write(tmp_path, "runs.jsonl", '{"query": "a", "ranked": []}\n'
+                      '{"query": "b", "ranked": ["a"]}\n{"query": " a", "ranked": ["b"]}\n')
+        with pytest.raises(DataFileError) as raised:
+            read_runs(path)
+        assert str(raised.value) == "line 3: duplicate query 'a' (first seen on line 1)"
+        assert raised.value.line == 3
+
+    def test_repeated_query_is_named_before_its_ranking_is_read(self, tmp_path):
+        path = _write(tmp_path, "runs.jsonl",
+                      '{"query": "a", "ranked": []}\n{"query": "a", "ranked": ["a"]}\n')
+        with pytest.raises(DataFileError, match="^line 2: duplicate query 'a'"):
+            read_runs(path)
+
     def test_self_retrieval_reports_line(self, tmp_path):
         path = _write(
             tmp_path, "runs.jsonl", '{"query": "a", "ranked": ["a", "b"]}\n'

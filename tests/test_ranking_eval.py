@@ -373,7 +373,7 @@ class TestPrecisionAtK:
 # Graded runs that are not the ground truth, each per-query value against
 # ndcg_at_k over the oracle's scores.  At radius 1 the tree corpus sums 25
 # of its 30 queries and walks 5, the planted one sums 23 of 24 and walks 1;
-# at radius 2 the tree corpus sums all 30, 3 of them as whole rows.
+# at radius 2 the tree corpus sums all 30.
 GRADED_CORPORA = {
     "tree": lambda: random_tree_corpus(seed=3, num_nodes=40, num_docs=30),
     "planted": lambda: planted_cluster_corpus(docs_per_cluster=12)[:2],

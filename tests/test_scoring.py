@@ -179,8 +179,8 @@ def test_tops_equal_brute_force_for_every_lambda(docs, radius, data):
 @settings(max_examples=200)
 @given(corpora(min_docs=2), st.integers(0, 2), st.data())
 def test_tops_under_many_lambdas_equal_each_alone_in_distinct_lists(docs, radius, data):
-    """A lambda whose scores equal the last one's reuses its ranking, as a copy."""
-    # repeats allowed, so equal score lists also come up at radius 1 and 2
+    """Each ranking is a list of its own, an inert core's copies of the first included."""
+    # repeats allowed: a repeated lambda ranks alike at every radius
     lams = data.draw(st.lists(st.sampled_from(LAMBDAS), min_size=1, max_size=5))
     k = data.draw(st.integers(1, len(docs) + 1))
     vocabulary = set().union(*(d.concepts for d in docs)) - {"yy"}
@@ -239,7 +239,8 @@ def test_lambda_zero_candidate_sorts_by_id_between_non_candidates():
     ranked = core.tops("q", (0.0,), 4)[0]
     assert ranked == ["p", "c", "m", "x"]
     assert _gains_of(core, "q", 0.0, ranked) == [1.0, 0.0, 0.0, 0.0]
-    counted = [core.ids[r] for r in core._count("q")[0]]
+    reached = core._reach[core._number["q"]]
+    counted = [i for r, i in enumerate(core.ids) if reached >> r & 1]
     assert "m" in counted and "c" not in counted
 
 
@@ -478,9 +479,9 @@ def _ranks_as_expected(core, query, expected, k):
         assert _gains_of(core, query.id, lam, top) == scores[:k]
 
 
-def _walk_only(core, q, reach, whole):
+def _walk_only(core, q):
     """``ScoringCore._walk`` in place of the sums: every count walked."""
-    return core._walk(q, reach)
+    return core._walk(q, core._reach[q])
 
 
 # a test parameter: count as the core chooses, or with _sums patched to walk
@@ -492,20 +493,21 @@ def _summed_queries(walk=False):
     """Record the number of every summed query, in a list yielded; with
     ``walk``, every one of them is walked instead (``_walk_only``).
 
-    Each summed count must equal the walk's ``(candidates, codes)``.  A whole
-    row, asked for or of a query reaching every other document, must list
-    every document, ``q``'s own code scoring 0, every document the walk
-    skips with inter and rel 0, and the walk's candidates as the walk does.
+    Each summed count must be a row that lists every document, ``q``'s own
+    code scoring 0, every document the walk skips with inter and rel 0, and
+    the walk's candidates as the walk does; a forced walk must equal the
+    walk.
     """
     summed = []
     sums = _walk_only if walk else ScoringCore._sums
 
-    def recording(self, q, reach, whole):
+    def recording(self, q):
         summed.append(q)
-        numbers, codes = sums(self, q, reach, whole)
+        numbers, codes = sums(self, q)
         counted = list(zip(numbers, codes))
-        if numbers is self._row:
-            assert whole or reach.bit_count() == len(self.ids) - 1
+        reach = self._reach[q]
+        assert (numbers is self._row) != walk
+        if not walk:
             assert counted.pop(q) == (q, 1)  # union 1, rel 0, inter 0
             skipped = [c for r, c in counted if not reach >> r & 1]
             assert all(c >> self._bits == 0 for c in skipped)
@@ -675,8 +677,11 @@ def test_a_near_table_larger_than_the_counters_is_not_built():
 
 
 def test_score_tables_are_kept_one_per_lambda_asked():
+    """An index that relates x0 and x1, so that every lambda is scored."""
+    index = NeighborIndex(radius=1, source_checksum="hand",
+                          entries={"x0": frozenset({"x1"}), "x1": frozenset({"x0"})})
     docs = [Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(4)]
-    core = ScoringCore(docs)
+    core = ScoringCore(docs, index)
     asked = [step / 100 for step in range(100)]
     for lam in asked:
         core.tops("d0", (lam,), 3)
@@ -689,14 +694,59 @@ def test_score_tables_are_kept_one_per_lambda_asked():
     assert all(core._scores[table.lam] is table for table in kept)
 
 
+@settings(max_examples=100)
+@given(corpora(min_docs=2), graphs(), st.booleans(),
+       st.lists(st.sampled_from(SWITCH_LAMBDAS), min_size=1, max_size=6, unique=True),
+       st.integers(1, 9))
+@example([Document(i, frozenset(c)) for i, c in
+          [("a", {"c0", "c1"}), ("b", {"c0"}), ("c", {"c1", "c2"}), ("d", {"c2", "c4"}),
+           ("e", set())]],
+         KnowledgeGraph.from_edges([("c0", "c1"), ("c1", "c2")], nodes=GRAPH_CONCEPTS),
+         False, [0.5, 0.0, 1.0], 3)
+def test_an_inert_core_scores_one_table_for_every_lambda(docs, graph, no_index, lams, k):
+    """At radius 0, or with no index, no concept is related, so ``tops`` scores
+    the first lambda only; every ranking is its lambda's alone, in a list of
+    its own.  In the example, a and c are summed, the others walked."""
+    vocabulary = set().union(*(d.concepts for d in docs)) - {"yy"}
+    core = ScoringCore(docs, None if no_index else build_index(graph, vocabulary, 0))
+    assert core._inert
+    rankings = {d.id: core.tops(d.id, lams, k) for d in docs}
+    assert list(core._scores) == [lams[0]]
+    for q, ranked in rankings.items():
+        assert len({id(r) for r in ranked}) == len(lams)
+        assert ranked == [core.tops(q, (lam,), k)[0] for lam in lams]
+
+
+def test_a_related_core_ranks_a_query_with_no_related_candidate_alike_at_every_lambda():
+    """x0 and x1 are related, so every lambda is scored; q's candidates hold
+    neither in a pair, so each ranks them alike, while d0's rankings vary."""
+    index = NeighborIndex(radius=1, source_checksum="hand",
+                          entries={"x0": frozenset({"x1"}), "x1": frozenset({"x0"})})
+    docs = [Document("q", frozenset({"h"})), Document("d0", frozenset({"h", "x0"})),
+            Document("d1", frozenset({"h", "x1"})), Document("d2", frozenset({"h"})),
+            Document("d3", frozenset({"z"}))]
+    core = ScoringCore(docs, index)
+    assert not core._inert
+    rankings = core.tops("q", SWITCH_LAMBDAS, 4)
+    assert rankings == [["d2", "d0", "d1", "d3"]] * len(SWITCH_LAMBDAS)
+    assert list(core._scores) == list(SWITCH_LAMBDAS)
+    assert core.tops("d0", (0.0, 1.0), 2) == [["d2", "q"], ["d1", "d2"]]
+    for query in docs:
+        _ranks_as_expected(core, query, _brute_tops(docs, index, query), 4)
+
+
 def test_both_counts_agree_on_a_query_with_no_concepts_in_a_dense_corpus():
-    """An empty query reaches nothing, so it is walked; its counts sum to zeros."""
+    """An empty query reaches nothing, so it is walked; its sums are a row of
+    zero inter and rel counts."""
     docs = [Document("e", frozenset())] + [
         Document(f"d{i}", frozenset({"h", f"x{i}"})) for i in range(4)
     ]
     core = ScoringCore(docs)
     e = core._number["e"]
-    assert core._sums(e, 0, False) == core._walk(e, 0) == ([], [])
+    assert core._walk(e, 0) == ([], [])
+    numbers, codes = core._sums(e)
+    assert numbers is core._row and codes[e] == 1  # union 1, rel 0, inter 0
+    assert [c >> core._bits for r, c in enumerate(codes) if r != e] == [0] * 4
     assert core.tops("e", (0.5,), 4)[0] == ["d0", "d1", "d2", "d3"]
     scores, gains_of = core.gains("e", 0.5)
     assert list(scores) == [] and gains_of(["d0", "d3"]) == [0.0, 0.0]
@@ -712,19 +762,19 @@ ROW_CORPORA = {
     # through z; b and c reach two of three, d one
     "whole": ([Document("d", frozenset({"z"})), Document("a", frozenset({"h", "z"})),
                Document("c", frozenset({"h"})), Document("b", frozenset({"g"}))],
-              {"a": "row", "b": "summed", "c": "summed", "d": "walked"}),
+              {"a": "row", "b": "row", "c": "row", "d": "walked"}),
     # a, b and c each reach the two others, exactly half of the other four,
-    # so they are summed with the compress by reach; d and the empty e reach
-    # nothing
+    # so they are summed; d and the empty e reach nothing
     "boundary": ([Document("e", frozenset()), Document("c", frozenset({"h", "y"})),
                   Document("a", frozenset({"h"})), Document("d", frozenset({"z"})),
                   Document("b", frozenset({"g"}))],
-                 {"a": "summed", "b": "summed", "c": "summed", "d": "walked", "e": "walked"}),
+                 {"a": "row", "b": "row", "c": "row", "d": "walked", "e": "walked"}),
 }
 
 
 def _count_shape(core, q):
-    """How ``q`` was counted: its whole row, summed by reach, or walked."""
+    """How ``q`` was counted: as its row, walked though summed (when the walk
+    is forced), or walked."""
     if core._count(q)[0] is core._row:
         return "row"
     return "summed" if core._summed[core._number[q]] else "walked"
@@ -732,7 +782,7 @@ def _count_shape(core, q):
 
 def _row_like_the_oracle(docs, index, core):
     """Every query ranks as ``brute_ranking`` at every k up to N + 1 and under
-    every switch lambda; its gains, and the ideal gains, are nn_iou's; a whole
+    every switch lambda; its gains, and the ideal gains, are nn_iou's; a
     row's own entry scores 0 and is never ranked or graded."""
     by_id = {d.id: d for d in docs}
     for query in docs:
@@ -761,9 +811,9 @@ def _row_like_the_oracle(docs, index, core):
 @pytest.mark.parametrize("name", ROW_CORPORA)
 @WALK
 def test_the_row_ranks_and_grades_like_the_oracle(name, walk):
-    """A whole row, a summed query at the switch boundary, and walked queries,
-    over an asymmetric index, at every k up to one past the corpus; then the
-    same with every count walked."""
+    """A query reaching every other document, queries summed at the switch
+    boundary, and walked queries, over an asymmetric index, at every k up
+    to one past the corpus; then the same with every count walked."""
     docs, shapes = ROW_CORPORA[name]
     core = ScoringCore(docs, ROW_INDEX)
     assert {q: _count_shape(core, q) for q in shapes} == shapes
@@ -799,7 +849,7 @@ def test_dense_rankings_and_nn_cui_equal_brute_force(case, lam, data):
 def _gains_equal_nn_iou(docs, index, lams, walk=False):
     """Every pair q != j: the gain, 0.0 for a non-candidate, is nn_iou's float,
     and the scores hold the positive ones; a summed query's scores are its
-    whole row, whose own entry scores 0, unless ``walk`` walks it.
+    row, whose own entry scores 0, unless ``walk`` walks it.
 
     Returns the ids of the queries whose count was summed (or, with
     ``walk``, would have been).
