@@ -35,13 +35,6 @@ from .neighbor_index import (
     save_index,
     shortest_path_len,
 )
-from .corpus import (
-    corpus_vocabulary,
-    read_class_map,
-    read_corpus,
-    read_runs,
-    write_runs,
-)
 from .ranking_eval import (
     AblationGrid,
     Document,
@@ -49,6 +42,7 @@ from .ranking_eval import (
     MetricReport,
     RankingRun,
     ablation_rows,
+    corpus_vocabulary,
     dcg,
     derive_labels,
     ground_truth_ranking,
@@ -57,6 +51,10 @@ from .ranking_eval import (
     ndcg_at_k,
     nn_cui_at_k,
     precision_at_k,
+    read_class_map,
+    read_corpus,
+    read_runs,
+    write_runs,
 )
 from .scoring import iou, nn_iou, rel_set
 

@@ -36,13 +36,6 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import (
-    corpus_vocabulary,
-    read_class_map,
-    read_corpus,
-    read_runs,
-    write_runs,
-)
 from .errors import ConfigError, DataError, EvaluationError
 from .kg_store import KnowledgeGraph, edge_file_checksum, parse_edge_file
 from .neighbor_index import NeighborIndex, build_index, checked_radius, load_index, save_index
@@ -57,11 +50,16 @@ from .ranking_eval import (
     _label_matches,
     _no_repeats,
     ablation_rows,
+    corpus_vocabulary,
     derive_labels,
     ground_truth_ranking,
     ground_truth_rankings,
     nn_cui_at_k,
     precision_at_k,
+    read_class_map,
+    read_corpus,
+    read_runs,
+    write_runs,
 )
 from .scoring import checked_lambda, iou, nn_iou
 

@@ -50,6 +50,8 @@ from typing import Collection, Iterable, Sequence
 from .errors import EdgeFileError, UnknownConceptError, text_lines
 
 CUI_PATTERN = re.compile(r"C[0-9]{7}")
+# what an edge file reads as a field or record separator
+_SEPARATOR = re.compile(r"[\t\n\r]")
 
 # Edges are deduplicated on the int key child << _SHIFT | parent, which is
 # unique while node ids stay below 2**32.
@@ -321,7 +323,11 @@ class KnowledgeGraph:
         edges: Iterable[tuple[str, str]],
         nodes: Iterable[str] = (),
     ) -> "KnowledgeGraph":
-        """Build a graph from (child, parent) pairs plus optional isolated nodes."""
+        """Build a graph from (child, parent) pairs plus optional isolated nodes.
+
+        An identifier that still holds a tab, ``\\n`` or ``\\r`` once trimmed
+        raises ValueError, since no edge file could hold it.
+        """
         records = chain(
             zip(nodes, repeat(False), repeat("")),
             ((child, None, parent) for child, parent in edges),
@@ -331,6 +337,10 @@ class KnowledgeGraph:
         except EdgeFileError as exc:
             raise ValueError(str(exc)) from None
         names = list(index)
+        # checked on the trimmed names, so _intern's per-record loop stays as it is
+        if _SEPARATOR.search("".join(names)):
+            bad = next(name for name in names if _SEPARATOR.search(name))
+            raise ValueError(f"identifier {bad!r} contains a tab or line break")
         checksum = _canonical_checksum(
             names, [(names[c], names[p]) for c, p in zip(children, parents)]
         )

@@ -271,12 +271,27 @@ class TestFromEdges:
         assert graph.node_names == ("#n", "# m", "#a", "b", "#c")
         assert graph.edges() == [("#a", "b"), ("#c", "#a")]
 
-    def test_tab_holding_identifiers_are_concepts(self):
+    def test_surrounding_tabs_and_line_breaks_are_trimmed(self):
         graph = KnowledgeGraph.from_edges(
-            [("a\tb", "c\td"), ("e", "a\tb\t")], nodes=["x\ty", "\tz"]
+            [("\ta\r\n", "c\t"), ("e", " a\n")], nodes=["\rx", "\tz"]
         )
-        assert graph.node_names == ("x\ty", "z", "a\tb", "c\td", "e")
-        assert graph.edges() == [("a\tb", "c\td"), ("e", "a\tb")]
+        assert graph.node_names == ("x", "z", "a", "c", "e")
+        assert graph.edges() == [("a", "c"), ("e", "a")]
+
+    @pytest.mark.parametrize("sep", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    @pytest.mark.parametrize("where", ["child", "parent", "node"])
+    def test_an_identifier_holding_a_separator_raises(self, where, sep):
+        """An edge file could not hold it: a tab splits fields and a break ends the record."""
+        bad = f" b{sep}c "
+        edges, nodes = {
+            "child": ([("a", "d"), (bad, "a")], ["n"]),
+            "parent": ([("a", "d"), ("a", bad)], ["n"]),
+            "node": ([("a", "d")], ["n", bad]),
+        }[where]
+        with pytest.raises(ValueError) as caught:
+            KnowledgeGraph.from_edges(edges, nodes=nodes)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"identifier {f'b{sep}c'!r} contains a tab or line break"
 
     @pytest.mark.parametrize(
         "edges, nodes, message",
